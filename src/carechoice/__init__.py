@@ -30,25 +30,22 @@ from .domain import (
 from .features import (
     ContinuityIndices,
     FEATURE_NAMES,
+    FeatureFileError,
     MissingRegionError,
     N_FEATURES,
     ProviderVotes,
     SCALED_FEATURES,
     ScalerParams,
-    VisitFeatureVector,
     VisitSequence,
     age_at,
-    assemble_visit_vector,
     build_feature_vectors,
     build_visit_sequences,
     continuity_indices,
     disease_importance_rate,
-    feature_matrix,
     fit_scaler,
     incident_flags,
     provider_votes,
     read_feature_csv,
-    scale_vector,
     write_feature_csv,
 )
 from .ingest import (

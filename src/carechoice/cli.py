@@ -38,6 +38,7 @@ from .explain import (
     write_importance_csv,
 )
 from .features import (
+    FeatureFileError,
     MissingRegionError,
     ScalerParams,
     build_feature_vectors,
@@ -273,12 +274,12 @@ def _cmd_ingest(cfg: RunConfig) -> int:
 
 def _cmd_features(cfg: RunConfig) -> int:
     dataset, _ = _load_clean_dataset(cfg)
-    vectors = build_feature_vectors(dataset)
+    X, y = build_feature_vectors(dataset)
     cfg.write_snapshot()
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.run_dir / FEATURES_CSV
-    write_feature_csv(path, vectors, header_comment=f"config_hash={cfg.config_hash}")
-    print(f"features: {len(vectors)} visit rows -> {path}")
+    write_feature_csv(path, X, y, header_comment=f"config_hash={cfg.config_hash}")
+    print(f"features: {X.shape[0]} visit rows -> {path}")
     return EXIT_OK
 
 
@@ -535,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (IngestError, EmptyDatasetError, MissingRegionError,
+    except (IngestError, EmptyDatasetError, MissingRegionError, FeatureFileError,
             CalendarCoverageError, SamplingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

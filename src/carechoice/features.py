@@ -1,5 +1,5 @@
 """Feature engineering: continuity indices, provider votes, incident flags,
-and assembly of the 18-dimensional visit vector with min-max scaling.
+the 18-column visit feature matrix and its CSV file, and min-max scaling.
 
 Continuity is measured per patient over the full study period at the
 provider (institute) level. Provider votes are tallied once over the whole
@@ -9,6 +9,7 @@ least-frequent vote.
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -20,7 +21,6 @@ from .domain import (
     CodeSets,
     Dataset,
     HospitalLevel,
-    PatientProfile,
     ProviderProfile,
     VisitRecord,
     WorkdayCalendar,
@@ -175,79 +175,27 @@ def age_at(birth: date, visit: date) -> int:
     return years
 
 
-@dataclass(frozen=True)
-class VisitFeatureVector:
-    """The 18 model inputs for one visit plus its hospital-level label."""
-
-    age: float
-    male: float
-    low_income: float
-    total_visits: float
-    total_diseases: float
-    total_chronic_diseases: float
-    upc: float
-    lupc: float
-    secoc: float
-    coci: float
-    physician_density: float
-    mfpc: float
-    lfpc: float
-    is_surgery: float
-    is_er: float
-    is_severe: float
-    is_workday: float
-    dir: float
-    label: HospitalLevel
-
-    def values(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
-
-
 class MissingRegionError(Exception):
     pass
 
 
-def assemble_visit_vector(
-    record: VisitRecord,
-    patient: PatientProfile,
+def _provider_columns(
     provider: ProviderProfile,
-    indices: ContinuityIndices,
     votes: Mapping[str, ProviderVotes],
     region_stats: Mapping[str, float],
-    dir_value: float,
-    flags: tuple[bool, bool, bool, bool],
-    total_visits: int,
-    total_diseases: int,
-    total_chronic_diseases: int,
-) -> VisitFeatureVector:
+) -> tuple[float, float, float, int]:
+    """(physician_density, mfpc, lfpc, label) shared by every visit to a provider."""
     if provider.region_code not in region_stats:
         raise MissingRegionError(
             f"provider {provider.provider_id}: region {provider.region_code!r} "
             "missing from the physician-density table"
         )
-    assert patient.birth_date is not None and record.visit_date is not None
-    vote = votes.get(record.provider_id)
-    is_surgery, is_er, is_severe, is_workday = flags
-    return VisitFeatureVector(
-        age=float(age_at(patient.birth_date, record.visit_date)),
-        male=1.0 if patient.gender == "male" else 0.0,
-        low_income=1.0 if patient.low_income else 0.0,
-        total_visits=float(total_visits),
-        total_diseases=float(total_diseases),
-        total_chronic_diseases=float(total_chronic_diseases),
-        upc=indices.upc,
-        lupc=indices.lupc,
-        secoc=indices.secoc,
-        coci=indices.coci,
-        physician_density=region_stats[provider.region_code],
-        mfpc=float(vote.mfpc) if vote else 0.0,
-        lfpc=float(vote.lfpc) if vote else 0.0,
-        is_surgery=float(is_surgery),
-        is_er=float(is_er),
-        is_severe=float(is_severe),
-        is_workday=float(is_workday),
-        dir=dir_value,
-        label=provider.level,
+    vote = votes.get(provider.provider_id)
+    return (
+        region_stats[provider.region_code],
+        float(vote.mfpc) if vote else 0.0,
+        float(vote.lfpc) if vote else 0.0,
+        int(provider.level),
     )
 
 
@@ -258,63 +206,72 @@ def build_visit_sequences(dataset: Dataset) -> dict[str, VisitSequence]:
     return {pid: VisitSequence(pid, tuple(provs)) for pid, provs in by_patient.items()}
 
 
-def build_feature_vectors(dataset: Dataset) -> list[VisitFeatureVector]:
-    """Compute every visit's feature vector from a clean dataset.
+def build_feature_vectors(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Compute every visit's 18 features and hospital-level label.
 
+    Returns X of shape (n, 18), columns in FEATURE_NAMES order, and integer
+    labels y, one row per visit in the dataset's canonical visit order.
     Vote tallies are global over all patients; continuity, disease counts,
-    and the disease-importance rate are per patient over the study period.
-    Rows come out in the dataset's canonical visit order.
+    and the disease-importance rate are per patient over the study period,
+    so they are computed once per patient and shared by its rows.
     """
     sequences = build_visit_sequences(dataset)
     votes = provider_votes(sequences.values())
-    indices = {pid: continuity_indices(seq) for pid, seq in sequences.items()}
 
-    visits_by_patient: dict[str, list[VisitRecord]] = {}
-    for v in dataset.visits:
-        visits_by_patient.setdefault(v.patient_id, []).append(v)
+    visits = dataset.visits
+    rows_by_patient: dict[str, list[int]] = {}
+    for i, v in enumerate(visits):
+        rows_by_patient.setdefault(v.patient_id, []).append(i)
 
-    dx_counts: dict[str, Counter] = {}
-    totals: dict[str, tuple[int, int]] = {}
-    chronic = dataset.code_sets.chronic_dx_codes
-    for pid, visits in visits_by_patient.items():
-        dx_counts[pid] = Counter(v.primary_dx for v in visits)
-        all_dx: set[str] = set()
-        for v in visits:
-            all_dx |= v.dx_codes
-        totals[pid] = (len(all_dx), len(all_dx & chronic))
-
-    vectors = []
-    for v in dataset.visits:
-        patient = dataset.patients[v.patient_id]
-        provider = dataset.providers[v.provider_id]
-        seq = sequences[v.patient_id]
+    code_sets, calendar = dataset.code_sets, dataset.calendar
+    chronic = code_sets.chronic_dx_codes
+    provider_columns: dict[str, tuple[float, float, float, int]] = {}
+    rows: list = [None] * len(visits)
+    labels = [0] * len(visits)
+    for pid, row_ids in rows_by_patient.items():
+        patient = dataset.patients[pid]
+        assert patient.birth_date is not None
+        seq = sequences[pid]
         n = seq.n_visits
-        dir_value = dx_counts[v.patient_id][v.primary_dx] / n
-        flags = incident_flags(v, dataset.code_sets, dataset.calendar)
-        n_dx, n_chronic = totals[v.patient_id]
-        vectors.append(
-            assemble_visit_vector(
-                v,
-                patient,
-                provider,
-                indices[v.patient_id],
-                votes,
-                dataset.region_stats,
-                dir_value,
-                flags,
-                total_visits=n,
-                total_diseases=n_dx,
-                total_chronic_diseases=n_chronic,
-            )
+        indices = continuity_indices(seq)
+        patient_visits = [visits[i] for i in row_ids]
+        dx_counts = Counter(v.primary_dx for v in patient_visits)
+        all_dx: set[str] = set()
+        for v in patient_visits:
+            all_dx |= v.dx_codes
+        patient_columns = (
+            1.0 if patient.gender == "male" else 0.0,
+            1.0 if patient.low_income else 0.0,
+            float(n),
+            float(len(all_dx)),
+            float(len(all_dx & chronic)),
+            indices.upc,
+            indices.lupc,
+            indices.secoc,
+            indices.coci,
         )
-    return vectors
-
-
-def feature_matrix(vectors: Sequence[VisitFeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack vectors into (X, y) with X of shape (n, 18) and integer labels y."""
-    X = np.array([v.values() for v in vectors], dtype=np.float64)
-    y = np.array([int(v.label) for v in vectors], dtype=np.int64)
-    return X, y
+        for i, v in zip(row_ids, patient_visits):
+            is_surgery, is_er, is_severe, is_workday = incident_flags(v, code_sets, calendar)
+            provider = provider_columns.get(v.provider_id)
+            if provider is None:
+                provider = provider_columns[v.provider_id] = _provider_columns(
+                    dataset.providers[v.provider_id], votes, dataset.region_stats
+                )
+            density, mfpc, lfpc, labels[i] = provider
+            rows[i] = (
+                float(age_at(patient.birth_date, v.visit_date)),
+                *patient_columns,
+                density,
+                mfpc,
+                lfpc,
+                float(is_surgery),
+                float(is_er),
+                float(is_severe),
+                float(is_workday),
+                dx_counts[v.primary_dx] / n,
+            )
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
+    return X, np.array(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -356,12 +313,9 @@ class ScalerParams:
         )
 
 
-def fit_scaler(training: Sequence[VisitFeatureVector] | np.ndarray) -> ScalerParams:
+def fit_scaler(X: np.ndarray) -> ScalerParams:
     """Fit per-feature (min, max) on training rows only."""
-    if isinstance(training, np.ndarray):
-        X = np.atleast_2d(training)
-    else:
-        X = np.array([v.values() for v in training], dtype=np.float64)
+    X = np.atleast_2d(X)
     if X.shape[0] == 0:
         raise ValueError("cannot fit scaler on zero rows")
     mins = {}
@@ -373,33 +327,77 @@ def fit_scaler(training: Sequence[VisitFeatureVector] | np.ndarray) -> ScalerPar
     return ScalerParams(mins=mins, maxs=maxs)
 
 
-def scale_vector(v: VisitFeatureVector | np.ndarray, scaler: ScalerParams) -> np.ndarray:
-    """Scaled 18-dimensional numeric vector for one visit."""
-    raw = v.values() if isinstance(v, VisitFeatureVector) else np.asarray(v, dtype=np.float64)
-    return scaler.transform(raw.reshape(1, -1))[0]
+_CSV_COLUMNS = FEATURE_NAMES + ("label",)
+# "%.17g" is the shortest fixed precision that round-trips every float64
+_ROW_FORMAT = ",".join(["%.17g"] * N_FEATURES) + ",%d\n"
+_LEVEL_CODES = [int(level) for level in HospitalLevel]
 
 
-def write_feature_csv(path, vectors: Sequence[VisitFeatureVector], header_comment: str | None = None):
+class FeatureFileError(Exception):
+    """A feature file that does not hold the header and rows write_feature_csv writes."""
+
+
+def write_feature_csv(path, X: np.ndarray, y: np.ndarray, header_comment: str | None = None):
     """Export the feature matrix with 17-significant-digit decimals so the
     written values round-trip bit-exactly."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2 or X.shape[1] != N_FEATURES or y.shape != (X.shape[0],):
+        raise ValueError(f"expected X of shape (n, {N_FEATURES}) and y of shape (n,), "
+                         f"got {X.shape} and {y.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        fh.write(",".join(FEATURE_NAMES + ("label",)) + "\n")
-        for v in vectors:
-            row = [format(x, ".17g") for x in v.values()]
-            row.append(str(int(v.label)))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        fh.writelines([_ROW_FORMAT % (*row, label) for row, label in zip(X.tolist(), y.tolist())])
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a feature file back into (X, y), every value bit-exact.
+
+    Leading '#' lines are skipped and the header must name the 18 features
+    and the label. A malformed body raises FeatureFileError naming the file
+    and the first bad line.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    header = lines[0].strip().split(",")
-    expected = list(FEATURE_NAMES + ("label",))
-    if header != expected:
-        raise ValueError(f"unexpected feature columns: {header}")
-    rows = [ln.strip().split(",") for ln in lines[1:] if ln.strip()]
-    X = np.array([[float(x) for x in r[:-1]] for r in rows], dtype=np.float64)
-    y = np.array([int(r[-1]) for r in rows], dtype=np.int64)
-    return X, y
+        line, header_line = fh.readline(), 1
+        while line.startswith("#"):
+            line, header_line = fh.readline(), header_line + 1
+        header = line.strip().split(",")
+        if header != list(_CSV_COLUMNS):
+            raise FeatureFileError(f"{path}:{header_line}: unexpected feature columns: {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body is zero rows
+                data = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise _first_bad_row(path, header_line) or FeatureFileError(f"{path}: {exc}")
+    if data.size == 0:
+        return np.empty((0, N_FEATURES)), np.empty(0, dtype=np.int64)
+    if data.shape[1] != len(_CSV_COLUMNS) or not np.isin(data[:, -1], _LEVEL_CODES).all():
+        raise _first_bad_row(path, header_line) or FeatureFileError(f"{path}: malformed rows")
+    return np.ascontiguousarray(data[:, :N_FEATURES]), data[:, -1].astype(np.int64)
+
+
+def _first_bad_row(path, header_line: int) -> FeatureFileError | None:
+    """Error for the first body line that is not 19 numbers ending in a level code."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            cells = line.strip().split(",")
+            if lineno <= header_line or line.startswith("#") or cells == [""]:
+                continue
+            if len(cells) != len(_CSV_COLUMNS):
+                return FeatureFileError(
+                    f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, found {len(cells)}"
+                )
+            for name, cell in zip(_CSV_COLUMNS, cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    return FeatureFileError(f"{path}:{lineno}: {name} is not a number: {cell!r}")
+            if float(cells[-1]) not in _LEVEL_CODES:
+                return FeatureFileError(
+                    f"{path}:{lineno}: label must be a hospital-level code "
+                    f"{_LEVEL_CODES}, got {cells[-1]!r}"
+                )
+    return None

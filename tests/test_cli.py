@@ -1,5 +1,6 @@
 """Command-line pipeline: config handling, exit codes, artifact contracts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -249,6 +250,22 @@ class TestPipelineChain:
         assert [p.read_bytes() for p in watched] == before
 
 
+class TestFeatureFileBytes:
+    # sha256 of features.csv for this config, recorded with the per-visit
+    # object implementation the columnar build replaced; the relative
+    # default run_dir keeps the config_hash comment line path-free
+    GOLDEN_SHA256 = "6a28939e8c31647d557ecb1c858985d8beeb20fddd79cabadbb6563be03b7d29"
+
+    def test_dirty_cohort_features_match_the_recorded_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        base = ["--set", "seed=20", "--set", "synth.n_patients=200",
+                "--set", "synth.dirty_count=2"]
+        for command in ("synth", "ingest", "features"):
+            assert cli.main([command, *base]) == EXIT_OK
+        data = (tmp_path / "run" / FEATURES_CSV).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.GOLDEN_SHA256
+
+
 class TestExitCodes:
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -298,3 +315,35 @@ class TestExitCodes:
         assert cli.main(["features", *base]) == EXIT_OK
         rc = cli.main(["train", "--no-ae", *base, "--set", "train.learning_rate=1e12"])
         assert rc == EXIT_DIVERGED
+
+    def features_then(self, tmp_path, edit):
+        base = [
+            "--set", f"run_dir={tmp_path/'run'}",
+            "--set", f"data_dir={tmp_path/'data'}",
+            "--set", "synth.n_patients=20",
+        ]
+        assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["features", *base]) == EXIT_OK
+        path = tmp_path / "run" / FEATURES_CSV
+        lines = path.read_text().splitlines(keepends=True)
+        edit(lines)
+        path.write_text("".join(lines))
+        return base, path
+
+    def test_malformed_feature_cell_exits_five(self, tmp_path, capsys):
+        def corrupt_first_age(lines):
+            lines[2] = "4x6" + lines[2][lines[2].index(","):]
+        base, path = self.features_then(tmp_path, corrupt_first_age)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--no-ae", *base]) == EXIT_DATA
+        assert cli.main(["train", "--no-ae", *base]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}:3: age is not a number: '4x6'" in err
+
+    def test_malformed_feature_header_exits_five(self, tmp_path, capsys):
+        def rename_first_column(lines):
+            lines[1] = lines[1].replace("age", "years", 1)
+        base, path = self.features_then(tmp_path, rename_first_column)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--no-ae", *base]) == EXIT_DATA
+        assert f"data error: {path}:2: unexpected feature columns" in capsys.readouterr().err

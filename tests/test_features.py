@@ -5,10 +5,12 @@ from datetime import date
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from carechoice.domain import CodeSets, HospitalLevel
 from carechoice.features import (
     FEATURE_NAMES,
+    FeatureFileError,
     MissingRegionError,
     N_FEATURES,
     SCALED_FEATURES,
@@ -19,12 +21,10 @@ from carechoice.features import (
     build_visit_sequences,
     continuity_indices,
     disease_importance_rate,
-    feature_matrix,
     fit_scaler,
     incident_flags,
     provider_votes,
     read_feature_csv,
-    scale_vector,
     write_feature_csv,
 )
 from conftest import make_calendar, make_dataset, make_patient, make_provider, make_visit
@@ -198,49 +198,53 @@ def two_patient_dataset():
     )
 
 
+def column(X, name):
+    return X[:, FEATURE_NAMES.index(name)]
+
+
 class TestBuildFeatureVectors:
     def test_row_per_visit_in_canonical_order(self):
         ds = two_patient_dataset()
-        vectors = build_feature_vectors(ds)
-        assert len(vectors) == 4
-        X, y = feature_matrix(vectors)
+        X, y = build_feature_vectors(ds)
         assert X.shape == (4, N_FEATURES)
+        assert X.dtype == np.float64 and y.dtype == np.int64
         assert list(y) == [3, 1, 3, 1]
 
     def test_first_visit_values(self):
         ds = two_patient_dataset()
-        v = build_feature_vectors(ds)[0]
-        assert v.age == 39.0
-        assert v.male == 1.0
-        assert v.low_income == 0.0
-        assert v.total_visits == 3.0
-        assert v.total_diseases == 3.0  # D001, D002, D003 over the period
-        assert v.total_chronic_diseases == 1.0
-        assert v.upc == pytest.approx(2 / 3)
-        assert v.lupc == pytest.approx(1 / 3)
-        assert v.secoc == 0.0
-        assert v.coci == pytest.approx(1 / 3)
-        assert v.physician_density == 10.0
+        X, y = build_feature_vectors(ds)
+        v = dict(zip(FEATURE_NAMES, X[0]))
+        assert v["age"] == 39.0
+        assert v["male"] == 1.0
+        assert v["low_income"] == 0.0
+        assert v["total_visits"] == 3.0
+        assert v["total_diseases"] == 3.0  # D001, D002, D003 over the period
+        assert v["total_chronic_diseases"] == 1.0
+        assert v["upc"] == pytest.approx(2 / 3)
+        assert v["lupc"] == pytest.approx(1 / 3)
+        assert v["secoc"] == 0.0
+        assert v["coci"] == pytest.approx(1 / 3)
+        assert v["physician_density"] == 10.0
         # P1 votes H1 most-frequent, H2 least; P2 votes H2 for both
-        assert v.mfpc == 1.0
-        assert v.lfpc == 0.0
-        assert v.dir == pytest.approx(2 / 3)
-        assert v.is_workday == 1.0
-        assert v.label == HospitalLevel.CLINIC
+        assert v["mfpc"] == 1.0
+        assert v["lfpc"] == 0.0
+        assert v["dir"] == pytest.approx(2 / 3)
+        assert v["is_workday"] == 1.0
+        assert y[0] == HospitalLevel.CLINIC
 
     def test_votes_of_other_provider(self):
         ds = two_patient_dataset()
-        second = build_feature_vectors(ds)[1]
-        assert second.mfpc == 1.0  # P2's most-frequent vote
-        assert second.lfpc == 2.0  # least-frequent votes from both patients
-        assert second.physician_density == 30.0
+        X, _ = build_feature_vectors(ds)
+        assert column(X, "mfpc")[1] == 1.0  # P2's most-frequent vote
+        assert column(X, "lfpc")[1] == 2.0  # least-frequent votes from both patients
+        assert column(X, "physician_density")[1] == 30.0
 
     def test_severe_catastrophic_primary(self):
         ds = two_patient_dataset()
-        last = build_feature_vectors(ds)[3]
-        assert last.is_severe == 1.0
-        assert last.dir == 1.0
-        assert last.total_visits == 1.0
+        X, _ = build_feature_vectors(ds)
+        assert column(X, "is_severe")[3] == 1.0
+        assert column(X, "dir")[3] == 1.0
+        assert column(X, "total_visits")[3] == 1.0
 
     def test_missing_region_raises(self):
         ds = two_patient_dataset()
@@ -290,9 +294,9 @@ class TestScaler:
         age = FEATURE_NAMES.index("age")
         probe = X[0].copy()
         probe[age] = 500.0
-        assert scale_vector(probe, scaler)[age] == 1.0
+        assert scaler.transform(probe)[0, age] == 1.0
         probe[age] = -5.0
-        assert scale_vector(probe, scaler)[age] == 0.0
+        assert scaler.transform(probe)[0, age] == 0.0
 
     def test_degenerate_column_maps_to_zero(self):
         X = self.matrix()
@@ -316,20 +320,75 @@ class TestScaler:
         assert np.array_equal(X, before)
 
 
+# the values the round trip must keep bit for bit, beside random ones
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 1 / 3])
+feature_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 8), st.just(N_FEATURES)),
+    elements=st.floats(allow_nan=False, width=64) | EDGE_FLOATS,
+)
+
+
 class TestFeatureCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = two_patient_dataset()
-        vectors = build_feature_vectors(ds)
+        X0, y0 = build_feature_vectors(ds)
         path = tmp_path / "features.csv"
-        write_feature_csv(path, vectors, header_comment="config_hash=abc123")
+        write_feature_csv(path, X0, y0, header_comment="config_hash=abc123")
         X, y = read_feature_csv(path)
-        X0, y0 = feature_matrix(vectors)
         assert np.array_equal(X, X0)
         assert np.array_equal(y, y0)
         assert path.read_text().startswith("# config_hash=abc123\n")
 
+    @given(feature_matrices, st.data())
+    def test_cells_are_17_digit_decimals_that_read_back_bit_for_bit(
+        self, tmp_path_factory, X0, data
+    ):
+        y0 = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(X0), max_size=len(X0))))
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        write_feature_csv(path, X0, y0)
+        body = path.read_text().splitlines()[1:]
+        for line, row, label in zip(body, X0.tolist(), y0.tolist(), strict=True):
+            assert line.split(",") == [format(x, ".17g") for x in row] + [str(label)]
+        X, y = read_feature_csv(path)
+        assert np.array_equal(X.view(np.int64), X0.view(np.int64))
+        assert np.array_equal(y, y0)
+
+    def test_empty_matrix_round_trips(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_feature_csv(path, np.empty((0, N_FEATURES)), np.empty(0, dtype=np.int64))
+        X, y = read_feature_csv(path)
+        assert X.shape == (0, N_FEATURES) and y.shape == (0,)
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FeatureFileError, match="bad.csv:1: unexpected feature columns"):
             read_feature_csv(path)
+
+    def body_error(self, tmp_path, edit):
+        ds = two_patient_dataset()
+        path = tmp_path / "features.csv"
+        write_feature_csv(path, *build_feature_vectors(ds), header_comment="config_hash=abc123")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = edit(lines[3])  # the second row, line 4 of the file
+        path.write_text("".join(lines))
+        with pytest.raises(FeatureFileError) as exc:
+            read_feature_csv(path)
+        return str(exc.value)
+
+    def test_bad_cell_names_file_line_and_column(self, tmp_path):
+        message = self.body_error(tmp_path, lambda ln: "4x6" + ln[ln.index(","):])
+        assert message.startswith(f"{tmp_path / 'features.csv'}:4: age is not a number: '4x6'")
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        message = self.body_error(tmp_path, lambda ln: ln.split(",", 1)[1])
+        assert ":4: expected 19 columns, found 18" in message
+
+    def test_label_outside_the_level_codes(self, tmp_path):
+        message = self.body_error(tmp_path, lambda ln: ln.rsplit(",", 1)[0] + ",9\n")
+        assert ":4: label must be a hospital-level code" in message
+
+    def test_write_rejects_a_mis_shaped_matrix(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            write_feature_csv(tmp_path / "f.csv", np.zeros((2, 5)), np.zeros(2, dtype=np.int64))
