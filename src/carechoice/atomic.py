@@ -1,0 +1,27 @@
+"""All-or-nothing file writes for the pipeline's artifacts."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, TextIO
+
+
+@contextmanager
+def open_atomic(path: Path | str) -> Iterator[TextIO]:
+    """Open `path` for writing UTF-8 text that readers see whole or not at all.
+
+    The text goes to a temporary file in the same directory, which replaces
+    `path` only when the block completes. If the block raises, the temporary
+    file is removed and any previous `path` is left as it was. Newlines are
+    written as given, untranslated.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

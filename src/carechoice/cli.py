@@ -15,13 +15,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .atomic import open_atomic
 from .domain import (
     CalendarCoverageError,
     EmptyDatasetError,
@@ -52,11 +56,14 @@ from .neuralnet import (
     AeConfig,
     MlpConfig,
     TrainConfig,
+    TrainedModel,
     TrainingDivergedError,
+    blas_threads,
     encode,
     load_model,
     model_to_dict,
     predict_batch,
+    single_blas_thread,
     train_autoencoder,
     train_classifier,
 )
@@ -203,7 +210,8 @@ class RunConfig:
 
     def write_snapshot(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / CONFIG_SNAPSHOT).write_text(self.snapshot_text())
+        with open_atomic(self.run_dir / CONFIG_SNAPSHOT) as fh:
+            fh.write(self.snapshot_text())
 
 
 def derive_seed(global_seed: int, stage: str) -> int:
@@ -216,7 +224,8 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.run_dir / name
     payload = {**payload, "config_hash": cfg.config_hash}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return path
 
 
@@ -320,6 +329,41 @@ def _train_config(cfg: RunConfig, section: str, stage: str) -> TrainConfig:
     )
 
 
+# inputs of the classifier fits, set in each worker process by _init_fit_worker
+_fit_inputs: Optional[tuple] = None
+
+
+def _init_fit_worker(inputs, labels, mlp, train_cfg, row_sets) -> None:
+    global _fit_inputs
+    _fit_inputs = (inputs, labels, mlp, train_cfg, row_sets)
+
+
+def _fit_job(job: int) -> TrainedModel:
+    inputs, labels, mlp, train_cfg, row_sets = _fit_inputs
+    rows = row_sets[job]
+    return train_classifier(inputs[rows], labels[rows], mlp, train_cfg)
+
+
+def _fit_classifiers(inputs, labels, mlp, train_cfg, row_sets) -> tuple[list[TrainedModel], int]:
+    """Fit one classifier per row set in worker processes; (models, workers).
+
+    The fits are independent and each runs on one BLAS thread, so they use
+    one worker per core. Forked workers share the inputs with this process
+    instead of receiving a pickled copy. Jobs start in list order, so put
+    the longest first.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(row_sets))
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_fit_worker,
+        initargs=(inputs, labels, mlp, train_cfg, row_sets),
+    ) as pool:
+        futures = [pool.submit(_fit_job, job) for job in range(len(row_sets))]
+        return [future.result() for future in futures], workers
+
+
+@single_blas_thread()  # the encoding and the fold scores, too, are then thread-count independent
 def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec = _prepare_training(cfg)
     x_balanced = scaler.transform(x_raw[balanced_idx])
@@ -343,16 +387,18 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
 
     train_cfg = _train_config(cfg, "train", "train")
 
-    # fold-level validation metrics on the balanced pool
+    # the final fit on the whole balanced pool is the longest job, so it goes first
     folds = kfold_indices(inputs.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
+    row_sets = [slice(None), *(fit_idx for fit_idx, _ in folds)]
+    (final, *fold_models), workers = _fit_classifiers(inputs, y_balanced, mlp, train_cfg, row_sets)
+
+    # fold-level validation metrics on the balanced pool
     fold_reports = []
-    for fold_no, (fit_idx, val_idx) in enumerate(folds):
-        model = train_classifier(inputs[fit_idx], y_balanced[fit_idx], mlp, train_cfg)
+    for model, (_, val_idx) in zip(fold_models, folds):
         labels, probs = predict_batch(model, inputs[val_idx])
         report = build_report(y_balanced[val_idx], labels, probs, VARIANT_NAMES[with_ae])
         fold_reports.append(report.to_dict())
 
-    final = train_classifier(inputs, y_balanced, mlp, train_cfg)
     model_path = _write_json(cfg, MODEL_FILES[with_ae], model_to_dict(final))
     macro_auc = [r["macro"]["auc"] for r in fold_reports]
     _write_json(cfg, CV_FILES[with_ae], {
@@ -360,7 +406,9 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
         "folds": fold_reports,
         "mean_macro_auc": float(np.mean(macro_auc)),
     })
+    threads = blas_threads() or "default"  # pinned for this stage, so the count each fit ran on
     print(f"train[{VARIANT_NAMES[with_ae]}]: {inputs.shape[0]} balanced rows, "
+          f"{len(row_sets)} fits on {workers} worker(s) with {threads} BLAS thread(s) each, "
           f"{spec.folds}-fold mean macro AUC {float(np.mean(macro_auc)):.4f}, "
           f"final loss {final.final_loss:.6f} -> {model_path}")
     return EXIT_OK
@@ -461,7 +509,7 @@ def _cmd_compare(cfg: RunConfig) -> int:
         _read_artifact(cfg, EVAL_FILES[True], "evaluate --ae").read_text()))
     rows = comparison_rows(without, with_ae)
     path = cfg.run_dir / TABLE4_CSV
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")
         fh.write("metric,withoutAE,withAE,increase\n")
         for name, a, b, inc in rows:

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .atomic import open_atomic
 from .domain import LEVEL_NAMES, N_LEVELS, HospitalLevel
 from .features import FEATURE_NAMES
 from .neuralnet import TrainedModel, encode, forward, forward_logits
@@ -456,7 +457,7 @@ def write_importance_csv(
         class_columns = [LEVEL_NAMES[HospitalLevel(c)] for c in range(n_classes)]
     else:
         class_columns = [f"output_{c}" for c in range(n_classes)]
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path) as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)

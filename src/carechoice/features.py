@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import open_atomic
 from .domain import (
     CodeSets,
     Dataset,
@@ -345,7 +346,7 @@ def write_feature_csv(path, X: np.ndarray, y: np.ndarray, header_comment: str | 
     if X.ndim != 2 or X.shape[1] != N_FEATURES or y.shape != (X.shape[0],):
         raise ValueError(f"expected X of shape (n, {N_FEATURES}) and y of shape (n,), "
                          f"got {X.shape} and {y.shape}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write(",".join(_CSV_COLUMNS) + "\n")

@@ -4,11 +4,21 @@ Two architectures: a softmax classifier over the four hospital levels and
 an autoencoder with a sigmoid latent layer. Both run on float64 numpy,
 share one backpropagation core, and are deterministic given a seed. A
 finite-difference gradient check guards the backprop implementation.
+
+OpenBLAS splits a matrix product differently at different thread counts,
+which changes the last bits of the result, so every fit runs on one BLAS
+thread (`single_blas_thread`) and a seed gives the same model bytes on
+any machine and under any OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -16,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
+from .atomic import open_atomic
 from .domain import HospitalLevel, N_LEVELS
 from .features import N_FEATURES
 
@@ -33,10 +44,62 @@ class TrainingDivergedError(RuntimeError):
 
     def __init__(self, epoch: int, kind: str):
         self.epoch = epoch
+        self.kind = kind
         super().__init__(
             f"{kind} training diverged at epoch {epoch}: loss is not finite; "
             "retry with a lower learning rate"
         )
+
+    def __reduce__(self):
+        # fits run in worker processes, which send the error back pickled
+        return type(self), (self.epoch, self.kind)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[tuple]:
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])  # already loaded by numpy, so this returns the same handle
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def blas_threads() -> Optional[int]:
+    """Current thread count of numpy's bundled OpenBLAS; None if it is absent."""
+    api = _openblas()
+    return api[0]() if api is not None else None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count.
+
+    The count is process-wide, so blocks must not run concurrently in
+    threads of one process. Without numpy's bundled OpenBLAS this does
+    nothing.
+    """
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 @dataclass(frozen=True)
@@ -404,6 +467,7 @@ class _ScratchLayer:
         self.biases = biases
 
 
+@single_blas_thread()
 def _run_sgd(
     kind: str,
     layer_sizes: tuple[int, ...],
@@ -654,8 +718,8 @@ def model_from_dict(d: dict) -> TrainedModel:
 
 def save_model(model: TrainedModel, path: Path | str) -> None:
     """Write the model as JSON; floats survive the round trip exactly."""
-    path = Path(path)
-    path.write_text(json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n")
 
 
 def load_model(path: Path | str) -> TrainedModel:

@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from carechoice import cli
 from carechoice.cli import (
+    AE_MODEL_JSON,
     AUDIT_JSON,
     BALANCED_JSON,
     CONFIG_SNAPSHOT,
+    CV_FILES,
     DEFAULT_CONFIG,
     EVAL_FILES,
     EXIT_CONFIG,
@@ -31,6 +37,7 @@ from carechoice.cli import (
 )
 from carechoice.features import FEATURE_NAMES
 from carechoice.metrics import MetricReport
+from carechoice.neuralnet import blas_threads
 
 
 class TestParseConfigText:
@@ -248,6 +255,61 @@ class TestPipelineChain:
         assert cli.main(["features", *base]) == EXIT_OK
         assert cli.main(["train", "--no-ae", *base]) == EXIT_OK
         assert [p.read_bytes() for p in watched] == before
+
+
+@pytest.fixture(scope="module")
+def features_ready(tmp_path_factory):
+    """A cohort carried through `features`, ready for `train`."""
+    root = tmp_path_factory.mktemp("pool")
+    base = [
+        "--set", f"run_dir={root / 'run'}",
+        "--set", f"data_dir={root / 'data'}",
+        "--set", "synth.n_patients=200",
+        "--set", "synth.signal_strength=0.8",
+        "--set", "train.folds=2",
+        "--set", "train.epochs=2",
+        "--set", "ae.epochs=1",
+    ]
+    assert cli.main(["synth", *base]) == EXIT_OK
+    assert cli.main(["features", *base]) == EXIT_OK
+    return root / "run", base
+
+
+class TestParallelTraining:
+    TRAIN_FILES = (MODEL_FILES[False], MODEL_FILES[True], CV_FILES[False], CV_FILES[True],
+                   AE_MODEL_JSON)
+
+    def test_artifacts_identical_at_any_worker_or_blas_thread_count(
+        self, features_ready, monkeypatch, capsys
+    ):
+        run, base = features_ready
+        outputs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            for variant in ("--no-ae", "--ae"):
+                assert cli.main(["train", variant, *base]) == EXIT_OK
+            assert f"3 fits on {len(cpus)} worker(s)" in capsys.readouterr().out
+            outputs.append({name: (run / name).read_bytes() for name in self.TRAIN_FILES})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            for variant in ("--no-ae", "--ae"):
+                subprocess.run([sys.executable, "-m", "carechoice.cli", "train", variant, *base],
+                               env=env, capture_output=True, timeout=300, check=True)
+            outputs.append({name: (run / name).read_bytes() for name in self.TRAIN_FILES})
+        assert all(out == outputs[0] for out in outputs[1:])
+
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy's bundled OpenBLAS is absent")
+    def test_train_restores_the_blas_thread_count(self, features_ready):
+        before = blas_threads()
+        assert cli.main(["train", "--no-ae", *features_ready[1]]) == EXIT_OK
+        assert blas_threads() == before
+
+    def test_divergence_in_a_worker_exits_six(self, features_ready, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rc = cli.main(["train", "--no-ae", *features_ready[1], "--set", "train.learning_rate=1e6"])
+        assert rc == EXIT_DIVERGED
+        assert "classifier training diverged at epoch" in capsys.readouterr().err
 
 
 class TestFeatureFileBytes:

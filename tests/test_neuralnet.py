@@ -1,10 +1,16 @@
 """From-scratch networks: initialization, forward math, gradients, SGD."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from carechoice import neuralnet
 from carechoice.domain import HospitalLevel
 from carechoice.neuralnet import (
     AeConfig,
@@ -13,6 +19,7 @@ from carechoice.neuralnet import (
     TrainConfig,
     TrainedModel,
     TrainingDivergedError,
+    blas_threads,
     dataset_loss,
     decode,
     encode,
@@ -258,6 +265,12 @@ class TestTraining:
                              TrainConfig(learning_rate=1e12, epochs=5, batch_size=16))
         assert err.value.epoch >= 1
 
+    def test_divergence_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "classifier")))
+        assert isinstance(err, TrainingDivergedError)
+        assert (err.epoch, err.kind) == (7, "classifier")
+        assert str(err) == str(TrainingDivergedError(7, "classifier"))
+
     def test_batch_size_larger_than_data_rejected(self):
         x, y = blob_data(n=10, d=6, classes=3)
         with pytest.raises(ValueError, match="batch_size"):
@@ -267,6 +280,58 @@ class TestTraining:
         x, _ = blob_data(n=10, d=6)
         with pytest.raises(ValueError, match="labels"):
             train_classifier(x, np.full(10, 7), MlpConfig((6, 5, 3)), TrainConfig(epochs=0))
+
+
+# trains one classifier large enough for OpenBLAS to split its products
+# across threads, and prints the model's sha256
+FIT_SCRIPT = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from carechoice.neuralnet import MlpConfig, TrainConfig, model_to_dict, train_classifier
+rng = np.random.default_rng(0)
+x, y = rng.normal(size=(2000, 18)), rng.integers(0, 4, size=2000)
+model = train_classifier(x, y, MlpConfig((18, 100, 100, 4)), TrainConfig(epochs=2, seed=3))
+print(hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's bundled OpenBLAS is absent")
+class TestBlasThreads:
+    def test_fit_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
+        seen = []
+        gradients = neuralnet._gradients
+
+        def recording(*args):
+            seen.append(blas_threads())
+            return gradients(*args)
+
+        monkeypatch.setattr(neuralnet, "_gradients", recording)
+        before = blas_threads()
+        x, y = blob_data(d=6, classes=3)
+        train_classifier(x, y, MlpConfig((6, 5, 3)), TrainConfig(epochs=2, batch_size=16))
+        assert seen and set(seen) == {1}
+        assert blas_threads() == before
+
+    def test_count_is_restored_when_the_fit_diverges(self):
+        before = blas_threads()
+        x, y = blob_data(d=6, classes=3)
+        with pytest.raises(TrainingDivergedError):
+            train_classifier(x, y, MlpConfig((6, 5, 3)),
+                             TrainConfig(learning_rate=1e12, epochs=5, batch_size=16))
+        assert blas_threads() == before
+
+    def test_same_model_bytes_under_any_openblas_thread_count(self):
+        src = str(Path(neuralnet.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", FIT_SCRIPT, src],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestPrediction:
