@@ -14,14 +14,11 @@ from .domain import (
     Dataset,
     EmptyDatasetError,
     ExclusionReason,
-    GENDERS,
     HospitalLevel,
     LEVEL_NAMES,
     N_LEVELS,
     PatientProfile,
     ProviderProfile,
-    RegionStats,
-    SETTINGS,
     VisitRecord,
     WorkdayCalendar,
     apply_exclusions,

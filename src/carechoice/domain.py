@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum, IntEnum
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 
 class HospitalLevel(IntEnum):
@@ -31,9 +31,6 @@ LEVEL_NAMES = {
     HospitalLevel.DISTRICT_HOSPITAL: "district_hospital",
     HospitalLevel.CLINIC: "clinic",
 }
-
-GENDERS = ("male", "female")
-SETTINGS = ("outpatient", "emergency")
 
 
 class ExclusionReason(Enum):
@@ -69,6 +66,10 @@ class ProviderProfile:
     region_code: str
 
 
+def _sorted_codes(codes: frozenset[str]) -> tuple[str, ...]:
+    return tuple(sorted(codes))
+
+
 @dataclass(frozen=True)
 class VisitRecord:
     """One outpatient or emergency claims line."""
@@ -83,26 +84,21 @@ class VisitRecord:
     catastrophic_illness: bool = False
     setting: str = "outpatient"
 
-    def sort_key(self):
+    def sort_key(self, sorted_codes: Callable[[frozenset[str]], tuple[str, ...]] = _sorted_codes):
         # Content-based key so load order never matters; only truly identical
-        # rows are interchangeable.
+        # rows are interchangeable. A caller sorting visits that share code
+        # sets may pass a memoised `sorted_codes`.
         return (
             self.patient_id,
             self.visit_date or date.min,
             self.provider_id,
             self.primary_dx,
-            tuple(sorted(self.dx_codes)),
-            tuple(sorted(self.treatment_codes)),
+            sorted_codes(self.dx_codes),
+            sorted_codes(self.treatment_codes),
             -1 if self.triage_level is None else self.triage_level,
             self.catastrophic_illness,
             self.setting,
         )
-
-
-@dataclass(frozen=True)
-class RegionStats:
-    region_code: str
-    physician_density: float  # practicing physicians per ten thousand residents
 
 
 def validate_record(
@@ -190,10 +186,6 @@ class WorkdayCalendar:
             return self.entries[d]
         except KeyError:
             raise CalendarCoverageError(f"date {d.isoformat()} is outside calendar coverage")
-
-    @property
-    def workdays(self) -> frozenset[date]:
-        return frozenset(d for d, wd in self.entries.items() if wd)
 
     def coverage(self) -> tuple[date, date]:
         if not self.entries:

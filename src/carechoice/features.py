@@ -329,8 +329,6 @@ def fit_scaler(X: np.ndarray) -> ScalerParams:
 
 
 _CSV_COLUMNS = FEATURE_NAMES + ("label",)
-# "%.17g" is the shortest fixed precision that round-trips every float64
-_ROW_FORMAT = ",".join(["%.17g"] * N_FEATURES) + ",%d\n"
 _LEVEL_CODES = [int(level) for level in HospitalLevel]
 
 
@@ -346,11 +344,24 @@ def write_feature_csv(path, X: np.ndarray, y: np.ndarray, header_comment: str | 
     if X.ndim != 2 or X.shape[1] != N_FEATURES or y.shape != (X.shape[0],):
         raise ValueError(f"expected X of shape (n, {N_FEATURES}) and y of shape (n,), "
                          f"got {X.shape} and {y.shape}")
+    # Columns repeat few distinct values, so each is formatted once. "%.17g"
+    # is the shortest fixed precision that round-trips every float64; the
+    # bit patterns are compared so that -0.0 and 0.0 stay distinct.
+    bits = X.view(np.uint64)
+    columns = [_format_distinct(bits[:, j], np.float64, "%.17g") for j in range(N_FEATURES)]
+    columns.append(_format_distinct(y, y.dtype, "%d"))
     with open_atomic(path) as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write(",".join(_CSV_COLUMNS) + "\n")
-        fh.writelines([_ROW_FORMAT % (*row, label) for row, label in zip(X.tolist(), y.tolist())])
+        fh.writelines([",".join(cells) + "\n" for cells in zip(*columns)])
+
+
+def _format_distinct(keys: np.ndarray, dtype, fmt: str) -> list[str]:
+    """`fmt % value` for every entry, formatting each distinct key once."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array([fmt % v for v in distinct.view(dtype).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,9 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -76,22 +79,37 @@ class DataPaths:
         return cls(**{key: d / name for key, name in STANDARD_FILENAMES.items()})
 
 
-def _open_rows(path: Path, required: tuple[str, ...]):
+def _read_rows(path: Path, columns: tuple[str, ...]):
+    """Yield (line number, the row's cells for `columns`) for each non-blank row.
+
+    Leading '#' lines are skipped and the header must name every column. A
+    row too short to hold them raises IngestError; extra trailing cells are
+    ignored.
+    """
     if not path.exists():
         raise IngestError(f"required file missing: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    skipped = 0
-    while skipped < len(lines) and lines[skipped].startswith("#"):
-        skipped += 1
-    reader = csv.DictReader(lines[skipped:])
-    if reader.fieldnames is None:
-        raise IngestError(f"{path.name}: file is empty (no header)")
-    missing = [c for c in required if c not in reader.fieldnames]
-    if missing:
-        raise IngestError(f"{path.name}: missing required columns {missing}")
-    for row in reader:
-        yield reader.line_num + skipped, row
+        first, skipped = fh.readline(), 0
+        while first.startswith("#"):
+            first, skipped = fh.readline(), skipped + 1
+        if not first:
+            raise IngestError(f"{path.name}: file is empty (no header)")
+        reader = csv.reader(chain([first], fh))
+        header = next(reader)
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise IngestError(f"{path.name}: missing required columns {missing}")
+        positions = [index[c] for c in columns]
+        pick, width = itemgetter(*positions), max(positions) + 1
+        for row in reader:
+            if len(row) >= width:
+                yield reader.line_num + skipped, pick(row)
+            elif row:
+                raise IngestError(
+                    f"{path.name}:{reader.line_num + skipped}: "
+                    f"expected {len(header)} fields, found {len(row)}"
+                )
 
 
 def _parse_date(token: str, path: Path, line: int, field: str) -> Optional[date]:
@@ -114,21 +132,21 @@ def _parse_bool(token: str, path: Path, line: int, field: str) -> bool:
 
 
 def _parse_codes(token: str) -> frozenset[str]:
-    return frozenset(c for c in (p.strip() for p in token.split("|")) if c)
+    return frozenset(filter(None, map(str.strip, token.split("|"))))
 
 
 def load_patients(path: Path) -> dict[str, PatientProfile]:
     """Merges duplicate registry rows; conflicting genders set gender_conflict."""
     patients: dict[str, PatientProfile] = {}
-    for line, row in _open_rows(path, PATIENT_COLUMNS):
-        pid = row["patient_id"].strip()
+    for line, (pid, birth_token, gender_token, low_income_token) in _read_rows(path, PATIENT_COLUMNS):
+        pid = pid.strip()
         if not pid:
             raise IngestError(f"{path.name}:{line}: field 'patient_id': empty identifier")
-        birth = _parse_date(row["birth_date"], path, line, "birth_date")
-        gender = row["gender"].strip().lower() or None
+        birth = _parse_date(birth_token, path, line, "birth_date")
+        gender = gender_token.strip().lower() or None
         if gender is not None and gender not in ("male", "female"):
-            raise IngestError(f"{path.name}:{line}: field 'gender': invalid value {row['gender']!r}")
-        low_income = _parse_bool(row["low_income"], path, line, "low_income")
+            raise IngestError(f"{path.name}:{line}: field 'gender': invalid value {gender_token!r}")
+        low_income = _parse_bool(low_income_token, path, line, "low_income")
         if pid in patients:
             prev = patients[pid]
             conflict = prev.gender_conflict or (
@@ -148,23 +166,31 @@ def load_patients(path: Path) -> dict[str, PatientProfile]:
 
 def load_providers(path: Path) -> dict[str, ProviderProfile]:
     providers: dict[str, ProviderProfile] = {}
-    for line, row in _open_rows(path, PROVIDER_COLUMNS):
-        pid = row["provider_id"].strip()
+    for line, (pid, level_token, region) in _read_rows(path, PROVIDER_COLUMNS):
+        pid = pid.strip()
         if not pid:
             raise IngestError(f"{path.name}:{line}: field 'provider_id': empty identifier")
         try:
-            level = HospitalLevel(int(row["level"]))
+            level = HospitalLevel(int(level_token))
         except ValueError:
-            raise IngestError(f"{path.name}:{line}: field 'level': invalid hospital level {row['level']!r}")
+            raise IngestError(f"{path.name}:{line}: field 'level': invalid hospital level {level_token!r}")
         if pid not in providers:
-            providers[pid] = ProviderProfile(pid, level, row["region_code"].strip())
+            providers[pid] = ProviderProfile(pid, level, region.strip())
     return providers
 
 
 def load_visits(path: Path) -> list[VisitRecord]:
+    """Visits in file order. Each distinct code-list and date token is parsed
+    once; the rows that repeat it share the parsed value."""
     visits = []
-    for line, row in _open_rows(path, VISIT_COLUMNS):
-        triage_token = row["triage"].strip()
+    dx_sets: dict[tuple[str, str], frozenset[str]] = {}  # the primary code joins the set
+    treatment_sets: dict[str, frozenset[str]] = {}
+    dates: dict[str, Optional[date]] = {}
+    for line, (
+        patient_id, provider_id, date_token, primary_token, dx_token,
+        treatment_token, triage_token, catastrophic_token, setting_token,
+    ) in _read_rows(path, VISIT_COLUMNS):
+        triage_token = triage_token.strip()
         if triage_token:
             try:
                 triage: Optional[int] = int(triage_token)
@@ -174,23 +200,33 @@ def load_visits(path: Path) -> list[VisitRecord]:
                 raise IngestError(f"{path.name}:{line}: field 'triage': level {triage} outside 1-5")
         else:
             triage = None
-        setting = row["setting"].strip().lower()
+        setting = setting_token.strip().lower()
         if setting not in ("outpatient", "emergency"):
-            raise IngestError(f"{path.name}:{line}: field 'setting': invalid value {row['setting']!r}")
-        primary = row["primary_dx"].strip()
-        dx = _parse_codes(row["dx_codes"])
-        if primary:
-            dx = dx | {primary}
+            raise IngestError(f"{path.name}:{line}: field 'setting': invalid value {setting_token!r}")
+        primary = primary_token.strip()
+        dx = dx_sets.get((dx_token, primary))
+        if dx is None:
+            dx = _parse_codes(dx_token)
+            if primary:
+                dx = dx | {primary}
+            dx_sets[dx_token, primary] = dx
+        treatments = treatment_sets.get(treatment_token)
+        if treatments is None:
+            treatments = treatment_sets[treatment_token] = _parse_codes(treatment_token)
+        if date_token in dates:
+            visit_date = dates[date_token]
+        else:
+            visit_date = dates[date_token] = _parse_date(date_token, path, line, "date")
         visits.append(
             VisitRecord(
-                patient_id=row["patient_id"].strip(),
-                provider_id=row["provider_id"].strip(),
-                visit_date=_parse_date(row["date"], path, line, "date"),
+                patient_id=patient_id.strip(),
+                provider_id=provider_id.strip(),
+                visit_date=visit_date,
                 primary_dx=primary,
                 dx_codes=dx,
-                treatment_codes=_parse_codes(row["treatment_codes"]),
+                treatment_codes=treatments,
                 triage_level=triage,
-                catastrophic_illness=_parse_bool(row["catastrophic"], path, line, "catastrophic"),
+                catastrophic_illness=_parse_bool(catastrophic_token, path, line, "catastrophic"),
                 setting=setting,
             )
         )
@@ -199,27 +235,26 @@ def load_visits(path: Path) -> list[VisitRecord]:
 
 def load_density(path: Path) -> dict[str, float]:
     stats: dict[str, float] = {}
-    for line, row in _open_rows(path, DENSITY_COLUMNS):
-        region = row["region_code"].strip()
+    for line, (region, density_token) in _read_rows(path, DENSITY_COLUMNS):
         try:
-            density = float(row["physician_density"])
+            density = float(density_token)
         except ValueError:
             raise IngestError(
-                f"{path.name}:{line}: field 'physician_density': invalid number {row['physician_density']!r}"
+                f"{path.name}:{line}: field 'physician_density': invalid number {density_token!r}"
             )
         if density < 0:
             raise IngestError(f"{path.name}:{line}: field 'physician_density': negative density {density}")
-        stats[region] = density
+        stats[region.strip()] = density
     return stats
 
 
 def load_calendar(path: Path) -> WorkdayCalendar:
     entries: dict[date, bool] = {}
-    for line, row in _open_rows(path, CALENDAR_COLUMNS):
-        d = _parse_date(row["date"], path, line, "date")
+    for line, (date_token, workday_token) in _read_rows(path, CALENDAR_COLUMNS):
+        d = _parse_date(date_token, path, line, "date")
         if d is None:
             raise IngestError(f"{path.name}:{line}: field 'date': empty date")
-        entries[d] = _parse_bool(row["is_workday"], path, line, "is_workday")
+        entries[d] = _parse_bool(workday_token, path, line, "is_workday")
     return WorkdayCalendar(entries)
 
 
@@ -234,6 +269,14 @@ def load_code_file(path: Path) -> frozenset[str]:
     return frozenset(codes)
 
 
+class _SortedCodes(dict):
+    """Code set -> its sorted tuple, computed on the first lookup."""
+
+    def __missing__(self, codes: frozenset[str]) -> tuple[str, ...]:
+        value = self[codes] = tuple(sorted(codes))
+        return value
+
+
 def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
     """Load all files, sort visits canonically, and run the exclusion pass.
 
@@ -243,7 +286,8 @@ def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
     patients = load_patients(paths.patients)
     providers = load_providers(paths.providers)
     visits = load_visits(paths.visits)
-    visits.sort(key=VisitRecord.sort_key)
+    # equal visits share their code sets, so each set is sorted once
+    visits.sort(key=partial(VisitRecord.sort_key, sorted_codes=_SortedCodes().__getitem__))
     dataset = Dataset(
         patients=patients,
         providers=providers,
@@ -258,11 +302,6 @@ def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
         ),
     )
     return apply_exclusions(dataset)
-
-
-def is_workday(d: date, calendar: WorkdayCalendar) -> bool:
-    """True iff the date is a listed workday; outside coverage is an error."""
-    return calendar.is_workday(d)
 
 
 def _fmt_date(d: Optional[date]) -> str:

@@ -5,6 +5,8 @@ subsets) and deliberately shares no code with the package. Tests compare
 package output against these.
 """
 
+import csv
+from datetime import date
 from itertools import combinations, permutations
 from math import factorial
 
@@ -108,3 +110,86 @@ def naive_permutation_shapley(model_fn, x, background_rows):
             prev = cur
         count += 1
     return phi / count
+
+
+def _dict_rows(path):
+    """Data rows of a headed CSV whose leading lines may be '#' comments."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = [line for line in fh]
+    while lines and lines[0].startswith("#"):
+        lines.pop(0)
+    return list(csv.DictReader(lines))
+
+
+def _codes(token):
+    codes = set()
+    for part in token.split("|"):
+        if part.strip() != "":
+            codes.add(part.strip())
+    return codes
+
+
+def naive_load_visits(directory):
+    """Read visits, patients and providers with csv.DictReader, apply the
+    exclusion rules, and return (visit tuples in canonical order, audit).
+
+    A visit tuple is (patient, date, provider, primary dx, sorted dx codes
+    with the primary folded in, sorted treatment codes, triage or -1,
+    catastrophic, setting); the audit maps each reason's name to its count.
+    """
+    patients = {}
+    for row in _dict_rows(f"{directory}/patients.csv"):
+        pid = row["patient_id"].strip()
+        birth = date.fromisoformat(row["birth_date"].strip()) if row["birth_date"].strip() else None
+        gender = row["gender"].strip().lower() or None
+        low_income = row["low_income"].strip().lower() in ("1", "true")
+        if pid in patients:
+            b, g, li, conflict = patients[pid]
+            if g is not None and gender is not None and g != gender:
+                conflict = True
+            patients[pid] = (b or birth, g or gender, li or low_income, conflict)
+        else:
+            patients[pid] = (birth, gender, low_income, False)
+    providers = set()
+    for row in _dict_rows(f"{directory}/providers.csv"):
+        providers.add(row["provider_id"].strip())
+
+    audit = {}
+    kept = []
+    for row in _dict_rows(f"{directory}/visits.csv"):
+        pid = row["patient_id"].strip()
+        when = date.fromisoformat(row["date"].strip()) if row["date"].strip() else None
+        primary = row["primary_dx"].strip()
+        dx = _codes(row["dx_codes"])
+        if primary:
+            dx.add(primary)
+        triage = int(row["triage"]) if row["triage"].strip() else -1
+        visit = (
+            pid, when, row["provider_id"].strip(), primary, tuple(sorted(dx)),
+            tuple(sorted(_codes(row["treatment_codes"]))), triage,
+            row["catastrophic"].strip().lower() in ("1", "true"),
+            row["setting"].strip().lower(),
+        )
+        reasons = []
+        patient = patients.get(pid)
+        if patient is None or patient[0] is None or patient[1] is None:
+            reasons.append("missing_birth_or_gender")
+        if patient is not None and patient[3]:
+            reasons.append("conflicting_gender")
+        if when is None:
+            reasons.append("missing_visit_date")
+        elif patient is not None and patient[0] is not None and patient[0] > when:
+            reasons.append("birth_after_visit")
+        if not primary:
+            reasons.append("no_primary_diagnosis")
+        if visit[2] not in providers:
+            reasons.append("incomplete_hospital_info")
+        for reason in reasons:
+            audit[reason] = audit.get(reason, 0) + 1
+        if not reasons:
+            kept.append(visit)
+    with_visits = {visit[0] for visit in kept}
+    for pid in patients:
+        if pid not in with_visits:
+            audit["no_visits"] = audit.get("no_visits", 0) + 1
+    return sorted(kept), audit

@@ -365,6 +365,23 @@ class TestExitCodes:
         patients.write_text("wrong,header,entirely\n")
         assert cli.main(["ingest", *base]) == EXIT_DATA
 
+    @pytest.mark.parametrize("name, fields, expected", [("visits.csv", 4, 9), ("patients.csv", 2, 4)])
+    def test_short_input_row_exits_five(self, tmp_path, capsys, name, fields, expected):
+        base = [
+            "--set", f"run_dir={tmp_path/'run'}",
+            "--set", f"data_dir={tmp_path/'data'}",
+            "--set", "synth.n_patients=20",
+        ]
+        assert cli.main(["synth", *base]) == EXIT_OK
+        path = tmp_path / "data" / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = ",".join(lines[3].split(",")[:fields]) + "\n"  # the second data row
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli.main(["ingest", *base]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {name}:4: expected {expected} fields, found {fields}" in err
+
     def test_divergence_exits_six(self, tmp_path):
         base = [
             "--set", f"run_dir={tmp_path/'run'}",

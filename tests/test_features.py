@@ -354,6 +354,21 @@ class TestFeatureCsv:
         assert np.array_equal(X.view(np.int64), X0.view(np.int64))
         assert np.array_equal(y, y0)
 
+    def test_repeated_special_values_format_cell_by_cell(self, tmp_path):
+        specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, 0.1 + 0.2]
+        rng = np.random.default_rng(3)
+        column = rng.choice(np.array(specials), size=1000)
+        X0 = np.tile(column[:, None], (1, N_FEATURES))
+        X0[:, 1] = column[::-1]
+        y0 = rng.integers(0, 4, size=1000)
+        path = tmp_path / "features.csv"
+        write_feature_csv(path, X0, y0)
+        body = path.read_text().splitlines()[1:]
+        assert len(body) == 1000
+        for line, row, label in zip(body, X0.tolist(), y0.tolist()):
+            assert line.split(",") == [format(x, ".17g") for x in row] + [str(label)]
+        assert {"0", "-0"} <= {line.split(",")[0] for line in body}
+
     def test_empty_matrix_round_trips(self, tmp_path):
         path = tmp_path / "features.csv"
         write_feature_csv(path, np.empty((0, N_FEATURES)), np.empty(0, dtype=np.int64))

@@ -5,6 +5,7 @@ from datetime import date
 import pytest
 
 from carechoice.domain import ExclusionReason, HospitalLevel
+from carechoice.synthgen import CohortSpec, generate_cohort
 from carechoice.ingest import (
     DataPaths,
     IngestError,
@@ -15,6 +16,7 @@ from carechoice.ingest import (
     write_dataset,
 )
 from conftest import make_dataset, make_patient, make_provider, make_visit
+from oracles import naive_load_visits
 
 
 def write_minimal_tree(root, visits_rows=None, patients_rows=None):
@@ -141,6 +143,71 @@ class TestLoaders:
         assert visits[0].visit_date is None or visits[1].visit_date is None
         _, audit = load_dataset(paths)
         assert audit[ExclusionReason.MISSING_VISIT_DATE] == 1
+
+    def test_extra_trailing_cells_are_ignored(self, tmp_path):
+        paths = write_minimal_tree(
+            tmp_path, ["P1,H1,2010-06-15,D001,D002,,3,0,outpatient,surplus,cells\n"]
+        )
+        visit, = load_visits(paths.visits)
+        assert visit.setting == "outpatient"
+        assert visit.dx_codes == frozenset({"D001", "D002"})
+
+
+class TestParseSemantics:
+    def test_same_dx_token_with_another_primary_gets_its_own_set(self, tmp_path):
+        paths = write_minimal_tree(
+            tmp_path,
+            ["P1,H1,2010-06-15,D001,D002,,,0,outpatient\n",
+             "P1,H1,2010-06-15,D003,D002,,,0,outpatient\n",
+             "P1,H1,2010-06-15,,D002,,,0,outpatient\n"],
+        )
+        first, second, third = load_visits(paths.visits)
+        assert first.dx_codes == frozenset({"D001", "D002"})
+        assert second.dx_codes == frozenset({"D003", "D002"})
+        assert third.dx_codes == frozenset({"D002"})
+
+    def test_blank_and_padded_codes_are_dropped(self, tmp_path):
+        paths = write_minimal_tree(
+            tmp_path, ["P1,H1,2010-06-15,,D1| |D2|,T1 || T2,,0,outpatient\n"]
+        )
+        visit, = load_visits(paths.visits)
+        assert visit.dx_codes == frozenset({"D1", "D2"})
+        assert visit.treatment_codes == frozenset({"T1", "T2"})
+
+    def test_catastrophic_accepts_words_in_any_case(self, tmp_path):
+        paths = write_minimal_tree(
+            tmp_path,
+            ["P1,H1,2010-06-15,D001,,,,TRUE,outpatient\n",
+             "P1,H1,2010-06-15,D001,,,,False,outpatient\n"],
+        )
+        flagged, unflagged = load_visits(paths.visits)
+        assert flagged.catastrophic_illness and not unflagged.catastrophic_illness
+
+    def test_bad_date_after_repeated_tokens_names_its_own_line(self, tmp_path):
+        paths = write_minimal_tree(
+            tmp_path,
+            ["P1,H1,2010-06-15,D001,D002,T100,,0,outpatient\n",
+             "P1,H1,2010-06-15,D001,D002,T100,,0,outpatient\n",
+             "P1,H1,2010-02-30,D001,D002,T100,,0,outpatient\n",
+             "P1,H1,2010-02-30,D001,D002,T100,,0,outpatient\n"],
+        )
+        with pytest.raises(IngestError, match=r"visits\.csv:4: field 'date': invalid date '2010-02-30'"):
+            load_visits(paths.visits)
+
+    def test_dirty_cohort_matches_a_dict_reader_parse(self, tmp_path):
+        generate_cohort(CohortSpec(n_patients=150, seed=5, dirty_count=2), tmp_path)
+        dataset, audit = load_dataset(DataPaths.from_dir(tmp_path))
+        visits = [
+            (v.patient_id, v.visit_date, v.provider_id, v.primary_dx,
+             tuple(sorted(v.dx_codes)), tuple(sorted(v.treatment_codes)),
+             -1 if v.triage_level is None else v.triage_level,
+             v.catastrophic_illness, v.setting)
+            for v in dataset.visits
+        ]
+        expected_visits, expected_audit = naive_load_visits(tmp_path)
+        assert visits == expected_visits
+        assert {reason.value: n for reason, n in audit.items() if n} == expected_audit
+        assert expected_audit["no_visits"] == 14
 
 
 class TestRoundTrip:
