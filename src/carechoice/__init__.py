@@ -20,27 +20,21 @@ from .domain import (
     PatientProfile,
     ProviderProfile,
     VisitRecord,
+    VisitTable,
     WorkdayCalendar,
     apply_exclusions,
     validate_record,
 )
 from .features import (
-    ContinuityIndices,
     FEATURE_NAMES,
     FeatureFileError,
     MissingRegionError,
     N_FEATURES,
-    ProviderVotes,
     SCALED_FEATURES,
     ScalerParams,
-    VisitSequence,
-    age_at,
     build_feature_vectors,
-    build_visit_sequences,
     continuity_indices,
-    disease_importance_rate,
     fit_scaler,
-    incident_flags,
     provider_votes,
     read_feature_csv,
     write_feature_csv,
@@ -50,7 +44,9 @@ from .ingest import (
     IngestError,
     STANDARD_FILENAMES,
     load_dataset,
+    read_visit_table,
     write_dataset,
+    write_visit_table,
 )
 from .pipeline import (
     SamplingError,

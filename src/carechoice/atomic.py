@@ -5,12 +5,13 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator
 
 
 @contextmanager
-def open_atomic(path: Path | str) -> Iterator[TextIO]:
-    """Open `path` for writing UTF-8 text that readers see whole or not at all.
+def open_atomic(path: Path | str, binary: bool = False) -> Iterator[IO]:
+    """Open `path` for writing UTF-8 text (or bytes, if `binary`) that
+    readers see whole or not at all.
 
     The text goes to a temporary file in the same directory, which replaces
     `path` only when the block completes. If the block raises, the temporary
@@ -20,7 +21,7 @@ def open_atomic(path: Path | str) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     finally:

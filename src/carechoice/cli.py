@@ -50,7 +50,14 @@ from .features import (
     read_feature_csv,
     write_feature_csv,
 )
-from .ingest import DataPaths, IngestError, load_dataset
+from .ingest import (
+    DataPaths,
+    IngestError,
+    input_digests,
+    load_dataset,
+    read_visit_table,
+    write_visit_table,
+)
 from .metrics import MetricReport, build_report, comparison_rows
 from .neuralnet import (
     AeConfig,
@@ -85,6 +92,7 @@ EXIT_DIVERGED = 6
 
 CONFIG_SNAPSHOT = "config_snapshot.txt"
 AUDIT_JSON = "audit.json"
+VISIT_TABLE = "visit_table.npz"
 FEATURES_CSV = "features.csv"
 SPLIT_JSON = "split.json"
 SCALER_JSON = "scaler.json"
@@ -255,19 +263,17 @@ def _cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_clean_dataset(cfg: RunConfig):
+def _cmd_ingest(cfg: RunConfig) -> int:
     paths = DataPaths.from_dir(cfg.data_dir)
-    missing = [p for p in vars(paths).values() if not Path(p).exists()]
+    digests = input_digests(paths)
+    missing = [name for name, digest in digests.items() if digest is None]
     if missing:
         raise MissingArtifactError(
             f"input files not found under {cfg.data_dir} (e.g. {missing[0]}); run `synth` or point data_dir at real data"
         )
-    return load_dataset(paths)
-
-
-def _cmd_ingest(cfg: RunConfig) -> int:
-    dataset, audit = _load_clean_dataset(cfg)
+    dataset, audit = load_dataset(paths)
     cfg.write_snapshot()
+    write_visit_table(cfg.run_dir / VISIT_TABLE, dataset, digests, cfg.config_hash)
     payload = {
         "exclusions": {reason.value: audit.get(reason, 0) for reason in ExclusionReason},
         "n_patients": len(dataset.patients),
@@ -281,9 +287,22 @@ def _cmd_ingest(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_clean_dataset(cfg: RunConfig):
+    """The dataset `ingest` wrote, if the input files are still the ones it read."""
+    path = _read_artifact(cfg, VISIT_TABLE, "ingest")
+    dataset, recorded = read_visit_table(path)
+    current = input_digests(DataPaths.from_dir(cfg.data_dir))
+    stale = [name for name, digest in recorded.items() if current.get(name) != digest]
+    if stale:
+        raise MissingArtifactError(
+            f"{path} was built from other input files than those under {cfg.data_dir} "
+            f"({', '.join(stale)} changed); run `ingest` again"
+        )
+    return dataset
+
+
 def _cmd_features(cfg: RunConfig) -> int:
-    dataset, _ = _load_clean_dataset(cfg)
-    X, y = build_feature_vectors(dataset)
+    X, y = build_feature_vectors(_read_clean_dataset(cfg))
     cfg.write_snapshot()
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.run_dir / FEATURES_CSV
@@ -546,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("synth", "generate a synthetic cohort into data_dir")
-    add("ingest", "load the data_dir files and write the exclusion audit")
-    add("features", "build the visit feature matrix")
+    add("ingest", "load the data_dir files; write the clean visit table and the exclusion audit")
+    add("features", "build the visit feature matrix from the visit table")
     add("train", "split, balance, cross-validate, and fit the classifier", ae_flag=True)
     add("evaluate", "score the trained classifier on the held-out test rows", ae_flag=True)
     add("explain", "global importance ranking and per-visit attributions", ae_flag=True)

@@ -11,7 +11,9 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum, IntEnum
-from typing import Callable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 
 class HospitalLevel(IntEnum):
@@ -66,13 +68,9 @@ class ProviderProfile:
     region_code: str
 
 
-def _sorted_codes(codes: frozenset[str]) -> tuple[str, ...]:
-    return tuple(sorted(codes))
-
-
 @dataclass(frozen=True)
 class VisitRecord:
-    """One outpatient or emergency claims line."""
+    """One outpatient or emergency claims line, as a row of a VisitTable."""
 
     patient_id: str
     provider_id: str
@@ -84,21 +82,193 @@ class VisitRecord:
     catastrophic_illness: bool = False
     setting: str = "outpatient"
 
-    def sort_key(self, sorted_codes: Callable[[frozenset[str]], tuple[str, ...]] = _sorted_codes):
+    def sort_key(self):
         # Content-based key so load order never matters; only truly identical
-        # rows are interchangeable. A caller sorting visits that share code
-        # sets may pass a memoised `sorted_codes`.
+        # rows are interchangeable. VisitTable.canonical_order sorts the same way.
         return (
             self.patient_id,
             self.visit_date or date.min,
             self.provider_id,
             self.primary_dx,
-            sorted_codes(self.dx_codes),
-            sorted_codes(self.treatment_codes),
+            tuple(sorted(self.dx_codes)),
+            tuple(sorted(self.treatment_codes)),
             -1 if self.triage_level is None else self.triage_level,
             self.catastrophic_illness,
             self.setting,
         )
+
+
+SETTINGS = ("outpatient", "emergency")
+NO_DATE = 0  # `VisitTable.day` of a visit without a date; real dates have ordinals >= 1
+NO_TRIAGE = -1
+
+VISIT_TABLE_COLUMNS = ("patient", "provider", "day", "primary", "dx", "treatments",
+                       "triage", "catastrophic", "emergency")
+
+
+def _rank(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """(the distinct values in string order, each value's index in them)."""
+    distinct = tuple(sorted(set(values)))
+    index = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+
+
+@dataclass(frozen=True, eq=False)
+class VisitTable:
+    """Visits as columns, one array entry per visit.
+
+    Strings are stored once, in sorted lookup tuples, and the columns hold
+    their indices, so each code is also its string's rank. The distinct
+    code sets (dx and treatment sets share one table) are rows of a ragged
+    array: set `s` holds `codes[m]` for `m` in
+    `set_members[set_offsets[s]:set_offsets[s + 1]]`, ascending, and the
+    sets are sorted by those member tuples. Sorting on the codes therefore
+    reproduces `VisitRecord.sort_key` order (see `canonical_order`).
+    """
+
+    patient_ids: tuple[str, ...]
+    provider_ids: tuple[str, ...]
+    codes: tuple[str, ...]
+    set_offsets: np.ndarray  # int64, one more than there are sets
+    set_members: np.ndarray  # int32 indices into codes
+    patient: np.ndarray  # int32 index into patient_ids
+    provider: np.ndarray  # int32 index into provider_ids
+    day: np.ndarray  # int32 date ordinal, NO_DATE when missing
+    primary: np.ndarray  # int32 index into codes
+    dx: np.ndarray  # int32 set index; the loader folds the primary code in
+    treatments: np.ndarray  # int32 set index
+    triage: np.ndarray  # int8 level 1-5, NO_TRIAGE when missing
+    catastrophic: np.ndarray  # bool
+    emergency: np.ndarray  # bool: setting is "emergency", not "outpatient"
+
+    @classmethod
+    def from_columns(cls, patient_ids: Sequence[str], provider_ids: Sequence[str],
+                     days: Sequence[int], primaries: Sequence[str],
+                     dx_sets: Sequence[frozenset[str]], treatment_sets: Sequence[frozenset[str]],
+                     triage: Sequence[int], catastrophic: Sequence[bool],
+                     emergency: Sequence[bool]) -> "VisitTable":
+        """Build the table from one Python value per visit and column.
+
+        Visits that share a code set may share the frozenset object, which
+        keeps the hashing cheap.
+        """
+        n = len(patient_ids)
+        patient_lookup, patient = _rank(patient_ids)
+        provider_lookup, provider = _rank(provider_ids)
+        distinct_sets = set(dx_sets)
+        distinct_sets.update(treatment_sets)
+        codes = tuple(sorted(set(primaries).union(*distinct_sets)))
+        code_index = {c: i for i, c in enumerate(codes)}
+        members = {s: tuple(sorted(map(code_index.__getitem__, s))) for s in distinct_sets}
+        ordered = sorted(distinct_sets, key=members.__getitem__)
+        set_index = {s: i for i, s in enumerate(ordered)}
+        sizes = np.fromiter((len(s) for s in ordered), np.int64, len(ordered))
+        return cls(
+            patient_ids=patient_lookup,
+            provider_ids=provider_lookup,
+            codes=codes,
+            set_offsets=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+            set_members=np.fromiter((m for s in ordered for m in members[s]), np.int32, int(sizes.sum())),
+            patient=patient,
+            provider=provider,
+            day=np.fromiter(days, np.int32, n),
+            primary=np.fromiter(map(code_index.__getitem__, primaries), np.int32, n),
+            dx=np.fromiter(map(set_index.__getitem__, dx_sets), np.int32, n),
+            treatments=np.fromiter(map(set_index.__getitem__, treatment_sets), np.int32, n),
+            triage=np.fromiter(triage, np.int8, n),
+            catastrophic=np.fromiter(catastrophic, bool, n),
+            emergency=np.fromiter(emergency, bool, n),
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[VisitRecord]) -> "VisitTable":
+        records = list(records)
+        for r in records:
+            if r.setting not in SETTINGS:
+                raise ValueError(f"visit setting must be one of {SETTINGS}, got {r.setting!r}")
+        return cls.from_columns(
+            [r.patient_id for r in records],
+            [r.provider_id for r in records],
+            [NO_DATE if r.visit_date is None else r.visit_date.toordinal() for r in records],
+            [r.primary_dx for r in records],
+            [r.dx_codes for r in records],
+            [r.treatment_codes for r in records],
+            [NO_TRIAGE if r.triage_level is None else r.triage_level for r in records],
+            [r.catastrophic_illness for r in records],
+            [r.setting == "emergency" for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.patient)
+
+    def code_set(self, s: int) -> frozenset[str]:
+        members = self.set_members[self.set_offsets[s]:self.set_offsets[s + 1]]
+        return frozenset(self.codes[m] for m in members.tolist())
+
+    def __iter__(self) -> Iterator[VisitRecord]:
+        dates = {d: None if d == NO_DATE else date.fromordinal(d) for d in set(self.day.tolist())}
+        sets = {s: self.code_set(s) for s in set(self.dx.tolist()) | set(self.treatments.tolist())}
+        columns = (getattr(self, name).tolist() for name in VISIT_TABLE_COLUMNS)
+        for p, q, d, pr, dx, tr, triage, cat, er in zip(*columns):
+            yield VisitRecord(
+                self.patient_ids[p], self.provider_ids[q], dates[d], self.codes[pr], sets[dx], sets[tr],
+                None if triage == NO_TRIAGE else triage, cat, SETTINGS[er],
+            )
+
+    def __getitem__(self, i: int) -> VisitRecord:
+        return next(iter(self.take([range(len(self))[i]])))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VisitTable):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def take(self, rows) -> "VisitTable":
+        """The visits at `rows` (indices or a mask), in that order; only the
+        patients and providers they name stay in the lookups."""
+        columns = {name: getattr(self, name)[rows] for name in VISIT_TABLE_COLUMNS}
+        lookups = {}
+        for name, ids in (("patient", self.patient_ids), ("provider", self.provider_ids)):
+            used, inverse = np.unique(columns[name], return_inverse=True)
+            columns[name] = inverse.reshape(-1).astype(np.int32)
+            lookups[f"{name}_ids"] = tuple(ids[i] for i in used.tolist())
+        return replace(self, **lookups, **columns)
+
+    def canonical_order(self) -> np.ndarray:
+        """Row order by content: patient, date, provider, primary dx, dx set,
+        treatment set, triage, catastrophic, setting; `VisitRecord.sort_key`
+        order, except that a missing date sorts before every date."""
+        return np.lexsort((~self.emergency, self.catastrophic, self.triage, self.treatments,
+                           self.dx, self.primary, self.provider, self.day, self.patient))
+
+    def sorted(self) -> "VisitTable":
+        return self.take(self.canonical_order())
+
+
+def _exclusion_masks(
+    visits: VisitTable,
+    patients: Mapping[str, PatientProfile],
+    providers: Mapping[str, ProviderProfile],
+) -> dict[ExclusionReason, np.ndarray]:
+    """For each record-level reason, the visits it excludes."""
+    profiles = [patients.get(pid) for pid in visits.patient_ids]
+    incomplete = np.array([p is None or p.birth_date is None or p.gender is None for p in profiles], bool)
+    conflict = np.array([p is not None and p.gender_conflict for p in profiles], bool)
+    birth = np.array([NO_DATE if p is None or p.birth_date is None else p.birth_date.toordinal()
+                      for p in profiles], np.int64)
+    blank = np.array([not code.strip() for code in visits.codes], bool)
+    unknown = np.array([pid not in providers for pid in visits.provider_ids], bool)
+    has_date = visits.day != NO_DATE
+    return {
+        ExclusionReason.MISSING_BIRTH_OR_GENDER: incomplete[visits.patient],
+        ExclusionReason.CONFLICTING_GENDER: conflict[visits.patient],
+        ExclusionReason.MISSING_VISIT_DATE: ~has_date,
+        ExclusionReason.BIRTH_AFTER_VISIT: has_date & (birth[visits.patient] > visits.day),
+        ExclusionReason.NO_PRIMARY_DIAGNOSIS: blank[visits.primary],
+        ExclusionReason.INCOMPLETE_HOSPITAL_INFO: unknown[visits.provider],
+    }
 
 
 def validate_record(
@@ -112,21 +282,9 @@ def validate_record(
     reason that fires. A missing patient profile counts as missing
     birth/gender information. Pure: same inputs, same verdict.
     """
-    reasons: list[ExclusionReason] = []
-    if patient is None or patient.birth_date is None or patient.gender is None:
-        reasons.append(ExclusionReason.MISSING_BIRTH_OR_GENDER)
-    if patient is not None and patient.gender_conflict:
-        reasons.append(ExclusionReason.CONFLICTING_GENDER)
-    if record.visit_date is None:
-        reasons.append(ExclusionReason.MISSING_VISIT_DATE)
-    elif patient is not None and patient.birth_date is not None:
-        if patient.birth_date > record.visit_date:
-            reasons.append(ExclusionReason.BIRTH_AFTER_VISIT)
-    if not record.primary_dx.strip():
-        reasons.append(ExclusionReason.NO_PRIMARY_DIAGNOSIS)
-    if record.provider_id not in providers:
-        reasons.append(ExclusionReason.INCOMPLETE_HOSPITAL_INFO)
-    return reasons
+    patients = {} if patient is None else {record.patient_id: patient}
+    masks = _exclusion_masks(VisitTable.from_records([record]), patients, providers)
+    return [reason for reason, mask in masks.items() if mask[0]]
 
 
 class EmptyDatasetError(Exception):
@@ -141,27 +299,19 @@ def apply_exclusions(dataset: "Dataset") -> tuple["Dataset", Counter]:
     all excluded by record rules). Idempotent: a clean dataset passes through
     unchanged with an all-zero audit.
     """
-    audit: Counter = Counter()
-    kept_visits = []
-    for rec in dataset.visits:
-        reasons = validate_record(rec, dataset.patients.get(rec.patient_id), dataset.providers)
-        if reasons:
-            audit.update(reasons)
-        else:
-            kept_visits.append(rec)
+    masks = _exclusion_masks(dataset.visits, dataset.patients, dataset.providers)
+    audit = Counter({reason: int(mask.sum()) for reason, mask in masks.items() if mask.any()})
+    kept = dataset.visits.take(~np.logical_or.reduce(list(masks.values())))
 
-    patients_with_visits = {rec.patient_id for rec in kept_visits}
-    kept_patients = {}
-    for pid, profile in dataset.patients.items():
-        if pid in patients_with_visits:
-            kept_patients[pid] = profile
-        else:
-            audit[ExclusionReason.NO_VISITS] += 1
+    with_visits = set(kept.patient_ids)
+    kept_patients = {pid: p for pid, p in dataset.patients.items() if pid in with_visits}
+    if len(kept_patients) < len(dataset.patients):
+        audit[ExclusionReason.NO_VISITS] = len(dataset.patients) - len(kept_patients)
 
-    if not kept_visits or not kept_patients:
+    if not len(kept) or not kept_patients:
         raise EmptyDatasetError("no records survive the exclusion rules")
 
-    clean = replace(dataset, patients=kept_patients, visits=tuple(kept_visits))
+    clean = replace(dataset, patients=kept_patients, visits=kept)
     return clean, audit
 
 
@@ -207,7 +357,7 @@ class Dataset:
 
     patients: Mapping[str, PatientProfile]
     providers: Mapping[str, ProviderProfile]
-    visits: tuple[VisitRecord, ...]
+    visits: VisitTable
     region_stats: Mapping[str, float] = field(default_factory=dict)
     calendar: WorkdayCalendar = field(default_factory=lambda: WorkdayCalendar({}))
     code_sets: CodeSets = field(default_factory=CodeSets)

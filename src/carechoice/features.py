@@ -10,22 +10,14 @@ least-frequent vote.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .atomic import open_atomic
-from .domain import (
-    CodeSets,
-    Dataset,
-    HospitalLevel,
-    ProviderProfile,
-    VisitRecord,
-    WorkdayCalendar,
-)
+from .domain import NO_DATE, NO_TRIAGE, Dataset, HospitalLevel, VisitTable
 
 FEATURE_NAMES = (
     "age",
@@ -63,216 +55,169 @@ SCALED_FEATURES = (
 )
 
 
-@dataclass(frozen=True)
-class VisitSequence:
-    """One patient's chronological provider trajectory."""
-
-    patient_id: str
-    provider_ids: tuple[str, ...]
-
-    @property
-    def n_visits(self) -> int:
-        return len(self.provider_ids)
-
-    @property
-    def counts(self) -> Counter:
-        return Counter(self.provider_ids)
-
-    @property
-    def n_providers(self) -> int:
-        return len(set(self.provider_ids))
-
-
-@dataclass(frozen=True)
-class ContinuityIndices:
-    upc: float
-    lupc: float
-    secoc: float
-    coci: float
-
-
-def continuity_indices(seq: VisitSequence) -> ContinuityIndices:
-    """Compute the four continuity-of-care indices for one patient.
-
-    upc/lupc are the max/min share of visits going to any provider actually
-    visited; secoc is the fraction of consecutive visit pairs at the same
-    provider; coci is the concentration index (sum n_i^2 - N) / (N(N-1)).
-    A single visit has no dispersion to measure, so secoc and coci are
-    defined as 1.0 for N == 1.
-    """
-    n = seq.n_visits
-    if n == 0:
-        raise ValueError(f"patient {seq.patient_id}: empty visit sequence")
-    counts = seq.counts
-    upc = max(counts.values()) / n
-    lupc = min(counts.values()) / n
-    if n == 1:
-        return ContinuityIndices(upc=upc, lupc=lupc, secoc=1.0, coci=1.0)
-    same_pairs = sum(
-        1 for a, b in zip(seq.provider_ids, seq.provider_ids[1:]) if a == b
-    )
-    secoc = same_pairs / (n - 1)
-    coci = (sum(c * c for c in counts.values()) - n) / (n * (n - 1))
-    return ContinuityIndices(upc=upc, lupc=lupc, secoc=secoc, coci=coci)
-
-
-@dataclass(frozen=True)
-class ProviderVotes:
-    provider_id: str
-    mfpc: int
-    lfpc: int
-
-
-def provider_votes(sequences: Iterable[VisitSequence]) -> dict[str, ProviderVotes]:
-    """Tally most/least-frequent provider votes across patients.
-
-    Each patient votes exactly once for the provider with the most visits
-    and once for the provider with the fewest (ties broken by smallest
-    provider id; a single-provider patient votes it for both).
-    """
-    mfpc: Counter = Counter()
-    lfpc: Counter = Counter()
-    for seq in sequences:
-        counts = seq.counts
-        if not counts:
-            raise ValueError(f"patient {seq.patient_id}: empty visit sequence")
-        most = min(counts, key=lambda p: (-counts[p], p))
-        least = min(counts, key=lambda p: (counts[p], p))
-        mfpc[most] += 1
-        lfpc[least] += 1
-    providers = set(mfpc) | set(lfpc)
-    return {p: ProviderVotes(p, mfpc.get(p, 0), lfpc.get(p, 0)) for p in sorted(providers)}
-
-
-def disease_importance_rate(patient_visits: Sequence[VisitRecord], target: VisitRecord) -> float:
-    """Share of the patient's visits whose primary diagnosis matches the target's."""
-    if not patient_visits:
-        raise ValueError("patient has no visits")
-    matches = sum(1 for v in patient_visits if v.primary_dx == target.primary_dx)
-    return matches / len(patient_visits)
-
-
-def incident_flags(
-    record: VisitRecord, code_sets: CodeSets, calendar: WorkdayCalendar
-) -> tuple[bool, bool, bool, bool]:
-    """(is_surgery, is_er, is_severe, is_workday) for one accepted record."""
-    is_surgery = bool(record.treatment_codes & code_sets.surgery_codes)
-    is_er = record.setting == "emergency" or bool(record.treatment_codes & code_sets.er_codes)
-    is_severe = (
-        (record.triage_level is not None and record.triage_level <= 3)
-        or record.catastrophic_illness
-        or record.primary_dx in code_sets.catastrophic_dx_codes
-    )
-    if record.visit_date is None:
-        raise ValueError("record has no visit date")
-    return is_surgery, is_er, is_severe, calendar.is_workday(record.visit_date)
-
-
-def age_at(birth: date, visit: date) -> int:
-    """Whole years between birth date and visit date."""
-    years = visit.year - birth.year
-    if (visit.month, visit.day) < (birth.month, birth.day):
-        years -= 1
-    return years
-
-
 class MissingRegionError(Exception):
     pass
 
 
-def _provider_columns(
-    provider: ProviderProfile,
-    votes: Mapping[str, ProviderVotes],
-    region_stats: Mapping[str, float],
-) -> tuple[float, float, float, int]:
-    """(physician_density, mfpc, lfpc, label) shared by every visit to a provider."""
-    if provider.region_code not in region_stats:
-        raise MissingRegionError(
-            f"provider {provider.provider_id}: region {provider.region_code!r} "
-            "missing from the physician-density table"
-        )
-    vote = votes.get(provider.provider_id)
-    return (
-        region_stats[provider.region_code],
-        float(vote.mfpc) if vote else 0.0,
-        float(vote.lfpc) if vote else 0.0,
-        int(provider.level),
-    )
+def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values."""
+    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
 
 
-def build_visit_sequences(dataset: Dataset) -> dict[str, VisitSequence]:
-    by_patient: dict[str, list[str]] = {}
-    for v in dataset.visits:  # visits already in canonical chronological order
-        by_patient.setdefault(v.patient_id, []).append(v.provider_id)
-    return {pid: VisitSequence(pid, tuple(provs)) for pid, provs in by_patient.items()}
+def _provider_counts(patient: np.ndarray, provider: np.ndarray, n_providers: int):
+    """Distinct (patient, provider) pairs sorted by patient, then provider,
+    with the number of visits each pair has: (pair patient, pair provider, count)."""
+    pairs, counts = np.unique(patient.astype(np.int64) * n_providers + provider, return_counts=True)
+    return pairs // n_providers, pairs % n_providers, counts
+
+
+def continuity_indices(patient: np.ndarray, provider: np.ndarray) -> np.ndarray:
+    """The four continuity-of-care indices of every patient, as an
+    (n_patients, 4) array of upc, lupc, secoc, coci.
+
+    `patient` and `provider` are integer codes per visit, patients numbered
+    0..n_patients-1, and each patient's visits appear in chronological
+    order. upc/lupc are the max/min share of visits going to any provider
+    actually visited; secoc is the fraction of consecutive visit pairs at
+    the same provider; coci is the concentration index
+    (sum n_i^2 - N) / (N(N-1)). A single visit has no dispersion to
+    measure, so secoc and coci are defined as 1.0 for N == 1.
+    """
+    n_patients = int(patient.max()) + 1 if patient.size else 0
+    n = np.bincount(patient, minlength=n_patients)
+    if (n == 0).any():
+        raise ValueError(f"patient {int(np.argmin(n))}: empty visit sequence")
+    order = np.argsort(patient, kind="stable")
+    p, q = patient[order], provider[order]
+    same = np.bincount(p[1:][(p[1:] == p[:-1]) & (q[1:] == q[:-1])], minlength=n_patients)
+
+    n_providers = int(provider.max()) + 1 if provider.size else 1
+    pair_patient, _, counts = _provider_counts(patient, provider, n_providers)
+    starts = _group_starts(pair_patient)
+    most = np.maximum.reduceat(counts, starts)
+    least = np.minimum.reduceat(counts, starts)
+    squares = np.add.reduceat(counts * counts, starts)
+    several = n > 1
+    denominator = np.maximum(n - 1, 1)
+    return np.column_stack([
+        most / n,
+        least / n,
+        np.where(several, same / denominator, 1.0),
+        np.where(several, (squares - n) / (n * denominator), 1.0),
+    ])
+
+
+def provider_votes(patient: np.ndarray, provider: np.ndarray, n_providers: int):
+    """Most- and least-frequent provider votes: two int arrays over provider codes.
+
+    Each patient votes exactly once for the provider with the most visits
+    and once for the provider with the fewest (ties broken by the smallest
+    provider code, which is the smallest provider id; a single-provider
+    patient votes it for both).
+    """
+    pair_patient, pair_provider, counts = _provider_counts(patient, provider, n_providers)
+    votes = []
+    for key in (-counts, counts):
+        # lexsort is stable, so among tied counts the smaller provider stays first
+        order = np.lexsort((key, pair_patient))
+        first = order[_group_starts(pair_patient[order])]
+        votes.append(np.bincount(pair_provider[first], minlength=n_providers))
+    return votes[0], votes[1]
+
+
+def _set_flags(visits: VisitTable, wanted: frozenset[str]) -> np.ndarray:
+    """For each distinct code set of the table, whether it meets `wanted`."""
+    hit = np.fromiter((c in wanted for c in visits.codes), bool, len(visits.codes))
+    n_sets = len(visits.set_offsets) - 1
+    set_of_member = np.repeat(np.arange(n_sets), np.diff(visits.set_offsets))
+    return np.bincount(set_of_member[hit[visits.set_members]], minlength=n_sets) > 0
+
+
+def _disease_counts(visits: VisitTable, chronic: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per patient, the distinct dx codes over all visits and the chronic ones among them."""
+    n_sets = len(visits.set_offsets) - 1
+    patient_sets = np.unique(visits.patient.astype(np.int64) * n_sets + visits.dx)
+    patient, sets = patient_sets // n_sets, patient_sets % n_sets
+    sizes = visits.set_offsets[sets + 1] - visits.set_offsets[sets]
+    first = np.repeat(visits.set_offsets[sets] - (np.cumsum(sizes) - sizes), sizes)
+    codes = visits.set_members[first + np.arange(int(sizes.sum()))]
+    n_codes = len(visits.codes)
+    pairs = np.unique(np.repeat(patient, sizes) * n_codes + codes)
+    pair_patient, pair_code = pairs // n_codes, pairs % n_codes
+    is_chronic = np.fromiter((c in chronic for c in visits.codes), bool, n_codes)
+    n_patients = len(visits.patient_ids)
+    return (np.bincount(pair_patient, minlength=n_patients),
+            np.bincount(pair_patient[is_chronic[pair_code]], minlength=n_patients))
 
 
 def build_feature_vectors(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Compute every visit's 18 features and hospital-level label.
 
     Returns X of shape (n, 18), columns in FEATURE_NAMES order, and integer
-    labels y, one row per visit in the dataset's canonical visit order.
-    Vote tallies are global over all patients; continuity, disease counts,
-    and the disease-importance rate are per patient over the study period,
-    so they are computed once per patient and shared by its rows.
+    labels y, one row per visit in the dataset's visit order. Vote tallies
+    are global over all patients; continuity, disease counts, and the
+    disease-importance rate are per patient over the study period. Each
+    column is computed with group operations over the table's codes, once
+    per patient, provider, code set or date.
     """
-    sequences = build_visit_sequences(dataset)
-    votes = provider_votes(sequences.values())
+    visits, code_sets = dataset.visits, dataset.code_sets
+    patient, provider = visits.patient, visits.provider
+    n_providers = len(visits.provider_ids)
+    X = np.empty((len(visits), N_FEATURES))
 
-    visits = dataset.visits
-    rows_by_patient: dict[str, list[int]] = {}
-    for i, v in enumerate(visits):
-        rows_by_patient.setdefault(v.patient_id, []).append(i)
+    def put(name, values):
+        X[:, FEATURE_NAMES.index(name)] = values
 
-    code_sets, calendar = dataset.code_sets, dataset.calendar
-    chronic = code_sets.chronic_dx_codes
-    provider_columns: dict[str, tuple[float, float, float, int]] = {}
-    rows: list = [None] * len(visits)
-    labels = [0] * len(visits)
-    for pid, row_ids in rows_by_patient.items():
-        patient = dataset.patients[pid]
-        assert patient.birth_date is not None
-        seq = sequences[pid]
-        n = seq.n_visits
-        indices = continuity_indices(seq)
-        patient_visits = [visits[i] for i in row_ids]
-        dx_counts = Counter(v.primary_dx for v in patient_visits)
-        all_dx: set[str] = set()
-        for v in patient_visits:
-            all_dx |= v.dx_codes
-        patient_columns = (
-            1.0 if patient.gender == "male" else 0.0,
-            1.0 if patient.low_income else 0.0,
-            float(n),
-            float(len(all_dx)),
-            float(len(all_dx & chronic)),
-            indices.upc,
-            indices.lupc,
-            indices.secoc,
-            indices.coci,
+    profiles = [dataset.patients[pid] for pid in visits.patient_ids]
+    if any(p.birth_date is None for p in profiles):
+        raise ValueError("every patient with visits needs a birth date")
+    days, day_index = np.unique(visits.day, return_inverse=True)
+    if days.size and days[0] == NO_DATE:
+        raise ValueError("record has no visit date")
+    visit_dates = [date.fromordinal(d) for d in days.tolist()]
+    visit_year = np.array([d.year for d in visit_dates], np.int64)[day_index]
+    visit_day = np.array([d.month * 100 + d.day for d in visit_dates], np.int64)[day_index]
+    birth_year = np.array([p.birth_date.year for p in profiles], np.int64)[patient]
+    birth_day = np.array([p.birth_date.month * 100 + p.birth_date.day for p in profiles], np.int64)[patient]
+    put("age", visit_year - birth_year - (visit_day < birth_day))
+    put("male", np.array([p.gender == "male" for p in profiles], np.float64)[patient])
+    put("low_income", np.array([p.low_income for p in profiles], np.float64)[patient])
+
+    n = np.bincount(patient, minlength=len(profiles))
+    put("total_visits", n[patient])
+    diseases, chronic = _disease_counts(visits, code_sets.chronic_dx_codes)
+    put("total_diseases", diseases[patient])
+    put("total_chronic_diseases", chronic[patient])
+    indices = continuity_indices(patient, provider)
+    for j, name in enumerate(("upc", "lupc", "secoc", "coci")):
+        put(name, indices[patient, j])
+
+    sites = [dataset.providers[pid] for pid in visits.provider_ids]
+    missing = [p for p in sites if p.region_code not in dataset.region_stats]
+    if missing:
+        raise MissingRegionError(
+            f"provider {missing[0].provider_id}: region {missing[0].region_code!r} "
+            "missing from the physician-density table"
         )
-        for i, v in zip(row_ids, patient_visits):
-            is_surgery, is_er, is_severe, is_workday = incident_flags(v, code_sets, calendar)
-            provider = provider_columns.get(v.provider_id)
-            if provider is None:
-                provider = provider_columns[v.provider_id] = _provider_columns(
-                    dataset.providers[v.provider_id], votes, dataset.region_stats
-                )
-            density, mfpc, lfpc, labels[i] = provider
-            rows[i] = (
-                float(age_at(patient.birth_date, v.visit_date)),
-                *patient_columns,
-                density,
-                mfpc,
-                lfpc,
-                float(is_surgery),
-                float(is_er),
-                float(is_severe),
-                float(is_workday),
-                dx_counts[v.primary_dx] / n,
-            )
-    X = np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
-    return X, np.array(labels, dtype=np.int64)
+    put("physician_density", np.array([dataset.region_stats[p.region_code] for p in sites])[provider])
+    mfpc, lfpc = provider_votes(patient, provider, n_providers)
+    put("mfpc", mfpc[provider])
+    put("lfpc", lfpc[provider])
+
+    put("is_surgery", _set_flags(visits, code_sets.surgery_codes)[visits.treatments])
+    put("is_er", visits.emergency | _set_flags(visits, code_sets.er_codes)[visits.treatments])
+    catastrophic_dx = np.fromiter((c in code_sets.catastrophic_dx_codes for c in visits.codes), bool,
+                                  len(visits.codes))
+    put("is_severe", ((visits.triage != NO_TRIAGE) & (visits.triage <= 3)) | visits.catastrophic
+        | catastrophic_dx[visits.primary])
+    put("is_workday", np.array([dataset.calendar.is_workday(d) for d in visit_dates], bool)[day_index])
+
+    _, primary_group, primary_counts = np.unique(
+        patient.astype(np.int64) * len(visits.codes) + visits.primary,
+        return_inverse=True, return_counts=True)
+    put("dir", primary_counts[primary_group.reshape(-1)] / n[patient])
+    labels = np.array([int(p.level) for p in sites], np.int64)[provider]
+    return X, labels
 
 
 @dataclass(frozen=True)

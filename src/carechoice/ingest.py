@@ -8,22 +8,32 @@ raises IngestError naming the file, the line number, and the offending field.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import json
+import zipfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
-from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
+import numpy as np
+
+from .atomic import open_atomic
 from .domain import (
+    NO_DATE,
+    NO_TRIAGE,
+    SETTINGS,
+    VISIT_TABLE_COLUMNS,
     CodeSets,
     Dataset,
     HospitalLevel,
     PatientProfile,
     ProviderProfile,
-    VisitRecord,
+    VisitTable,
     WorkdayCalendar,
     apply_exclusions,
 )
@@ -112,6 +122,36 @@ def _read_rows(path: Path, columns: tuple[str, ...]):
                 )
 
 
+def _read_columns(path: Path, columns: tuple[str, ...]) -> list[list[str]]:
+    """The cells `_read_rows` yields, one list per column.
+
+    A file without quotes or NULs whose rows all have the header's width,
+    with no blank lines, is split with string operations (any of the line
+    ends "\r\n", "\n" and "\r" ends a row, as in `csv`); any other file goes
+    through `_read_rows`, which also raises its errors.
+    """
+    if path.exists():
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        k = 0
+        while k < len(lines) and lines[k].startswith("#"):
+            k += 1
+        if k < len(lines) and '"' not in text and "\0" not in text:
+            header = lines[k].split(",")
+            index = {name: i for i, name in enumerate(header)}
+            body = lines[k + 1:]
+            if body and not body[-1]:
+                body.pop()
+            commas = len(header) - 1
+            if body and all(c in index for c in columns) and all(
+                    map(commas.__eq__, map(str.count, body, repeat(",")))):
+                cells = ",".join(body).split(",")
+                return [cells[index[c]::len(header)] for c in columns]
+    return [list(column) for column in zip(*(cells for _, cells in _read_rows(path, columns)))] or [
+        [] for _ in columns]
+
+
 def _parse_date(token: str, path: Path, line: int, field: str) -> Optional[date]:
     token = token.strip()
     if not token:
@@ -179,58 +219,81 @@ def load_providers(path: Path) -> dict[str, ProviderProfile]:
     return providers
 
 
-def load_visits(path: Path) -> list[VisitRecord]:
-    """Visits in file order. Each distinct code-list and date token is parsed
-    once; the rows that repeat it share the parsed value."""
-    visits = []
-    dx_sets: dict[tuple[str, str], frozenset[str]] = {}  # the primary code joins the set
-    treatment_sets: dict[str, frozenset[str]] = {}
-    dates: dict[str, Optional[date]] = {}
-    for line, (
-        patient_id, provider_id, date_token, primary_token, dx_token,
-        treatment_token, triage_token, catastrophic_token, setting_token,
-    ) in _read_rows(path, VISIT_COLUMNS):
-        triage_token = triage_token.strip()
-        if triage_token:
-            try:
-                triage: Optional[int] = int(triage_token)
-            except ValueError:
-                raise IngestError(f"{path.name}:{line}: field 'triage': invalid integer {triage_token!r}")
-            if not 1 <= triage <= 5:
-                raise IngestError(f"{path.name}:{line}: field 'triage': level {triage} outside 1-5")
-        else:
-            triage = None
-        setting = setting_token.strip().lower()
-        if setting not in ("outpatient", "emergency"):
-            raise IngestError(f"{path.name}:{line}: field 'setting': invalid value {setting_token!r}")
-        primary = primary_token.strip()
-        dx = dx_sets.get((dx_token, primary))
-        if dx is None:
-            dx = _parse_codes(dx_token)
-            if primary:
-                dx = dx | {primary}
-            dx_sets[dx_token, primary] = dx
-        treatments = treatment_sets.get(treatment_token)
-        if treatments is None:
-            treatments = treatment_sets[treatment_token] = _parse_codes(treatment_token)
-        if date_token in dates:
-            visit_date = dates[date_token]
-        else:
-            visit_date = dates[date_token] = _parse_date(date_token, path, line, "date")
-        visits.append(
-            VisitRecord(
-                patient_id=patient_id.strip(),
-                provider_id=provider_id.strip(),
-                visit_date=visit_date,
-                primary_dx=primary,
-                dx_codes=dx,
-                treatment_codes=treatments,
-                triage_level=triage,
-                catastrophic_illness=_parse_bool(catastrophic_token, path, line, "catastrophic"),
-                setting=setting,
-            )
-        )
-    return visits
+def _parse_triage(token: str, path: Path, line: int) -> int:
+    token = token.strip()
+    if not token:
+        return NO_TRIAGE
+    try:
+        triage = int(token)
+    except ValueError:
+        raise IngestError(f"{path.name}:{line}: field 'triage': invalid integer {token!r}")
+    if not 1 <= triage <= 5:
+        raise IngestError(f"{path.name}:{line}: field 'triage': level {triage} outside 1-5")
+    return triage
+
+
+def _parse_emergency(token: str, path: Path, line: int) -> bool:
+    setting = token.strip().lower()
+    if setting not in SETTINGS:
+        raise IngestError(f"{path.name}:{line}: field 'setting': invalid value {token!r}")
+    return setting == "emergency"
+
+
+def _parse_day(token: str, path: Path, line: int) -> int:
+    d = _parse_date(token, path, line, "date")
+    return NO_DATE if d is None else d.toordinal()
+
+
+def _parse_catastrophic(token: str, path: Path, line: int) -> bool:
+    return _parse_bool(token, path, line, "catastrophic")
+
+
+# (column, parser) in the order each row's fields are checked
+_VISIT_PARSERS = ((6, _parse_triage), (8, _parse_emergency), (2, _parse_day), (7, _parse_catastrophic))
+
+
+def _check_rows(path: Path) -> None:
+    """Parse the visit file row by row, raising the error of its first bad row."""
+    for line, cells in _read_rows(path, VISIT_COLUMNS):
+        for j, parse in _VISIT_PARSERS:
+            parse(cells[j], path, line)
+
+
+def load_visits(path: Path) -> VisitTable:
+    """Visits in file order, as a table. Each distinct token of a column is
+    parsed once; a bad token raises IngestError naming the first line that
+    fails, as a row-by-row parse would."""
+    try:
+        columns = _read_columns(path, VISIT_COLUMNS)
+        parsed = {}
+        for j, parse in _VISIT_PARSERS:
+            values = {token: parse(token, path, 0) for token in dict.fromkeys(columns[j])}
+            parsed[j] = list(map(values.__getitem__, columns[j]))
+    except IngestError:
+        _check_rows(path)
+        raise
+
+    def stripped(column):
+        values = {token: token.strip() for token in dict.fromkeys(column)}
+        return list(map(values.__getitem__, column))
+
+    primaries = stripped(columns[3])
+    dx_sets = {}  # the primary code joins the set
+    for key in dict.fromkeys(zip(columns[4], primaries)):
+        dx_token, primary = key
+        dx_sets[key] = _parse_codes(dx_token) | {primary} if primary else _parse_codes(dx_token)
+    treatment_sets = {token: _parse_codes(token) for token in dict.fromkeys(columns[5])}
+    return VisitTable.from_columns(
+        patient_ids=stripped(columns[0]),
+        provider_ids=stripped(columns[1]),
+        days=parsed[2],
+        primaries=primaries,
+        dx_sets=list(map(dx_sets.__getitem__, zip(columns[4], primaries))),
+        treatment_sets=list(map(treatment_sets.__getitem__, columns[5])),
+        triage=parsed[6],
+        catastrophic=parsed[7],
+        emergency=parsed[8],
+    )
 
 
 def load_density(path: Path) -> dict[str, float]:
@@ -269,14 +332,6 @@ def load_code_file(path: Path) -> frozenset[str]:
     return frozenset(codes)
 
 
-class _SortedCodes(dict):
-    """Code set -> its sorted tuple, computed on the first lookup."""
-
-    def __missing__(self, codes: frozenset[str]) -> tuple[str, ...]:
-        value = self[codes] = tuple(sorted(codes))
-        return value
-
-
 def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
     """Load all files, sort visits canonically, and run the exclusion pass.
 
@@ -286,12 +341,10 @@ def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
     patients = load_patients(paths.patients)
     providers = load_providers(paths.providers)
     visits = load_visits(paths.visits)
-    # equal visits share their code sets, so each set is sorted once
-    visits.sort(key=partial(VisitRecord.sort_key, sorted_codes=_SortedCodes().__getitem__))
     dataset = Dataset(
         patients=patients,
         providers=providers,
-        visits=tuple(visits),
+        visits=visits.sorted(),
         region_stats=load_density(paths.density),
         calendar=load_calendar(paths.calendar),
         code_sets=CodeSets(
@@ -342,22 +395,26 @@ def write_dataset(dataset: Dataset, directory: str | Path, header_comment: str |
             p = dataset.providers[pid]
             w.writerow([p.provider_id, int(p.level), p.region_code])
 
+    visits = dataset.visits.sorted()
+    members, offsets = visits.set_members.tolist(), visits.set_offsets.tolist()
+    set_texts = ["|".join(map(visits.codes.__getitem__, members[a:b]))
+                 for a, b in zip(offsets, offsets[1:])]
+    date_texts = {d: "" if d == NO_DATE else date.fromordinal(d).isoformat()
+                  for d in set(visits.day.tolist())}
+    columns = (
+        map(visits.patient_ids.__getitem__, visits.patient.tolist()),
+        map(visits.provider_ids.__getitem__, visits.provider.tolist()),
+        map(date_texts.__getitem__, visits.day.tolist()),
+        map(visits.codes.__getitem__, visits.primary.tolist()),
+        map(set_texts.__getitem__, visits.dx.tolist()),
+        map(set_texts.__getitem__, visits.treatments.tolist()),
+        ("" if t == NO_TRIAGE else t for t in visits.triage.tolist()),
+        map(_fmt_bool, visits.catastrophic.tolist()),
+        map(SETTINGS.__getitem__, visits.emergency.tolist()),
+    )
     fh, w = _writer(paths.visits, VISIT_COLUMNS)
     with fh:
-        for v in sorted(dataset.visits, key=VisitRecord.sort_key):
-            w.writerow(
-                [
-                    v.patient_id,
-                    v.provider_id,
-                    _fmt_date(v.visit_date),
-                    v.primary_dx,
-                    "|".join(sorted(v.dx_codes)),
-                    "|".join(sorted(v.treatment_codes)),
-                    "" if v.triage_level is None else v.triage_level,
-                    _fmt_bool(v.catastrophic_illness),
-                    v.setting,
-                ]
-            )
+        w.writerows(zip(*columns))
 
     fh, w = _writer(paths.density, DENSITY_COLUMNS)
     with fh:
@@ -378,3 +435,95 @@ def write_dataset(dataset: Dataset, directory: str | Path, header_comment: str |
     for path, codes in code_files.items():
         path.write_text("".join(f"{c}\n" for c in sorted(codes)), encoding="utf-8")
     return paths
+
+
+# ---------------------------------------------------------------------------
+# the clean visit table that `ingest` writes and `features` reads
+
+VISIT_TABLE_FORMAT = 1
+_TABLE_ARRAYS = ("set_offsets", "set_members", *VISIT_TABLE_COLUMNS)
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest zip timestamp, so the bytes carry no clock
+
+
+class VisitTableFileError(IngestError):
+    """A visit-table file that is not whole or not in this format."""
+
+
+def input_digests(paths: DataPaths) -> dict[str, Optional[str]]:
+    """sha256 of each input file by file name; None for a missing file."""
+    digests = {}
+    for path in map(Path, vars(paths).values()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+    return digests
+
+
+def _add_member(zf: zipfile.ZipFile, name: str, data: bytes) -> None:
+    info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
+    info.external_attr = 0o644 << 16
+    zf.writestr(info, data)
+
+
+def write_visit_table(path: str | Path, dataset: Dataset, inputs: Mapping[str, Optional[str]],
+                      config_hash: str) -> None:
+    """Write a clean dataset as an uncompressed zip of `.npy` columns plus a
+    JSON header holding the lookups, `config_hash` and the input digests.
+
+    Members carry a fixed timestamp, so equal datasets give equal bytes.
+    """
+    visits = dataset.visits
+    header = {
+        "format": VISIT_TABLE_FORMAT,
+        "config_hash": config_hash,
+        "inputs": dict(inputs),
+        "patient_ids": visits.patient_ids,
+        "provider_ids": visits.provider_ids,
+        "codes": visits.codes,
+        "patients": [[p.patient_id, _fmt_date(p.birth_date), p.gender, p.low_income, p.gender_conflict]
+                     for p in dataset.patients.values()],
+        "providers": [[p.provider_id, int(p.level), p.region_code] for p in dataset.providers.values()],
+        "region_stats": list(dataset.region_stats.items()),
+        "calendar": [[d.isoformat(), w] for d, w in dataset.calendar.entries.items()],
+        "code_sets": {f.name: sorted(getattr(dataset.code_sets, f.name)) for f in fields(CodeSets)},
+    }
+    with open_atomic(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as zf:
+        _add_member(zf, "header.json", json.dumps(header, sort_keys=True).encode())
+        for name in _TABLE_ARRAYS:
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, np.ascontiguousarray(getattr(visits, name)),
+                                      allow_pickle=False)
+            _add_member(zf, f"{name}.npy", buffer.getvalue())
+
+
+def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]]]:
+    """The dataset write_visit_table wrote, and the input digests it recorded.
+
+    A file that is cut short, altered or in another format raises
+    VisitTableFileError.
+    """
+    try:
+        with zipfile.ZipFile(path) as zf:
+            header = json.loads(zf.read("header.json"))
+            if header.get("format") != VISIT_TABLE_FORMAT:
+                raise ValueError(f"format {header.get('format')!r}, expected {VISIT_TABLE_FORMAT}")
+            arrays = {name: np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")),
+                                                     allow_pickle=False)
+                      for name in _TABLE_ARRAYS}
+        if len({arrays[name].shape for name in VISIT_TABLE_COLUMNS}) != 1:
+            raise ValueError("columns of different lengths")
+        visits = VisitTable(patient_ids=tuple(header["patient_ids"]),
+                            provider_ids=tuple(header["provider_ids"]),
+                            codes=tuple(header["codes"]), **arrays)
+        dataset = Dataset(
+            patients={pid: PatientProfile(pid, date.fromisoformat(birth) if birth else None,
+                                          gender, low_income, conflict)
+                      for pid, birth, gender, low_income, conflict in header["patients"]},
+            providers={pid: ProviderProfile(pid, HospitalLevel(level), region)
+                       for pid, level, region in header["providers"]},
+            visits=visits,
+            region_stats=dict(header["region_stats"]),
+            calendar=WorkdayCalendar({date.fromisoformat(d): w for d, w in header["calendar"]}),
+            code_sets=CodeSets(**{name: frozenset(codes) for name, codes in header["code_sets"].items()}),
+        )
+    except (zipfile.BadZipFile, KeyError, TypeError, ValueError, EOFError) as exc:
+        raise VisitTableFileError(f"{path}: not a whole visit table: {exc}") from exc
+    return dataset, header["inputs"]

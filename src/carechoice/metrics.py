@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .domain import N_LEVELS
 
@@ -138,9 +137,19 @@ def binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = int((~positive).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative samples")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of `x`, tied values sharing the mean of their ranks;
+    all NaN if any value is NaN."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2.0)[inverse.reshape(-1)]
 
 
 def auc_ovr(

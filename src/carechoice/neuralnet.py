@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .atomic import open_atomic
 from .domain import HospitalLevel, N_LEVELS
@@ -283,6 +282,11 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
+        # SciPy's expit, not 1 / (1 + np.exp(-z)): numpy's vectorised exp can
+        # differ from it in the last bit, which would change trained models;
+        # imported here so that only the autoencoder needs SciPy
+        from scipy.special import expit
+
         return expit(z)
     if name == "linear":
         return z

@@ -38,13 +38,14 @@ import numpy as np
 from .domain import (
     LEVEL_NAMES,
     N_LEVELS,
+    NO_TRIAGE,
     CodeSets,
     Dataset,
     ExclusionReason,
     HospitalLevel,
     PatientProfile,
     ProviderProfile,
-    VisitRecord,
+    VisitTable,
     WorkdayCalendar,
 )
 from .ingest import DataPaths, write_dataset
@@ -339,7 +340,11 @@ def generate_cohort(
     wd_ords = np.asarray([d.toordinal() for d in all_days if calendar.entries[d]])
     we_ords = np.asarray([d.toordinal() for d in all_days if not calendar.entries[d]])
 
-    visits: list[VisitRecord] = []
+    columns: dict[str, list] = {name: [] for name in (
+        "patient_ids", "provider_ids", "days", "primaries", "dx_sets", "treatment_sets",
+        "triage", "catastrophic", "emergency")}
+    no_treatment = frozenset()
+    surgery_sets = {code: frozenset({code}) for code in SURGERY_CODES}
     cursor = 0
     extra_cursor = 0
     for i in range(n):
@@ -366,29 +371,24 @@ def generate_cohort(
             if er[v]:
                 triage = int(rng.integers(1, 4)) if severe[v] else int(rng.integers(4, 6))
             else:
-                triage = None
-            visits.append(
-                VisitRecord(
-                    patient_id=pid,
-                    provider_id=provider_ids[provider_idx],
-                    visit_date=date.fromordinal(ordinal),
-                    primary_dx=primary,
-                    dx_codes=frozenset(dx),
-                    treatment_codes=frozenset(
-                        {SURGERY_CODES[rng.integers(len(SURGERY_CODES))]} if surgery[v] else ()
-                    ),
-                    triage_level=triage,
-                    catastrophic_illness=bool(severe[v] and not er[v]),
-                    setting="emergency" if er[v] else "outpatient",
-                )
+                triage = NO_TRIAGE
+            columns["patient_ids"].append(pid)
+            columns["provider_ids"].append(provider_ids[provider_idx])
+            columns["days"].append(ordinal)
+            columns["primaries"].append(primary)
+            columns["dx_sets"].append(frozenset(dx))
+            columns["treatment_sets"].append(
+                surgery_sets[SURGERY_CODES[rng.integers(len(SURGERY_CODES))]] if surgery[v] else no_treatment
             )
+            columns["triage"].append(triage)
+            columns["catastrophic"].append(bool(severe[v] and not er[v]))
+            columns["emergency"].append(bool(er[v]))
         cursor += count
 
-    visits.sort(key=VisitRecord.sort_key)
     dataset = Dataset(
         patients=patients,
         providers=providers,
-        visits=tuple(visits),
+        visits=VisitTable.from_columns(**columns).sorted(),
         region_stats={code: float(d) for code, d in zip(region_codes, densities)},
         calendar=calendar,
         code_sets=CodeSets(

@@ -11,6 +11,7 @@ from carechoice.domain import (
     PatientProfile,
     ProviderProfile,
     VisitRecord,
+    VisitTable,
     WorkdayCalendar,
 )
 
@@ -50,7 +51,7 @@ def make_dataset(patients=None, providers=None, visits=(), code_sets=None,
     return Dataset(
         patients=patients,
         providers=providers,
-        visits=tuple(visits),
+        visits=visits if isinstance(visits, VisitTable) else VisitTable.from_records(visits),
         region_stats=region_stats,
         calendar=calendar or make_calendar(),
         code_sets=code_sets or CodeSets(

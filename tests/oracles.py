@@ -6,6 +6,7 @@ package output against these.
 """
 
 import csv
+from collections import Counter
 from datetime import date
 from itertools import combinations, permutations
 from math import factorial
@@ -14,7 +15,8 @@ import numpy as np
 
 
 def brute_continuity(providers):
-    """Four continuity indices straight from their textbook definitions."""
+    """Four continuity indices (upc, lupc, secoc, coci) of one patient's
+    chronological provider sequence, straight from their textbook definitions."""
     n = len(providers)
     counts = {}
     for p in providers:
@@ -27,6 +29,83 @@ def brute_continuity(providers):
     secoc = same / (n - 1)
     coci = (sum(c * c for c in counts.values()) - n) / (n * (n - 1))
     return upc, lupc, secoc, coci
+
+
+def provider_votes(sequences):
+    """(most-frequent, least-frequent) vote Counters over providers; each
+    patient's sequence votes once in each, ties to the smallest provider id."""
+    most, least = Counter(), Counter()
+    for providers in sequences:
+        counts = Counter(providers)
+        if not counts:
+            raise ValueError("empty visit sequence")
+        most[min(counts, key=lambda p: (-counts[p], p))] += 1
+        least[min(counts, key=lambda p: (counts[p], p))] += 1
+    return most, least
+
+
+def disease_importance_rate(patient_visits, target):
+    """Share of the patient's visits whose primary diagnosis matches the target's."""
+    if not patient_visits:
+        raise ValueError("patient has no visits")
+    matches = sum(1 for v in patient_visits if v.primary_dx == target.primary_dx)
+    return matches / len(patient_visits)
+
+
+def incident_flags(record, code_sets, calendar):
+    """(is_surgery, is_er, is_severe, is_workday) for one accepted record."""
+    is_surgery = bool(record.treatment_codes & code_sets.surgery_codes)
+    is_er = record.setting == "emergency" or bool(record.treatment_codes & code_sets.er_codes)
+    is_severe = (
+        (record.triage_level is not None and record.triage_level <= 3)
+        or record.catastrophic_illness
+        or record.primary_dx in code_sets.catastrophic_dx_codes
+    )
+    return is_surgery, is_er, is_severe, calendar.is_workday(record.visit_date)
+
+
+def age_at(birth, visit):
+    """Whole years between birth date and visit date."""
+    years = visit.year - birth.year
+    if (visit.month, visit.day) < (birth.month, birth.day):
+        years -= 1
+    return years
+
+
+def reference_feature_vectors(dataset):
+    """The 18 features and the label of every visit, one visit at a time,
+    as (X, y) in the dataset's visit order."""
+    visits = list(dataset.visits)
+    by_patient = {}
+    for v in visits:
+        by_patient.setdefault(v.patient_id, []).append(v)
+    most, least = provider_votes([[v.provider_id for v in vs] for vs in by_patient.values()])
+    code_sets = dataset.code_sets
+    rows, labels = [], []
+    for v in visits:
+        patient = dataset.patients[v.patient_id]
+        own = by_patient[v.patient_id]
+        upc, lupc, secoc, coci = brute_continuity([w.provider_id for w in own])
+        diseases = set()
+        for w in own:
+            diseases |= w.dx_codes
+        provider = dataset.providers[v.provider_id]
+        rows.append([
+            float(age_at(patient.birth_date, v.visit_date)),
+            1.0 if patient.gender == "male" else 0.0,
+            1.0 if patient.low_income else 0.0,
+            float(len(own)),
+            float(len(diseases)),
+            float(len(diseases & code_sets.chronic_dx_codes)),
+            upc, lupc, secoc, coci,
+            dataset.region_stats[provider.region_code],
+            float(most[v.provider_id]),
+            float(least[v.provider_id]),
+            *(float(flag) for flag in incident_flags(v, code_sets, dataset.calendar)),
+            disease_importance_rate(own, v),
+        ])
+        labels.append(int(provider.level))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 18), np.array(labels, dtype=np.int64)
 
 
 def naive_class_counts(labels, predictions, cls):

@@ -21,7 +21,7 @@ from carechoice.explain import (
     exact_shapley,
     sampled_shapley,
 )
-from carechoice.features import VisitSequence, continuity_indices
+from carechoice.features import continuity_indices
 from carechoice.metrics import binary_auc, confusion_counts, per_class_metrics
 from carechoice.neuralnet import (
     AeConfig,
@@ -61,21 +61,25 @@ def test_criterion_1_continuity_indices_match_brute_force():
 
         rng = np.random.default_rng(101)
         start = time.perf_counter()
+        sequences = []
         for _ in range(10_000):
             n = int(rng.integers(1, 9))
             k = int(rng.integers(1, 5))
-            providers = tuple(f"H{j}" for j in rng.integers(0, k, size=n))
-            got = continuity_indices(VisitSequence("P", providers))
-            upc, lupc, secoc, coci = brute_continuity(providers)
-            assert abs(got.upc - upc) <= 1e-10
-            assert abs(got.lupc - lupc) <= 1e-10
-            assert abs(got.secoc - secoc) <= 1e-10
-            assert abs(got.coci - coci) <= 1e-10
-            assert 0.0 < got.lupc <= got.upc <= 1.0
-            assert 0.0 <= got.secoc <= 1.0
-            assert 0.0 <= got.coci <= 1.0
-            if n == 1:
-                assert got.secoc == got.coci == 1.0
+            sequences.append(rng.integers(0, k, size=n))
+        # the 10,000 sequences are the visits of 10,000 patients, in one call
+        patient = np.repeat(np.arange(len(sequences)), [len(seq) for seq in sequences])
+        indices = continuity_indices(patient, np.concatenate(sequences))
+        for seq, got in zip(sequences, indices):
+            upc, lupc, secoc, coci = brute_continuity(tuple(f"H{j}" for j in seq))
+            assert abs(got[0] - upc) <= 1e-10
+            assert abs(got[1] - lupc) <= 1e-10
+            assert abs(got[2] - secoc) <= 1e-10
+            assert abs(got[3] - coci) <= 1e-10
+            assert 0.0 < got[1] <= got[0] <= 1.0
+            assert 0.0 <= got[2] <= 1.0
+            assert 0.0 <= got[3] <= 1.0
+            if len(seq) == 1:
+                assert got[2] == got[3] == 1.0
         assert time.perf_counter() - start < 10.0
 
 
@@ -218,7 +222,7 @@ def planted_run(tmp_path_factory):
     ]
     start = time.perf_counter()
     for argv in (
-        ["synth"], ["features"],
+        ["synth"], ["ingest"], ["features"],
         ["train", "--no-ae"], ["train", "--ae"],
         ["evaluate", "--no-ae"], ["evaluate", "--ae"],
     ):
@@ -272,7 +276,7 @@ def test_criterion_8_no_signal_cohort_scores_at_chance(tmp_path):
             "--set", "train.batch_size=128",
             "--set", "train.folds=2",
         ]
-        for argv in (["synth"], ["features"], ["train", "--no-ae"], ["evaluate", "--no-ae"]):
+        for argv in (["synth"], ["ingest"], ["features"], ["train", "--no-ae"], ["evaluate", "--no-ae"]):
             assert cli.main([*argv, *base]) == 0, argv
         report = json.loads((tmp_path / "run" / "eval_without_ae.json").read_text())
         auc = report["macro"]["auc"]

@@ -30,6 +30,7 @@ from carechoice.cli import (
     MODEL_FILES,
     SPLIT_JSON,
     TABLE4_CSV,
+    VISIT_TABLE,
     ConfigError,
     RunConfig,
     derive_seed,
@@ -271,6 +272,7 @@ def features_ready(tmp_path_factory):
         "--set", "ae.epochs=1",
     ]
     assert cli.main(["synth", *base]) == EXIT_OK
+    assert cli.main(["ingest", *base]) == EXIT_OK
     assert cli.main(["features", *base]) == EXIT_OK
     return root / "run", base
 
@@ -326,6 +328,72 @@ class TestFeatureFileBytes:
             assert cli.main([command, *base]) == EXIT_OK
         data = (tmp_path / "run" / FEATURES_CSV).read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.GOLDEN_SHA256
+
+
+class TestVisitTable:
+    def base(self, tmp_path):
+        return [
+            "--set", f"run_dir={tmp_path / 'run'}",
+            "--set", f"data_dir={tmp_path / 'data'}",
+            "--set", "synth.n_patients=60",
+            "--set", "synth.dirty_count=1",
+        ]
+
+    def test_ingest_writes_the_same_bytes_every_time(self, tmp_path):
+        base = self.base(tmp_path)
+        assert cli.main(["synth", *base]) == EXIT_OK
+        table = tmp_path / "run" / VISIT_TABLE
+        written = []
+        assert cli.main(["ingest", *base]) == EXIT_OK
+        written.append(table.read_bytes())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-m", "carechoice.cli", "ingest", *base],
+                           env=env, capture_output=True, timeout=120, check=True)
+            written.append(table.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert not [p.name for p in table.parent.iterdir() if p.name.endswith(".tmp")]
+
+    def test_features_without_ingest_exits_four(self, tmp_path, capsys):
+        base = self.base(tmp_path)
+        assert cli.main(["synth", *base]) == EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["features", *base]) == EXIT_MISSING_ARTIFACT
+        assert "run `ingest` first" in capsys.readouterr().err
+
+    def test_inputs_edited_after_ingest_exit_four_naming_the_file(self, tmp_path, capsys):
+        base = self.base(tmp_path)
+        assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["ingest", *base]) == EXIT_OK
+        visits = tmp_path / "data" / "visits.csv"
+        visits.write_text(visits.read_text() + visits.read_text().splitlines(keepends=True)[-1])
+        capsys.readouterr()
+        assert cli.main(["features", *base]) == EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "(visits.csv changed); run `ingest` again" in err
+        assert not (tmp_path / "run" / FEATURES_CSV).exists()
+        assert cli.main(["ingest", *base]) == EXIT_OK
+        assert cli.main(["features", *base]) == EXIT_OK
+
+    def test_truncated_table_exits_five(self, tmp_path, capsys):
+        base = self.base(tmp_path)
+        assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["ingest", *base]) == EXIT_OK
+        table = tmp_path / "run" / VISIT_TABLE
+        table.write_bytes(table.read_bytes()[: table.stat().st_size // 2])
+        capsys.readouterr()
+        assert cli.main(["features", *base]) == EXIT_DATA
+        assert f"data error: {table}: not a whole visit table" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from carechoice import cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestExitCodes:
@@ -391,6 +459,7 @@ class TestExitCodes:
             "--set", "train.epochs=3",
         ]
         assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["ingest", *base]) == EXIT_OK
         assert cli.main(["features", *base]) == EXIT_OK
         rc = cli.main(["train", "--no-ae", *base, "--set", "train.learning_rate=1e12"])
         assert rc == EXIT_DIVERGED
@@ -402,6 +471,7 @@ class TestExitCodes:
             "--set", "synth.n_patients=20",
         ]
         assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["ingest", *base]) == EXIT_OK
         assert cli.main(["features", *base]) == EXIT_OK
         path = tmp_path / "run" / FEATURES_CSV
         lines = path.read_text().splitlines(keepends=True)

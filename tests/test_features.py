@@ -1,13 +1,13 @@
 """Feature engineering: continuity indices, votes, flags, assembly, scaling."""
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from carechoice.domain import CodeSets, HospitalLevel
+from carechoice.domain import HospitalLevel
 from carechoice.features import (
     FEATURE_NAMES,
     FeatureFileError,
@@ -15,165 +15,171 @@ from carechoice.features import (
     N_FEATURES,
     SCALED_FEATURES,
     ScalerParams,
-    VisitSequence,
-    age_at,
     build_feature_vectors,
-    build_visit_sequences,
     continuity_indices,
-    disease_importance_rate,
     fit_scaler,
-    incident_flags,
     provider_votes,
     read_feature_csv,
     write_feature_csv,
 )
-from conftest import make_calendar, make_dataset, make_patient, make_provider, make_visit
-from oracles import brute_continuity
+from conftest import make_dataset, make_patient, make_provider, make_visit
+from oracles import brute_continuity, reference_feature_vectors
 
 provider_sequences = st.lists(
     st.sampled_from(["A", "B", "C", "D"]), min_size=1, max_size=12
 )
 
 
+def codes(labels):
+    """Integer codes of string labels, numbered in string order."""
+    order = {label: i for i, label in enumerate(sorted(set(labels)))}
+    return np.array([order[label] for label in labels], dtype=np.int32)
+
+
 class TestContinuityIndices:
-    def seq(self, providers):
-        return VisitSequence("P1", tuple(providers))
+    def indices(self, providers):
+        upc, lupc, secoc, coci = continuity_indices(np.zeros(len(providers), np.int32), codes(providers))[0]
+        return upc, lupc, secoc, coci
 
     def test_worked_example(self):
         # two visits to A then one to B
-        idx = continuity_indices(self.seq("AAB"))
-        assert idx.upc == pytest.approx(2 / 3)
-        assert idx.lupc == pytest.approx(1 / 3)
-        assert idx.secoc == pytest.approx(1 / 2)
-        assert idx.coci == pytest.approx((4 + 1 - 3) / (3 * 2))
+        upc, lupc, secoc, coci = self.indices("AAB")
+        assert upc == pytest.approx(2 / 3)
+        assert lupc == pytest.approx(1 / 3)
+        assert secoc == pytest.approx(1 / 2)
+        assert coci == pytest.approx((4 + 1 - 3) / (3 * 2))
 
     def test_single_visit_pins_all_four_to_one(self):
-        idx = continuity_indices(self.seq("A"))
-        assert (idx.upc, idx.lupc, idx.secoc, idx.coci) == (1.0, 1.0, 1.0, 1.0)
+        assert self.indices("A") == (1.0, 1.0, 1.0, 1.0)
 
     def test_perfect_continuity(self):
-        idx = continuity_indices(self.seq("AAAA"))
-        assert (idx.upc, idx.lupc, idx.secoc, idx.coci) == (1.0, 1.0, 1.0, 1.0)
+        assert self.indices("AAAA") == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_distinct_providers(self):
-        idx = continuity_indices(self.seq("ABCD"))
-        assert idx.secoc == 0.0
-        assert idx.coci == 0.0
-        assert idx.upc == idx.lupc == 0.25
+        upc, lupc, secoc, coci = self.indices("ABCD")
+        assert secoc == 0.0
+        assert coci == 0.0
+        assert upc == lupc == 0.25
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            continuity_indices(self.seq(""))
+        # patient 1 of 0..2 has no visits
+        with pytest.raises(ValueError, match="patient 1: empty visit sequence"):
+            continuity_indices(np.array([0, 2, 2]), np.array([0, 1, 0]))
 
     @given(provider_sequences)
     def test_matches_brute_force(self, providers):
-        idx = continuity_indices(self.seq(providers))
         upc, lupc, secoc, coci = brute_continuity(providers)
-        assert idx.upc == pytest.approx(upc, abs=1e-12)
-        assert idx.lupc == pytest.approx(lupc, abs=1e-12)
-        assert idx.secoc == pytest.approx(secoc, abs=1e-12)
-        assert idx.coci == pytest.approx(coci, abs=1e-12)
+        got = self.indices(providers)
+        assert got[0] == pytest.approx(upc, abs=1e-12)
+        assert got[1] == pytest.approx(lupc, abs=1e-12)
+        assert got[2] == pytest.approx(secoc, abs=1e-12)
+        assert got[3] == pytest.approx(coci, abs=1e-12)
 
     @given(provider_sequences)
     def test_ranges(self, providers):
-        idx = continuity_indices(self.seq(providers))
-        assert 0.0 < idx.lupc <= idx.upc <= 1.0
-        assert 0.0 <= idx.secoc <= 1.0
-        assert 0.0 <= idx.coci <= 1.0
+        upc, lupc, secoc, coci = self.indices(providers)
+        assert 0.0 < lupc <= upc <= 1.0
+        assert 0.0 <= secoc <= 1.0
+        assert 0.0 <= coci <= 1.0
+
+
+def votes(*sequences):
+    """{provider: (mfpc, lfpc)} for providers with a vote; one sequence per patient."""
+    providers = [p for seq in sequences for p in seq]
+    names = sorted(set(providers))
+    patient = np.repeat(np.arange(len(sequences)), [len(seq) for seq in sequences])
+    mfpc, lfpc = provider_votes(patient, codes(providers), len(names))
+    return {name: (int(m), int(f)) for name, m, f in zip(names, mfpc, lfpc) if m or f}
 
 
 class TestProviderVotes:
     def test_each_patient_votes_once_for_each_tally(self):
-        votes = provider_votes([
-            VisitSequence("P1", ("A", "A", "B")),
-            VisitSequence("P2", ("B", "B", "A")),
-        ])
-        assert votes["A"].mfpc == 1 and votes["A"].lfpc == 1
-        assert votes["B"].mfpc == 1 and votes["B"].lfpc == 1
+        tally = votes("AAB", "BBA")
+        assert tally["A"] == (1, 1)
+        assert tally["B"] == (1, 1)
 
     def test_tie_goes_to_smallest_provider_id(self):
-        votes = provider_votes([VisitSequence("P1", ("B", "A"))])
+        tally = votes("BA")
         # both providers have one visit; A wins both votes on the tiebreak
-        assert votes["A"].mfpc == 1 and votes["A"].lfpc == 1
-        assert "B" not in votes  # zero-vote providers carry no entry
+        assert tally["A"] == (1, 1)
+        assert "B" not in tally  # zero-vote providers carry no vote
 
     def test_single_provider_patient_votes_it_twice(self):
-        votes = provider_votes([VisitSequence("P1", ("C", "C"))])
-        assert votes["C"].mfpc == 1 and votes["C"].lfpc == 1
+        assert votes("CC")["C"] == (1, 1)
 
     def test_vote_totals_equal_patient_count(self):
         rng = np.random.default_rng(5)
-        seqs = [
-            VisitSequence(f"P{i}", tuple(rng.choice(list("ABCDE"), rng.integers(1, 9))))
-            for i in range(40)
-        ]
-        votes = provider_votes(seqs)
-        assert sum(v.mfpc for v in votes.values()) == 40
-        assert sum(v.lfpc for v in votes.values()) == 40
+        seqs = [tuple(rng.choice(list("ABCDE"), rng.integers(1, 9))) for _ in range(40)]
+        tally = votes(*seqs)
+        assert sum(m for m, _ in tally.values()) == 40
+        assert sum(f for _, f in tally.values()) == 40
+
+
+def column(X, name):
+    return X[:, FEATURE_NAMES.index(name)]
+
+
+def one_visit(visit, patient=None):
+    """The feature row of a dataset holding this one visit."""
+    X, _ = build_feature_vectors(make_dataset(
+        patients={visit.patient_id: patient or make_patient(visit.patient_id)},
+        visits=[visit],
+    ))
+    return dict(zip(FEATURE_NAMES, X[0]))
 
 
 class TestDiseaseImportanceRate:
     def test_share_of_matching_primaries(self):
-        visits = [make_visit(dx="D001"), make_visit(dx="D002"), make_visit(dx="D001")]
-        assert disease_importance_rate(visits, visits[0]) == pytest.approx(2 / 3)
-        assert disease_importance_rate(visits, visits[1]) == pytest.approx(1 / 3)
-
-    def test_no_visits_rejected(self):
-        with pytest.raises(ValueError):
-            disease_importance_rate([], make_visit())
+        visits = [make_visit(dx="D001", when=date(2010, 6, 14)), make_visit(dx="D002"),
+                  make_visit(dx="D001", when=date(2010, 6, 16))]
+        X, _ = build_feature_vectors(make_dataset(visits=visits))
+        assert column(X, "dir")[0] == pytest.approx(2 / 3)
+        assert column(X, "dir")[1] == pytest.approx(1 / 3)
 
 
 class TestIncidentFlags:
-    def codes(self):
-        return CodeSets(
-            surgery_codes=frozenset({"T100"}),
-            er_codes=frozenset({"T900"}),
-            chronic_dx_codes=frozenset({"D001"}),
-            catastrophic_dx_codes=frozenset({"D190"}),
-        )
+    def flags(self, visit):
+        row = one_visit(visit)
+        return tuple(bool(row[name]) for name in ("is_surgery", "is_er", "is_severe", "is_workday"))
 
-    def test_quiet_weekday_visit(self, calendar):
-        flags = incident_flags(make_visit(when=date(2010, 6, 15)), self.codes(), calendar)
-        assert flags == (False, False, False, True)
+    def test_quiet_weekday_visit(self):
+        assert self.flags(make_visit(when=date(2010, 6, 15))) == (False, False, False, True)
 
-    def test_surgery_via_treatment_code(self, calendar):
-        visit = make_visit(treatment_codes=frozenset({"T100"}))
-        assert incident_flags(visit, self.codes(), calendar)[0]
+    def test_surgery_via_treatment_code(self):
+        assert self.flags(make_visit(treatment_codes=frozenset({"T100"})))[0]
 
-    def test_er_via_setting(self, calendar):
-        visit = make_visit(setting="emergency")
-        assert incident_flags(visit, self.codes(), calendar)[1]
+    def test_er_via_setting(self):
+        assert self.flags(make_visit(setting="emergency"))[1]
 
-    def test_er_via_treatment_code(self, calendar):
-        visit = make_visit(treatment_codes=frozenset({"T900"}))
-        assert incident_flags(visit, self.codes(), calendar)[1]
+    def test_er_via_treatment_code(self):
+        assert self.flags(make_visit(treatment_codes=frozenset({"T900"})))[1]
 
-    def test_severe_via_triage(self, calendar):
-        assert incident_flags(make_visit(triage_level=3), self.codes(), calendar)[2]
-        assert not incident_flags(make_visit(triage_level=4), self.codes(), calendar)[2]
+    def test_severe_via_triage(self):
+        assert self.flags(make_visit(triage_level=3))[2]
+        assert not self.flags(make_visit(triage_level=4))[2]
 
-    def test_severe_via_catastrophic_flag(self, calendar):
-        visit = make_visit(catastrophic_illness=True)
-        assert incident_flags(visit, self.codes(), calendar)[2]
+    def test_severe_via_catastrophic_flag(self):
+        assert self.flags(make_visit(catastrophic_illness=True))[2]
 
-    def test_severe_via_catastrophic_primary_dx(self, calendar):
-        visit = make_visit(dx="D190")
-        assert incident_flags(visit, self.codes(), calendar)[2]
+    def test_severe_via_catastrophic_primary_dx(self):
+        assert self.flags(make_visit(dx="D190"))[2]
 
-    def test_weekend(self, calendar):
-        visit = make_visit(when=date(2010, 6, 13))
-        assert not incident_flags(visit, self.codes(), calendar)[3]
+    def test_weekend(self):
+        assert not self.flags(make_visit(when=date(2010, 6, 13)))[3]
 
 
 class TestAgeAt:
+    def age(self, birth, visit):
+        return one_visit(make_visit(when=visit), make_patient(birth=birth))["age"]
+
     def test_birthday_not_yet_reached(self):
-        assert age_at(date(1970, 6, 16), date(2010, 6, 15)) == 39
+        assert self.age(date(1970, 6, 16), date(2010, 6, 15)) == 39
 
     def test_birthday_today(self):
-        assert age_at(date(1970, 6, 15), date(2010, 6, 15)) == 40
+        assert self.age(date(1970, 6, 15), date(2010, 6, 15)) == 40
 
     def test_newborn(self):
-        assert age_at(date(2010, 6, 1), date(2010, 6, 15)) == 0
+        assert self.age(date(2010, 6, 1), date(2010, 6, 15)) == 0
 
 
 def two_patient_dataset():
@@ -196,10 +202,6 @@ def two_patient_dataset():
         patients=patients, providers=providers, visits=visits,
         region_stats={"R1": 10.0, "R2": 30.0},
     )
-
-
-def column(X, name):
-    return X[:, FEATURE_NAMES.index(name)]
 
 
 class TestBuildFeatureVectors:
@@ -256,10 +258,56 @@ class TestBuildFeatureVectors:
             build_feature_vectors(broken)
 
     def test_sequences_follow_visit_order(self):
-        ds = two_patient_dataset()
-        seqs = build_visit_sequences(ds)
-        assert seqs["P1"].provider_ids == ("H1", "H2", "H1")
-        assert seqs["P2"].provider_ids == ("H2",)
+        # P1 goes H1, H2, H1: no two consecutive visits share a provider,
+        # though sorting P1's visits by provider would put the two H1 visits together
+        X, _ = build_feature_vectors(two_patient_dataset())
+        assert list(column(X, "secoc")) == [0.0, 0.0, 0.0, 1.0]
+
+
+@st.composite
+def small_datasets(draw):
+    """Few patients, providers, codes and dates, so that vote ties,
+    single-visit patients, duplicate visits and empty code sets are common."""
+    n_patients = draw(st.integers(1, 4))
+    patients = {
+        f"P{i}": make_patient(f"P{i}", birth=draw(st.sampled_from([date(1970, 6, 15), date(2000, 2, 29)])),
+                              gender=draw(st.sampled_from(["male", "female"])),
+                              low_income=draw(st.booleans()))
+        for i in range(n_patients)
+    }
+    providers = {
+        "H1": make_provider("H1"),
+        "H2": make_provider("H2", HospitalLevel.MEDICAL_CENTER, "R2"),
+        "H10": make_provider("H10", HospitalLevel.DISTRICT_HOSPITAL, "R1"),
+    }
+    code_lists = st.frozensets(st.sampled_from(["D001", "D002", "D190", "T100", "T900"]), max_size=3)
+    visit = st.builds(
+        make_visit,
+        pid=st.sampled_from(sorted(patients)),
+        provider=st.sampled_from(sorted(providers)),
+        when=st.sampled_from([date(2010, 6, 12) + timedelta(days=k) for k in range(4)]),
+        dx=st.sampled_from(["D001", "D002", "D190"]),
+        dx_codes=code_lists,
+        treatment_codes=code_lists,
+        triage_level=st.sampled_from([None, 1, 3, 4]),
+        catastrophic_illness=st.booleans(),
+        setting=st.sampled_from(["outpatient", "emergency"]),
+    )
+    visits = draw(st.lists(visit, min_size=1, max_size=12))
+    visits += draw(st.lists(st.sampled_from(visits), max_size=3))  # exact duplicates
+    used = {v.patient_id for v in visits}
+    return make_dataset(patients={p: patients[p] for p in sorted(used)}, providers=providers,
+                        visits=visits, region_stats={"R1": 10.0, "R2": 0.1 + 0.2})
+
+
+class TestMatchesPerVisitReference:
+    @settings(max_examples=300, deadline=None)
+    @given(small_datasets())
+    def test_bit_for_bit(self, dataset):
+        X, y = build_feature_vectors(dataset)
+        X0, y0 = reference_feature_vectors(dataset)
+        assert np.array_equal(X.view(np.int64), X0.view(np.int64))
+        assert np.array_equal(y, y0)
 
 
 class TestScaler:

@@ -194,6 +194,22 @@ class TestParseSemantics:
         with pytest.raises(IngestError, match=r"visits\.csv:4: field 'date': invalid date '2010-02-30'"):
             load_visits(paths.visits)
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),  # the line ends csv.writer writes
+        lambda text: text.replace("D001|D002", '"D001|D002"'),  # quoted cells take the csv path
+        lambda text: text.replace("outpatient\n", "outpatient,extra\n", 1),  # a wider row, too
+        lambda text: text + "\n",  # a blank line
+    ])
+    def test_every_layout_of_the_same_rows_loads_alike(self, tmp_path, edit):
+        rows = ["P1,H1,2010-06-15,D001,D001|D002,T100,3,0,outpatient\n",
+                "P1,H1,2010-06-14,D002,,,,1,emergency\n"]
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "edited").mkdir()
+        plain = list(load_visits(write_minimal_tree(tmp_path / "plain", rows).visits))
+        paths = write_minimal_tree(tmp_path / "edited", rows)
+        paths.visits.write_text(edit(paths.visits.read_text()), newline="")
+        assert list(load_visits(paths.visits)) == plain
+
     def test_dirty_cohort_matches_a_dict_reader_parse(self, tmp_path):
         generate_cohort(CohortSpec(n_patients=150, seed=5, dirty_count=2), tmp_path)
         dataset, audit = load_dataset(DataPaths.from_dir(tmp_path))
