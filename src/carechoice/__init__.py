@@ -19,11 +19,10 @@ from .domain import (
     N_LEVELS,
     PatientProfile,
     ProviderProfile,
-    VisitRecord,
     VisitTable,
     WorkdayCalendar,
     apply_exclusions,
-    validate_record,
+    exclusion_masks,
 )
 from .features import (
     FEATURE_NAMES,
@@ -61,6 +60,7 @@ from .pipeline import (
 from .neuralnet import (
     AeConfig,
     LayerParams,
+    MissingDependencyError,
     MlpConfig,
     TrainConfig,
     TrainedModel,

@@ -61,6 +61,7 @@ from .ingest import (
 from .metrics import MetricReport, build_report, comparison_rows
 from .neuralnet import (
     AeConfig,
+    MissingDependencyError,
     MlpConfig,
     TrainConfig,
     TrainedModel,
@@ -89,6 +90,7 @@ EXIT_CONFIG = 3
 EXIT_MISSING_ARTIFACT = 4
 EXIT_DATA = 5
 EXIT_DIVERGED = 6
+EXIT_MISSING_DEPENDENCY = 7
 
 CONFIG_SNAPSHOT = "config_snapshot.txt"
 AUDIT_JSON = "audit.json"
@@ -603,6 +605,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MissingDependencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISSING_DEPENDENCY
     except (IngestError, EmptyDatasetError, MissingRegionError, FeatureFileError,
             CalendarCoverageError, SamplingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

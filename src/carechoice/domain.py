@@ -1,8 +1,8 @@
 """Core record types, the hospital-level taxonomy, and record exclusion rules.
 
-Validation never raises on bad data: a record either passes or collects the
-list of reasons it must be excluded. Exclusion runs in two passes, record
-rules first, then patient-level removal of anyone left with no records.
+Validation never raises on bad data: each record-level rule yields a mask of
+the visits it excludes. Exclusion runs in two passes, record rules first,
+then patient-level removal of anyone left with no records.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -68,36 +68,6 @@ class ProviderProfile:
     region_code: str
 
 
-@dataclass(frozen=True)
-class VisitRecord:
-    """One outpatient or emergency claims line, as a row of a VisitTable."""
-
-    patient_id: str
-    provider_id: str
-    visit_date: Optional[date]
-    primary_dx: str
-    dx_codes: frozenset[str] = frozenset()
-    treatment_codes: frozenset[str] = frozenset()
-    triage_level: Optional[int] = None
-    catastrophic_illness: bool = False
-    setting: str = "outpatient"
-
-    def sort_key(self):
-        # Content-based key so load order never matters; only truly identical
-        # rows are interchangeable. VisitTable.canonical_order sorts the same way.
-        return (
-            self.patient_id,
-            self.visit_date or date.min,
-            self.provider_id,
-            self.primary_dx,
-            tuple(sorted(self.dx_codes)),
-            tuple(sorted(self.treatment_codes)),
-            -1 if self.triage_level is None else self.triage_level,
-            self.catastrophic_illness,
-            self.setting,
-        )
-
-
 SETTINGS = ("outpatient", "emergency")
 NO_DATE = 0  # `VisitTable.day` of a visit without a date; real dates have ordinals >= 1
 NO_TRIAGE = -1
@@ -122,8 +92,8 @@ class VisitTable:
     code sets (dx and treatment sets share one table) are rows of a ragged
     array: set `s` holds `codes[m]` for `m` in
     `set_members[set_offsets[s]:set_offsets[s + 1]]`, ascending, and the
-    sets are sorted by those member tuples. Sorting on the codes therefore
-    reproduces `VisitRecord.sort_key` order (see `canonical_order`).
+    sets are sorted by those member tuples, so sorting on the codes sorts
+    the visits by content (see `canonical_order`).
     """
 
     patient_ids: tuple[str, ...]
@@ -180,50 +150,8 @@ class VisitTable:
             emergency=np.fromiter(emergency, bool, n),
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[VisitRecord]) -> "VisitTable":
-        records = list(records)
-        for r in records:
-            if r.setting not in SETTINGS:
-                raise ValueError(f"visit setting must be one of {SETTINGS}, got {r.setting!r}")
-        return cls.from_columns(
-            [r.patient_id for r in records],
-            [r.provider_id for r in records],
-            [NO_DATE if r.visit_date is None else r.visit_date.toordinal() for r in records],
-            [r.primary_dx for r in records],
-            [r.dx_codes for r in records],
-            [r.treatment_codes for r in records],
-            [NO_TRIAGE if r.triage_level is None else r.triage_level for r in records],
-            [r.catastrophic_illness for r in records],
-            [r.setting == "emergency" for r in records],
-        )
-
     def __len__(self) -> int:
         return len(self.patient)
-
-    def code_set(self, s: int) -> frozenset[str]:
-        members = self.set_members[self.set_offsets[s]:self.set_offsets[s + 1]]
-        return frozenset(self.codes[m] for m in members.tolist())
-
-    def __iter__(self) -> Iterator[VisitRecord]:
-        dates = {d: None if d == NO_DATE else date.fromordinal(d) for d in set(self.day.tolist())}
-        sets = {s: self.code_set(s) for s in set(self.dx.tolist()) | set(self.treatments.tolist())}
-        columns = (getattr(self, name).tolist() for name in VISIT_TABLE_COLUMNS)
-        for p, q, d, pr, dx, tr, triage, cat, er in zip(*columns):
-            yield VisitRecord(
-                self.patient_ids[p], self.provider_ids[q], dates[d], self.codes[pr], sets[dx], sets[tr],
-                None if triage == NO_TRIAGE else triage, cat, SETTINGS[er],
-            )
-
-    def __getitem__(self, i: int) -> VisitRecord:
-        return next(iter(self.take([range(len(self))[i]])))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VisitTable):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
 
     def take(self, rows) -> "VisitTable":
         """The visits at `rows` (indices or a mask), in that order; only the
@@ -237,9 +165,11 @@ class VisitTable:
         return replace(self, **lookups, **columns)
 
     def canonical_order(self) -> np.ndarray:
-        """Row order by content: patient, date, provider, primary dx, dx set,
-        treatment set, triage, catastrophic, setting; `VisitRecord.sort_key`
-        order, except that a missing date sorts before every date."""
+        """Row order by content: patient, date (a missing date first),
+        provider, primary dx, dx set, treatment set, triage (none first),
+        catastrophic, setting ("emergency" before "outpatient"); sets
+        compare as their sorted code tuples. Only identical visits tie, and they keep their
+        order."""
         return np.lexsort((~self.emergency, self.catastrophic, self.triage, self.treatments,
                            self.dx, self.primary, self.provider, self.day, self.patient))
 
@@ -247,12 +177,14 @@ class VisitTable:
         return self.take(self.canonical_order())
 
 
-def _exclusion_masks(
+def exclusion_masks(
     visits: VisitTable,
     patients: Mapping[str, PatientProfile],
     providers: Mapping[str, ProviderProfile],
 ) -> dict[ExclusionReason, np.ndarray]:
-    """For each record-level reason, the visits it excludes."""
+    """For each record-level reason, a mask of the visits it excludes. A
+    visit whose patient has no profile counts as missing birth/gender
+    information. Never raises on bad data."""
     profiles = [patients.get(pid) for pid in visits.patient_ids]
     incomplete = np.array([p is None or p.birth_date is None or p.gender is None for p in profiles], bool)
     conflict = np.array([p is not None and p.gender_conflict for p in profiles], bool)
@@ -271,22 +203,6 @@ def _exclusion_masks(
     }
 
 
-def validate_record(
-    record: VisitRecord,
-    patient: Optional[PatientProfile],
-    providers: Mapping[str, ProviderProfile],
-) -> list[ExclusionReason]:
-    """Check one record against the exclusion rules.
-
-    Returns the empty list when the record is accepted, otherwise every
-    reason that fires. A missing patient profile counts as missing
-    birth/gender information. Pure: same inputs, same verdict.
-    """
-    patients = {} if patient is None else {record.patient_id: patient}
-    masks = _exclusion_masks(VisitTable.from_records([record]), patients, providers)
-    return [reason for reason, mask in masks.items() if mask[0]]
-
-
 class EmptyDatasetError(Exception):
     """No patients or visits survive the exclusion pass."""
 
@@ -299,7 +215,7 @@ def apply_exclusions(dataset: "Dataset") -> tuple["Dataset", Counter]:
     all excluded by record rules). Idempotent: a clean dataset passes through
     unchanged with an all-zero audit.
     """
-    masks = _exclusion_masks(dataset.visits, dataset.patients, dataset.providers)
+    masks = exclusion_masks(dataset.visits, dataset.patients, dataset.providers)
     audit = Counter({reason: int(mask.sum()) for reason, mask in masks.items() if mask.any()})
     kept = dataset.visits.take(~np.logical_or.reduce(list(masks.values())))
 

@@ -8,14 +8,16 @@ raises IngestError naming the file, the line number, and the offending field.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import zipfile
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Optional
@@ -89,6 +91,23 @@ class DataPaths:
         return cls(**{key: d / name for key, name in STANDARD_FILENAMES.items()})
 
 
+def _open_rows(fh, path: Path, columns: tuple[str, ...]):
+    """(a csv reader past the header, the header's width, the positions of
+    `columns` in it, the number of leading '#' lines skipped)."""
+    first, skipped = fh.readline(), 0
+    while first.startswith("#"):
+        first, skipped = fh.readline(), skipped + 1
+    if not first:
+        raise IngestError(f"{path.name}: file is empty (no header)")
+    reader = csv.reader(chain([first], fh))
+    header = next(reader)
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in columns if c not in index]
+    if missing:
+        raise IngestError(f"{path.name}: missing required columns {missing}")
+    return reader, len(header), [index[c] for c in columns], skipped
+
+
 def _read_rows(path: Path, columns: tuple[str, ...]):
     """Yield (line number, the row's cells for `columns`) for each non-blank row.
 
@@ -99,18 +118,7 @@ def _read_rows(path: Path, columns: tuple[str, ...]):
     if not path.exists():
         raise IngestError(f"required file missing: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        first, skipped = fh.readline(), 0
-        while first.startswith("#"):
-            first, skipped = fh.readline(), skipped + 1
-        if not first:
-            raise IngestError(f"{path.name}: file is empty (no header)")
-        reader = csv.reader(chain([first], fh))
-        header = next(reader)
-        index = {name: i for i, name in enumerate(header)}
-        missing = [c for c in columns if c not in index]
-        if missing:
-            raise IngestError(f"{path.name}: missing required columns {missing}")
-        positions = [index[c] for c in columns]
+        reader, n_fields, positions, skipped = _open_rows(fh, path, columns)
         pick, width = itemgetter(*positions), max(positions) + 1
         for row in reader:
             if len(row) >= width:
@@ -118,38 +126,22 @@ def _read_rows(path: Path, columns: tuple[str, ...]):
             elif row:
                 raise IngestError(
                     f"{path.name}:{reader.line_num + skipped}: "
-                    f"expected {len(header)} fields, found {len(row)}"
+                    f"expected {n_fields} fields, found {len(row)}"
                 )
 
 
 def _read_columns(path: Path, columns: tuple[str, ...]) -> list[list[str]]:
-    """The cells `_read_rows` yields, one list per column.
-
-    A file without quotes or NULs whose rows all have the header's width,
-    with no blank lines, is split with string operations (any of the line
-    ends "\r\n", "\n" and "\r" ends a row, as in `csv`); any other file goes
-    through `_read_rows`, which also raises its errors.
-    """
-    if path.exists():
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        k = 0
-        while k < len(lines) and lines[k].startswith("#"):
-            k += 1
-        if k < len(lines) and '"' not in text and "\0" not in text:
-            header = lines[k].split(",")
-            index = {name: i for i, name in enumerate(header)}
-            body = lines[k + 1:]
-            if body and not body[-1]:
-                body.pop()
-            commas = len(header) - 1
-            if body and all(c in index for c in columns) and all(
-                    map(commas.__eq__, map(str.count, body, repeat(",")))):
-                cells = ",".join(body).split(",")
-                return [cells[index[c]::len(header)] for c in columns]
-    return [list(column) for column in zip(*(cells for _, cells in _read_rows(path, columns)))] or [
-        [] for _ in columns]
+    """The cells `_read_rows` yields, one list per column, read without a
+    Python step per row; errors are those `_read_rows` raises."""
+    if not path.exists():
+        raise IngestError(f"required file missing: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, _, positions, _ = _open_rows(fh, path, columns)
+        rows = list(filter(None, reader))
+    if rows and min(map(len, rows)) <= max(positions):
+        for _ in _read_rows(path, columns):  # raises at the first short row
+            pass
+    return [list(map(itemgetter(p), rows)) for p in positions]
 
 
 def _parse_date(token: str, path: Path, line: int, field: str) -> Optional[date]:
@@ -259,10 +251,29 @@ def _check_rows(path: Path) -> None:
             parse(cells[j], path, line)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector. The visit loader allocates a few
+    containers per visit, none of them in a reference cycle, and each
+    collection while they are alive walks them all."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_visits(path: Path) -> VisitTable:
     """Visits in file order, as a table. Each distinct token of a column is
     parsed once; a bad token raises IngestError naming the first line that
     fails, as a row-by-row parse would."""
+    with _collector_paused():
+        return _load_visits(path)
+
+
+def _load_visits(path: Path) -> VisitTable:
     try:
         columns = _read_columns(path, VISIT_COLUMNS)
         parsed = {}
@@ -494,11 +505,36 @@ def write_visit_table(path: str | Path, dataset: Dataset, inputs: Mapping[str, O
             _add_member(zf, f"{name}.npy", buffer.getvalue())
 
 
+def _check_visit_table(dataset: Dataset) -> None:
+    """Raise ValueError unless every code of the table indexes inside its
+    lookup and every patient and provider it names has a profile."""
+    visits = dataset.visits
+    n_sets = len(visits.set_offsets) - 1
+    bounds = {"set_members": len(visits.codes), "patient": len(visits.patient_ids),
+              "provider": len(visits.provider_ids), "primary": len(visits.codes),
+              "dx": n_sets, "treatments": n_sets}
+    for name, bound in bounds.items():
+        column = getattr(visits, name)
+        if column.ndim != 1 or column.dtype.kind not in "iu":
+            raise ValueError(f"{name} is not a column of integer codes")
+        if column.size and not 0 <= column.min() <= column.max() < bound:
+            raise ValueError(f"{name} holds codes outside 0-{bound - 1}")
+    offsets = visits.set_offsets
+    if (n_sets < 0 or offsets.ndim != 1 or offsets[0] != 0
+            or offsets[-1] != len(visits.set_members) or (np.diff(offsets) < 0).any()):
+        raise ValueError("set_offsets do not partition set_members")
+    for kind, ids, profiles in (("patient", visits.patient_ids, dataset.patients),
+                                ("provider", visits.provider_ids, dataset.providers)):
+        missing = set(ids).difference(profiles)
+        if missing:
+            raise ValueError(f"{len(missing)} {kind} id(s) without a profile, e.g. {min(missing)!r}")
+
+
 def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]]]:
     """The dataset write_visit_table wrote, and the input digests it recorded.
 
     A file that is cut short, altered or in another format raises
-    VisitTableFileError.
+    VisitTableFileError, as does one whose codes point outside its lookups.
     """
     try:
         with zipfile.ZipFile(path) as zf:
@@ -524,6 +560,7 @@ def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]
             calendar=WorkdayCalendar({date.fromisoformat(d): w for d, w in header["calendar"]}),
             code_sets=CodeSets(**{name: frozenset(codes) for name, codes in header["code_sets"].items()}),
         )
+        _check_visit_table(dataset)
     except (zipfile.BadZipFile, KeyError, TypeError, ValueError, EOFError) as exc:
         raise VisitTableFileError(f"{path}: not a whole visit table: {exc}") from exc
     return dataset, header["inputs"]

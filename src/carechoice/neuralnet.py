@@ -34,6 +34,10 @@ MODEL_FORMAT_VERSION = 1
 ACTIVATIONS = ("relu", "sigmoid", "linear", "softmax")
 
 
+class MissingDependencyError(Exception):
+    """An optional package the requested model needs is not installed."""
+
+
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite.
 
@@ -285,8 +289,12 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
         # SciPy's expit, not 1 / (1 + np.exp(-z)): numpy's vectorised exp can
         # differ from it in the last bit, which would change trained models;
         # imported here so that only the autoencoder needs SciPy
-        from scipy.special import expit
-
+        try:
+            from scipy.special import expit
+        except ImportError as exc:
+            raise MissingDependencyError(
+                "the autoencoder's sigmoid layer needs SciPy; install carechoice[ae]"
+            ) from exc
         return expit(z)
     if name == "linear":
         return z

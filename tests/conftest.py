@@ -8,12 +8,15 @@ from carechoice.domain import (
     CodeSets,
     Dataset,
     HospitalLevel,
+    NO_DATE,
+    NO_TRIAGE,
     PatientProfile,
     ProviderProfile,
-    VisitRecord,
+    SETTINGS,
     VisitTable,
     WorkdayCalendar,
 )
+from oracles import VisitRecord
 
 
 def make_calendar(start=date(2008, 1, 1), end=date(2011, 12, 31)):
@@ -40,6 +43,25 @@ def make_visit(pid="P1", provider="H1", when=date(2010, 6, 15), dx="D001", **kw)
     )
 
 
+def visit_table(records):
+    """A VisitTable holding `records` in the given order."""
+    records = list(records)
+    for r in records:
+        if r.setting not in SETTINGS:
+            raise ValueError(f"visit setting must be one of {SETTINGS}, got {r.setting!r}")
+    return VisitTable.from_columns(
+        [r.patient_id for r in records],
+        [r.provider_id for r in records],
+        [NO_DATE if r.visit_date is None else r.visit_date.toordinal() for r in records],
+        [r.primary_dx for r in records],
+        [r.dx_codes for r in records],
+        [r.treatment_codes for r in records],
+        [NO_TRIAGE if r.triage_level is None else r.triage_level for r in records],
+        [r.catastrophic_illness for r in records],
+        [r.setting == "emergency" for r in records],
+    )
+
+
 def make_dataset(patients=None, providers=None, visits=(), code_sets=None,
                  region_stats=None, calendar=None):
     if patients is None:
@@ -51,7 +73,7 @@ def make_dataset(patients=None, providers=None, visits=(), code_sets=None,
     return Dataset(
         patients=patients,
         providers=providers,
-        visits=visits if isinstance(visits, VisitTable) else VisitTable.from_records(visits),
+        visits=visits if isinstance(visits, VisitTable) else visit_table(visits),
         region_stats=region_stats,
         calendar=calendar or make_calendar(),
         code_sets=code_sets or CodeSets(

@@ -7,11 +7,69 @@ package output against these.
 
 import csv
 from collections import Counter
+from dataclasses import dataclass
 from datetime import date
+from typing import Optional
 from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class VisitRecord:
+    """One visit as plain Python values, the way the input files spell it."""
+
+    patient_id: str
+    provider_id: str
+    visit_date: Optional[date]
+    primary_dx: str
+    dx_codes: frozenset = frozenset()
+    treatment_codes: frozenset = frozenset()
+    triage_level: Optional[int] = None
+    catastrophic_illness: bool = False
+    setting: str = "outpatient"
+
+    def sort_key(self):
+        """Content order: patient, date (a missing date first), provider,
+        primary dx, the sorted code sets, triage (none first), catastrophic,
+        setting."""
+        return (
+            self.patient_id,
+            self.visit_date is not None,
+            self.visit_date or date.min,
+            self.provider_id,
+            self.primary_dx,
+            tuple(sorted(self.dx_codes)),
+            tuple(sorted(self.treatment_codes)),
+            -1 if self.triage_level is None else self.triage_level,
+            self.catastrophic_illness,
+            self.setting,
+        )
+
+
+def visit_records(table):
+    """The rows of a VisitTable as VisitRecords, decoded one visit at a time
+    from the table's documented layout."""
+    offsets, members = table.set_offsets.tolist(), table.set_members.tolist()
+
+    def code_set(s):
+        return frozenset(table.codes[m] for m in members[offsets[s]:offsets[s + 1]])
+
+    return [
+        VisitRecord(
+            patient_id=table.patient_ids[int(table.patient[i])],
+            provider_id=table.provider_ids[int(table.provider[i])],
+            visit_date=None if table.day[i] == 0 else date.fromordinal(int(table.day[i])),
+            primary_dx=table.codes[int(table.primary[i])],
+            dx_codes=code_set(int(table.dx[i])),
+            treatment_codes=code_set(int(table.treatments[i])),
+            triage_level=None if table.triage[i] == -1 else int(table.triage[i]),
+            catastrophic_illness=bool(table.catastrophic[i]),
+            setting="emergency" if table.emergency[i] else "outpatient",
+        )
+        for i in range(len(table))
+    ]
 
 
 def brute_continuity(providers):
@@ -75,7 +133,7 @@ def age_at(birth, visit):
 def reference_feature_vectors(dataset):
     """The 18 features and the label of every visit, one visit at a time,
     as (X, y) in the dataset's visit order."""
-    visits = list(dataset.visits)
+    visits = visit_records(dataset.visits)
     by_patient = {}
     for v in visits:
         by_patient.setdefault(v.patient_id, []).append(v)

@@ -1,10 +1,12 @@
 """Command-line pipeline: config handling, exit codes, artifact contracts."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from carechoice.cli import (
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_MISSING_ARTIFACT,
+    EXIT_MISSING_DEPENDENCY,
     EXIT_OK,
     EXPLAIN_FILES,
     FEATURES_CSV,
@@ -386,6 +389,36 @@ class TestVisitTable:
         assert cli.main(["features", *base]) == EXIT_DATA
         assert f"data error: {table}: not a whole visit table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        # each edit leaves valid JSON and valid arrays that no longer agree
+        (lambda header, arrays: header["patient_ids"].pop(), "patient holds codes outside"),
+        (lambda header, arrays: header["codes"].pop(), "set_members holds codes outside"),
+        (lambda header, arrays: header["providers"].pop(), "provider id(s) without a profile"),
+        (lambda header, arrays: arrays["set_offsets"].__setitem__(-1, arrays["set_offsets"][-1] + 1),
+         "set_offsets do not partition set_members"),
+    ])
+    def test_table_whose_codes_miss_their_lookups_exits_five(self, tmp_path, capsys, edit, message):
+        base = self.base(tmp_path)
+        assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["ingest", *base]) == EXIT_OK
+        table = tmp_path / "run" / VISIT_TABLE
+        with zipfile.ZipFile(table) as zf:
+            header = json.loads(zf.read("header.json"))
+            arrays = {name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(zf.read(name)))
+                      for name in zf.namelist() if name.endswith(".npy")}
+        edit(header, arrays)
+        with zipfile.ZipFile(table, "w") as zf:
+            zf.writestr("header.json", json.dumps(header))
+            for name, array in arrays.items():
+                buffer = io.BytesIO()
+                np.lib.format.write_array(buffer, array)
+                zf.writestr(f"{name}.npy", buffer.getvalue())
+        capsys.readouterr()
+        assert cli.main(["features", *base]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {table}: not a whole visit table" in err
+        assert message in err
+
 
 def test_importing_the_cli_loads_no_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -394,6 +427,18 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_ae_without_scipy_exits_seven(features_ready):
+    # None in sys.modules makes every `import scipy...` raise ImportError
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['scipy'] = None; from carechoice import cli; "
+            f"sys.exit(cli.main(['train', '--ae', *{features_ready[1]!r}]))")
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == EXIT_MISSING_DEPENDENCY
+    assert result.stderr == ("error: the autoencoder's sigmoid layer needs SciPy; "
+                             "install carechoice[ae]\n")
 
 
 class TestExitCodes:

@@ -3,6 +3,7 @@
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carechoice.domain import (
     CalendarCoverageError,
@@ -12,9 +13,17 @@ from carechoice.domain import (
     LEVEL_NAMES,
     N_LEVELS,
     apply_exclusions,
-    validate_record,
+    exclusion_masks,
 )
-from conftest import make_calendar, make_dataset, make_patient, make_provider, make_visit
+from conftest import make_calendar, make_dataset, make_patient, make_provider, make_visit, visit_table
+from oracles import visit_records
+
+
+def validate_record(record, patient, providers):
+    """The reasons that exclude one record, in ExclusionReason order."""
+    patients = {} if patient is None else {record.patient_id: patient}
+    masks = exclusion_masks(visit_table([record]), patients, providers)
+    return [reason for reason, mask in masks.items() if mask[0]]
 
 
 class TestHospitalLevel:
@@ -110,7 +119,7 @@ class TestApplyExclusions:
     def test_clean_dataset_passes_through(self):
         ds = make_dataset(visits=[make_visit()])
         clean, audit = apply_exclusions(ds)
-        assert clean.visits == ds.visits
+        assert visit_records(clean.visits) == visit_records(ds.visits)
         assert clean.patients == ds.patients
         assert sum(audit.values()) == 0
 
@@ -154,20 +163,41 @@ class TestApplyExclusions:
         )
         clean, _ = apply_exclusions(ds)
         again, audit = apply_exclusions(clean)
-        assert again.visits == clean.visits
+        assert visit_records(again.visits) == visit_records(clean.visits)
         assert sum(audit.values()) == 0
 
 
 class TestSortKey:
+    """`VisitTable.canonical_order`, the content order the loader sorts by."""
+
     def test_orders_by_content_not_identity(self):
         a = make_visit(when=date(2010, 1, 2))
         b = make_visit(when=date(2010, 1, 1))
-        assert sorted([a, b], key=lambda v: v.sort_key()) == [b, a]
+        assert visit_table([a, b]).canonical_order().tolist() == [1, 0]
 
     def test_missing_date_sorts_first(self):
         a = make_visit(when=date(2010, 1, 1))
         b = make_visit(when=None)
-        assert sorted([a, b], key=lambda v: v.sort_key())[0] is b
+        assert visit_table([a, b]).canonical_order().tolist() == [1, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        make_visit,
+        pid=st.sampled_from(["P1", "P10", "P2"]),
+        provider=st.sampled_from(["H1", "H10", "H2"]),
+        when=st.sampled_from([None, date(2010, 1, 1), date(2010, 1, 2)]),
+        dx=st.sampled_from(["", "D001", "D01"]),
+        dx_codes=st.frozensets(st.sampled_from(["D001", "D01", "D1", "T1"]), max_size=3),
+        treatment_codes=st.frozensets(st.sampled_from(["T1", "T10", "T2"]), max_size=2),
+        triage_level=st.sampled_from([None, 1, 5]),
+        catastrophic_illness=st.booleans(),
+        setting=st.sampled_from(["outpatient", "emergency"]),
+    ), min_size=1, max_size=10))
+    def test_matches_the_reference_sort_key(self, records):
+        order = visit_table(records).canonical_order().tolist()
+        keys = [records[i].sort_key() for i in order]
+        assert keys == sorted(keys)
+        assert sorted(order) == list(range(len(records)))
 
 
 class TestWorkdayCalendar:

@@ -16,7 +16,7 @@ from carechoice.ingest import (
     write_dataset,
 )
 from conftest import make_dataset, make_patient, make_provider, make_visit
-from oracles import naive_load_visits
+from oracles import naive_load_visits, visit_records
 
 
 def write_minimal_tree(root, visits_rows=None, patients_rows=None):
@@ -49,7 +49,7 @@ class TestLoaders:
         dataset, audit = load_dataset(paths)
         assert len(dataset.visits) == 1
         assert sum(audit.values()) == 0
-        visit = dataset.visits[0]
+        visit = visit_records(dataset.visits)[0]
         assert visit.primary_dx == "D001"
         assert visit.dx_codes == frozenset({"D001", "D002"})
         assert visit.triage_level == 3
@@ -61,7 +61,7 @@ class TestLoaders:
             tmp_path, ["P1,H1,2010-06-15,D009,D001,,,0,outpatient\n"]
         )
         dataset, _ = load_dataset(paths)
-        assert dataset.visits[0].dx_codes == frozenset({"D009", "D001"})
+        assert visit_records(dataset.visits)[0].dx_codes == frozenset({"D009", "D001"})
 
     def test_missing_column_is_an_error(self, tmp_path):
         write_minimal_tree(tmp_path)
@@ -139,7 +139,7 @@ class TestLoaders:
             tmp_path,
             ["P1,H1,,D001,,,,0,outpatient\n", "P1,H1,2010-06-15,D001,,,,0,outpatient\n"],
         )
-        visits = load_visits(paths.visits)
+        visits = visit_records(load_visits(paths.visits))
         assert visits[0].visit_date is None or visits[1].visit_date is None
         _, audit = load_dataset(paths)
         assert audit[ExclusionReason.MISSING_VISIT_DATE] == 1
@@ -148,7 +148,7 @@ class TestLoaders:
         paths = write_minimal_tree(
             tmp_path, ["P1,H1,2010-06-15,D001,D002,,3,0,outpatient,surplus,cells\n"]
         )
-        visit, = load_visits(paths.visits)
+        visit, = visit_records(load_visits(paths.visits))
         assert visit.setting == "outpatient"
         assert visit.dx_codes == frozenset({"D001", "D002"})
 
@@ -161,7 +161,7 @@ class TestParseSemantics:
              "P1,H1,2010-06-15,D003,D002,,,0,outpatient\n",
              "P1,H1,2010-06-15,,D002,,,0,outpatient\n"],
         )
-        first, second, third = load_visits(paths.visits)
+        first, second, third = visit_records(load_visits(paths.visits))
         assert first.dx_codes == frozenset({"D001", "D002"})
         assert second.dx_codes == frozenset({"D003", "D002"})
         assert third.dx_codes == frozenset({"D002"})
@@ -170,7 +170,7 @@ class TestParseSemantics:
         paths = write_minimal_tree(
             tmp_path, ["P1,H1,2010-06-15,,D1| |D2|,T1 || T2,,0,outpatient\n"]
         )
-        visit, = load_visits(paths.visits)
+        visit, = visit_records(load_visits(paths.visits))
         assert visit.dx_codes == frozenset({"D1", "D2"})
         assert visit.treatment_codes == frozenset({"T1", "T2"})
 
@@ -180,7 +180,7 @@ class TestParseSemantics:
             ["P1,H1,2010-06-15,D001,,,,TRUE,outpatient\n",
              "P1,H1,2010-06-15,D001,,,,False,outpatient\n"],
         )
-        flagged, unflagged = load_visits(paths.visits)
+        flagged, unflagged = visit_records(load_visits(paths.visits))
         assert flagged.catastrophic_illness and not unflagged.catastrophic_illness
 
     def test_bad_date_after_repeated_tokens_names_its_own_line(self, tmp_path):
@@ -196,7 +196,7 @@ class TestParseSemantics:
 
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("\n", "\r\n"),  # the line ends csv.writer writes
-        lambda text: text.replace("D001|D002", '"D001|D002"'),  # quoted cells take the csv path
+        lambda text: text.replace("D001|D002", '"D001|D002"'),  # a quoted cell
         lambda text: text.replace("outpatient\n", "outpatient,extra\n", 1),  # a wider row, too
         lambda text: text + "\n",  # a blank line
     ])
@@ -205,10 +205,10 @@ class TestParseSemantics:
                 "P1,H1,2010-06-14,D002,,,,1,emergency\n"]
         (tmp_path / "plain").mkdir()
         (tmp_path / "edited").mkdir()
-        plain = list(load_visits(write_minimal_tree(tmp_path / "plain", rows).visits))
+        plain = visit_records(load_visits(write_minimal_tree(tmp_path / "plain", rows).visits))
         paths = write_minimal_tree(tmp_path / "edited", rows)
         paths.visits.write_text(edit(paths.visits.read_text()), newline="")
-        assert list(load_visits(paths.visits)) == plain
+        assert visit_records(load_visits(paths.visits)) == plain
 
     def test_dirty_cohort_matches_a_dict_reader_parse(self, tmp_path):
         generate_cohort(CohortSpec(n_patients=150, seed=5, dirty_count=2), tmp_path)
@@ -218,7 +218,7 @@ class TestParseSemantics:
              tuple(sorted(v.dx_codes)), tuple(sorted(v.treatment_codes)),
              -1 if v.triage_level is None else v.triage_level,
              v.catastrophic_illness, v.setting)
-            for v in dataset.visits
+            for v in visit_records(dataset.visits)
         ]
         expected_visits, expected_audit = naive_load_visits(tmp_path)
         assert visits == expected_visits
@@ -264,7 +264,7 @@ class TestRoundTrip:
         assert sum(audit.values()) == 0
         assert loaded.patients == ds.patients
         assert loaded.providers == ds.providers
-        assert set(loaded.visits) == set(ds.visits)
+        assert set(visit_records(loaded.visits)) == set(visit_records(ds.visits))
         assert loaded.region_stats == ds.region_stats
         assert loaded.code_sets == ds.code_sets
         assert loaded.calendar.entries == ds.calendar.entries
@@ -282,7 +282,7 @@ class TestRoundTrip:
         first = (tmp_path / "visits.csv").read_text().splitlines()[0]
         assert first == "# config_hash=deadbeef"
         loaded, _ = load_dataset(paths)
-        assert set(loaded.visits) == set(ds.visits)
+        assert set(visit_records(loaded.visits)) == set(visit_records(ds.visits))
 
     def test_missing_file_is_an_error(self, tmp_path):
         ds = self.build()

@@ -18,6 +18,7 @@ from carechoice.synthgen import (
     cohort_spec_from_config,
     generate_cohort,
 )
+from oracles import visit_records
 
 
 def read_tree(directory):
@@ -126,14 +127,15 @@ class TestCleanCohort:
         assert males == round(spec.male_rate * 800)
         assert poor == round(spec.low_income_rate * 800)
 
-        n_visits = len(ds.visits)
-        surgery = sum(bool(v.treatment_codes & ds.code_sets.surgery_codes) for v in ds.visits)
-        er = sum(v.setting == "emergency" for v in ds.visits)
+        visits = visit_records(ds.visits)
+        n_visits = len(visits)
+        surgery = sum(bool(v.treatment_codes & ds.code_sets.surgery_codes) for v in visits)
+        er = sum(v.setting == "emergency" for v in visits)
         severe = sum(
             v.catastrophic_illness or (v.triage_level is not None and v.triage_level <= 3)
-            for v in ds.visits
+            for v in visits
         )
-        workday = sum(ds.calendar.is_workday(v.visit_date) for v in ds.visits)
+        workday = sum(ds.calendar.is_workday(v.visit_date) for v in visits)
         assert surgery == round(spec.surgery_rate * n_visits)
         assert er == round(spec.er_rate * n_visits)
         assert severe == round(spec.severe_rate * n_visits)
@@ -145,33 +147,33 @@ class TestCleanCohort:
             [(AGE_ANCHOR - p.birth_date).days / 365.25 for p in ds.patients.values()]
         )
         assert abs(ages.mean() - 45.80) < 2.5
-        counts = Counter(v.patient_id for v in ds.visits)
+        counts = Counter(v.patient_id for v in visit_records(ds.visits))
         assert abs(np.mean(list(counts.values())) - 16.70) < 2.0
         assert min(counts.values()) >= 1
 
     def test_dates_stay_inside_the_window_and_after_birth(self, cohort):
         ds = cohort.dataset
-        for v in ds.visits:
+        for v in visit_records(ds.visits):
             assert WINDOW_START <= v.visit_date <= WINDOW_END
             assert v.visit_date >= ds.patients[v.patient_id].birth_date
 
     def test_visits_are_canonically_sorted(self, cohort):
-        keys = [v.sort_key() for v in cohort.dataset.visits]
+        keys = [v.sort_key() for v in visit_records(cohort.dataset.visits)]
         assert keys == sorted(keys)
 
     def test_er_visits_carry_triage_and_others_do_not(self, cohort):
-        for v in cohort.dataset.visits:
+        for v in visit_records(cohort.dataset.visits):
             if v.setting == "emergency":
                 assert v.triage_level in (1, 2, 3, 4, 5)
             else:
                 assert v.triage_level is None
 
     def test_primary_dx_always_inside_dx_codes(self, cohort):
-        assert all(v.primary_dx in v.dx_codes for v in cohort.dataset.visits)
+        assert all(v.primary_dx in v.dx_codes for v in visit_records(cohort.dataset.visits))
 
     def test_loyalty_half_concentrates_visits_on_one_provider(self, cohort):
         by_patient = {}
-        for v in cohort.dataset.visits:
+        for v in visit_records(cohort.dataset.visits):
             by_patient.setdefault(v.patient_id, []).append(v.provider_id)
         shares = [
             max(Counter(seq).values()) / len(seq)
@@ -193,7 +195,7 @@ class TestSignalGeometry:
         spec = CohortSpec(n_patients=700, seed=3, signal_strength=0.0)
         cohort = generate_cohort(spec, tmp_path)
         levels = Counter(
-            cohort.dataset.providers[v.provider_id].level for v in cohort.dataset.visits
+            cohort.dataset.providers[v.provider_id].level for v in visit_records(cohort.dataset.visits)
         )
         total = sum(levels.values())
         clinic_share = levels[HospitalLevel.CLINIC] / total
@@ -205,13 +207,13 @@ class TestSignalGeometry:
         counts = cohort.manifest["provider_counts_by_level"]
         assert counts["clinic"] / sum(counts.values()) > 0.8
         levels = Counter(
-            cohort.dataset.providers[v.provider_id].level for v in cohort.dataset.visits
+            cohort.dataset.providers[v.provider_id].level for v in visit_records(cohort.dataset.visits)
         )
         clinic_visits = levels[HospitalLevel.CLINIC] / sum(levels.values())
         assert clinic_visits < 0.85
         # centers therefore serve far more patients apiece than clinics
         patients_at = {lvl: set() for lvl in HospitalLevel}
-        for v in cohort.dataset.visits:
+        for v in visit_records(cohort.dataset.visits):
             patients_at[cohort.dataset.providers[v.provider_id].level].add(v.patient_id)
         center_load = len(patients_at[HospitalLevel.MEDICAL_CENTER]) / counts["medical_center"]
         clinic_load = len(patients_at[HospitalLevel.CLINIC]) / counts["clinic"]
