@@ -51,11 +51,8 @@ from .pipeline import (
     SamplingError,
     SplitSpec,
     kfold_indices,
-    make_kfolds,
     split_indices,
-    split_train_test,
     undersample_indices,
-    undersample_majority,
 )
 from .neuralnet import (
     AeConfig,
@@ -76,7 +73,6 @@ from .neuralnet import (
     model_to_dict,
     models_equal,
     n_parameters,
-    predict,
     predict_batch,
     save_model,
     train_autoencoder,

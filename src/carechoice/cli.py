@@ -47,7 +47,9 @@ from .features import (
     ScalerParams,
     build_feature_vectors,
     fit_scaler,
+    read_feature_copy,
     read_feature_csv,
+    write_feature_copy,
     write_feature_csv,
 )
 from .ingest import (
@@ -96,6 +98,7 @@ CONFIG_SNAPSHOT = "config_snapshot.txt"
 AUDIT_JSON = "audit.json"
 VISIT_TABLE = "visit_table.npz"
 FEATURES_CSV = "features.csv"
+FEATURES_NPZ = "features.npz"
 SPLIT_JSON = "split.json"
 SCALER_JSON = "scaler.json"
 BALANCED_JSON = "balanced.json"
@@ -309,14 +312,22 @@ def _cmd_features(cfg: RunConfig) -> int:
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.run_dir / FEATURES_CSV
     write_feature_csv(path, X, y, header_comment=f"config_hash={cfg.config_hash}")
+    write_feature_copy(cfg.run_dir / FEATURES_NPZ, X, y, path)
     print(f"features: {X.shape[0]} visit rows -> {path}")
     return EXIT_OK
 
 
+def _read_features(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrix and labels in features.csv, from the binary copy
+    `features` wrote beside it when that copy matches the file's bytes."""
+    path = _read_artifact(cfg, FEATURES_CSV, "features")
+    copy = read_feature_copy(cfg.run_dir / FEATURES_NPZ, path)
+    return copy if copy is not None else read_feature_csv(path)
+
+
 def _prepare_training(cfg: RunConfig):
     """Split, scaler, and balanced pool: shared by both train variants."""
-    features_path = _read_artifact(cfg, FEATURES_CSV, "features")
-    x_raw, y = read_feature_csv(features_path)
+    x_raw, y = _read_features(cfg)
     spec = SplitSpec(
         seed=derive_seed(cfg.get_int("seed"), "split"),
         train_fraction=cfg.get_float("train.fraction"),
@@ -444,8 +455,7 @@ def _load_variant_models(cfg: RunConfig, with_ae: bool):
 
 
 def _load_eval_inputs(cfg: RunConfig):
-    features_path = _read_artifact(cfg, FEATURES_CSV, "features")
-    x_raw, y = read_feature_csv(features_path)
+    x_raw, y = _read_features(cfg)
     split = json.loads(_read_artifact(cfg, SPLIT_JSON, "train").read_text())
     scaler = ScalerParams.from_dict(json.loads(_read_artifact(cfg, SCALER_JSON, "train").read_text()))
     return x_raw, y, split, scaler

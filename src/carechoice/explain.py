@@ -428,7 +428,6 @@ def classifier_model_fn(
     classifier: TrainedModel,
     ae: Optional[TrainedModel] = None,
     output: str = "probability",
-    use_reconstruction: bool = False,
 ) -> ModelFn:
     """Adapt trained networks to a (n, d) -> (n, classes) model function.
 
@@ -442,7 +441,7 @@ def classifier_model_fn(
     def fn(x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
         if ae is not None:
-            h = forward(ae, h) if use_reconstruction else encode(ae, h)
+            h = encode(ae, h)
         return forward(classifier, h) if output == "probability" else forward_logits(classifier, h)
 
     return fn

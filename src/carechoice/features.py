@@ -9,13 +9,16 @@ least-frequent vote.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping
+from pathlib import Path
+from typing import Mapping, Optional
 
 import numpy as np
 
+from .arrayzip import READ_ERRORS, read_array_zip, write_array_zip
 from .atomic import open_atomic
 from .domain import NO_DATE, NO_TRIAGE, Dataset, HospitalLevel, VisitTable
 
@@ -358,3 +361,40 @@ def _first_bad_row(path, header_line: int) -> FeatureFileError | None:
                     f"{_LEVEL_CODES}, got {cells[-1]!r}"
                 )
     return None
+
+
+# ---------------------------------------------------------------------------
+# the binary copy of a feature file: a parse cache keyed by the file's sha256
+
+FEATURE_COPY_FORMAT = 1
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_feature_copy(path, X: np.ndarray, y: np.ndarray, csv_path) -> None:
+    """Write (X, y) as float64 and int64 arrays, keyed by the sha256 of the
+    feature file at `csv_path`, which must hold exactly these values."""
+    header = {"format": FEATURE_COPY_FORMAT, "csv_sha256": _file_sha256(csv_path)}
+    write_array_zip(path, header, {"X": np.asarray(X, dtype=np.float64), "y": np.asarray(y, dtype=np.int64)})
+
+
+def read_feature_copy(path, csv_path) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(X, y) from the copy at `path` if it was written for the current bytes
+    of the feature file at `csv_path`; otherwise None.
+
+    A copy that is missing, written for other bytes, cut short, damaged, or
+    holding other dtypes, shapes or labels is None too: the feature file is
+    the artifact, and the copy only saves parsing it.
+    """
+    try:
+        _, arrays = read_array_zip(path, ("X", "y"),
+                                   {"format": FEATURE_COPY_FORMAT, "csv_sha256": _file_sha256(csv_path)})
+    except (OSError, *READ_ERRORS):
+        return None
+    X, y = arrays["X"], arrays["y"]
+    if (X.dtype != np.float64 or X.ndim != 2 or X.shape[1] != N_FEATURES
+            or y.dtype != np.int64 or y.shape != (X.shape[0],) or not np.isin(y, _LEVEL_CODES).all()):
+        return None
+    return np.ascontiguousarray(X), y

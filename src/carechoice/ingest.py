@@ -10,9 +10,6 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
-import io
-import json
-import zipfile
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -24,7 +21,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .atomic import open_atomic
+from .arrayzip import READ_ERRORS, read_array_zip, write_array_zip
 from .domain import (
     NO_DATE,
     NO_TRIAGE,
@@ -453,7 +450,6 @@ def write_dataset(dataset: Dataset, directory: str | Path, header_comment: str |
 
 VISIT_TABLE_FORMAT = 1
 _TABLE_ARRAYS = ("set_offsets", "set_members", *VISIT_TABLE_COLUMNS)
-_ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest zip timestamp, so the bytes carry no clock
 
 
 class VisitTableFileError(IngestError):
@@ -466,12 +462,6 @@ def input_digests(paths: DataPaths) -> dict[str, Optional[str]]:
     for path in map(Path, vars(paths).values()):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
     return digests
-
-
-def _add_member(zf: zipfile.ZipFile, name: str, data: bytes) -> None:
-    info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
-    info.external_attr = 0o644 << 16
-    zf.writestr(info, data)
 
 
 def write_visit_table(path: str | Path, dataset: Dataset, inputs: Mapping[str, Optional[str]],
@@ -496,13 +486,7 @@ def write_visit_table(path: str | Path, dataset: Dataset, inputs: Mapping[str, O
         "calendar": [[d.isoformat(), w] for d, w in dataset.calendar.entries.items()],
         "code_sets": {f.name: sorted(getattr(dataset.code_sets, f.name)) for f in fields(CodeSets)},
     }
-    with open_atomic(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as zf:
-        _add_member(zf, "header.json", json.dumps(header, sort_keys=True).encode())
-        for name in _TABLE_ARRAYS:
-            buffer = io.BytesIO()
-            np.lib.format.write_array(buffer, np.ascontiguousarray(getattr(visits, name)),
-                                      allow_pickle=False)
-            _add_member(zf, f"{name}.npy", buffer.getvalue())
+    write_array_zip(path, header, {name: getattr(visits, name) for name in _TABLE_ARRAYS})
 
 
 def _check_visit_table(dataset: Dataset) -> None:
@@ -537,13 +521,7 @@ def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]
     VisitTableFileError, as does one whose codes point outside its lookups.
     """
     try:
-        with zipfile.ZipFile(path) as zf:
-            header = json.loads(zf.read("header.json"))
-            if header.get("format") != VISIT_TABLE_FORMAT:
-                raise ValueError(f"format {header.get('format')!r}, expected {VISIT_TABLE_FORMAT}")
-            arrays = {name: np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")),
-                                                     allow_pickle=False)
-                      for name in _TABLE_ARRAYS}
+        header, arrays = read_array_zip(path, _TABLE_ARRAYS, {"format": VISIT_TABLE_FORMAT})
         if len({arrays[name].shape for name in VISIT_TABLE_COLUMNS}) != 1:
             raise ValueError("columns of different lengths")
         visits = VisitTable(patient_ids=tuple(header["patient_ids"]),
@@ -561,6 +539,6 @@ def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]
             code_sets=CodeSets(**{name: frozenset(codes) for name, codes in header["code_sets"].items()}),
         )
         _check_visit_table(dataset)
-    except (zipfile.BadZipFile, KeyError, TypeError, ValueError, EOFError) as exc:
+    except READ_ERRORS as exc:
         raise VisitTableFileError(f"{path}: not a whole visit table: {exc}") from exc
     return dataset, header["inputs"]

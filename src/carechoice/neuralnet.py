@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .atomic import open_atomic
-from .domain import HospitalLevel, N_LEVELS
+from .domain import N_LEVELS
 from .features import N_FEATURES
 
 MODEL_FORMAT_VERSION = 1
@@ -592,19 +592,17 @@ def predict_batch(
     classifier: TrainedModel,
     x: np.ndarray,
     ae: Optional[TrainedModel] = None,
-    use_reconstruction: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class labels and probability rows for a feature matrix.
 
-    With an autoencoder the classifier consumes the latent code by
-    default; `use_reconstruction` feeds the reconstruction instead. Ties
-    in the probabilities resolve to the smallest class index.
+    With an autoencoder the classifier consumes the latent code. Ties in
+    the probabilities resolve to the smallest class index.
     """
     if classifier.kind != "classifier":
         raise ValueError("predict requires a classifier model")
     batch, _ = _as_batch(x, ae.input_dim if ae is not None else classifier.input_dim, "input")
     if ae is not None:
-        batch = decode(ae, encode(ae, batch)) if use_reconstruction else encode(ae, batch)
+        batch = encode(ae, batch)
     if batch.shape[1] != classifier.input_dim:
         raise ValueError(
             f"classifier expects width {classifier.input_dim}, "
@@ -613,20 +611,6 @@ def predict_batch(
     probs = forward(classifier, batch)
     labels = np.argmax(probs, axis=1)  # first maximum, so ties pick the smallest index
     return labels, probs
-
-
-def predict(
-    classifier: TrainedModel,
-    x: np.ndarray,
-    ae: Optional[TrainedModel] = None,
-    use_reconstruction: bool = False,
-) -> tuple[HospitalLevel, np.ndarray]:
-    """Predicted hospital level and probability vector for one visit row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("predict takes a single feature vector; use predict_batch for matrices")
-    labels, probs = predict_batch(classifier, x[np.newaxis, :], ae, use_reconstruction)
-    return HospitalLevel(int(labels[0])), probs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Sampling protocol: seeded train/test split, majority undersampling on the
 training side only, and k-fold cross-validation.
 
-All three operate on row indices under the hood so split manifests can be
-exported for audit; the row-level wrappers mirror that exactly. Everything
-is deterministic given the seed.
+All three return row indices, so split manifests can be exported for
+audit. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -80,33 +79,3 @@ def kfold_indices(n_rows: int, folds: int, seed: int) -> list[tuple[np.ndarray, 
         fit = np.concatenate([v for j, v in enumerate(val_sets) if j != i])
         pairs.append((np.sort(fit), np.sort(val)))
     return pairs
-
-
-def _take(rows: Sequence, idx: np.ndarray):
-    if isinstance(rows, np.ndarray):
-        return rows[idx]
-    return [rows[i] for i in idx]
-
-
-def split_train_test(rows: Sequence, spec: SplitSpec) -> tuple[Sequence, Sequence]:
-    train_idx, test_idx = split_indices(len(rows), spec)
-    return _take(rows, train_idx), _take(rows, test_idx)
-
-
-def undersample_majority(
-    rows: Sequence,
-    seed: int,
-    labels: Optional[Sequence[int]] = None,
-    required_classes: Optional[Sequence[int]] = None,
-) -> Sequence:
-    """Balanced training rows; labels default to each row's .label attribute."""
-    if labels is None:
-        labels = [int(r.label) for r in rows]
-    idx = undersample_indices(np.asarray(labels), seed, required_classes)
-    return _take(rows, idx)
-
-
-def make_kfolds(rows: Sequence, folds: int, seed: int) -> list[tuple[Sequence, Sequence]]:
-    return [
-        (_take(rows, fit), _take(rows, val)) for fit, val in kfold_indices(len(rows), folds, seed)
-    ]

@@ -29,8 +29,10 @@ from carechoice.cli import (
     EXIT_OK,
     EXPLAIN_FILES,
     FEATURES_CSV,
+    FEATURES_NPZ,
     IMPORTANCE_FILES,
     MODEL_FILES,
+    SCALER_JSON,
     SPLIT_JSON,
     TABLE4_CSV,
     VISIT_TABLE,
@@ -39,7 +41,8 @@ from carechoice.cli import (
     derive_seed,
     parse_config_text,
 )
-from carechoice.features import FEATURE_NAMES
+from carechoice.arrayzip import read_array_zip, write_array_zip
+from carechoice.features import FEATURE_NAMES, read_feature_csv
 from carechoice.metrics import MetricReport
 from carechoice.neuralnet import blas_threads
 
@@ -167,7 +170,7 @@ class TestPipelineChain:
     def test_expected_artifacts_exist(self, pipeline_run):
         run = pipeline_run["run"]
         names = [
-            CONFIG_SNAPSHOT, AUDIT_JSON, FEATURES_CSV, SPLIT_JSON, BALANCED_JSON,
+            CONFIG_SNAPSHOT, AUDIT_JSON, FEATURES_CSV, FEATURES_NPZ, SPLIT_JSON, BALANCED_JSON,
             MODEL_FILES[False], MODEL_FILES[True], "autoencoder.json",
             EVAL_FILES[False], EVAL_FILES[True],
             IMPORTANCE_FILES[False], EXPLAIN_FILES[False], TABLE4_CSV,
@@ -418,6 +421,105 @@ class TestVisitTable:
         err = capsys.readouterr().err
         assert f"data error: {table}: not a whole visit table" in err
         assert message in err
+
+
+def _rewrite_copy(path: Path, edit) -> None:
+    """Rewrite a feature copy with edited arrays under its own header."""
+    header, arrays = read_array_zip(path, ("X", "y"), {})
+    write_array_zip(path, header, edit(arrays))
+
+
+class TestFeatureCopy:
+    """features.npz only saves parsing features.csv: the stages read it when
+    it was written for the file's current bytes, and write the same outputs
+    whether they read it or parse the file."""
+
+    OUTPUTS = (SPLIT_JSON, SCALER_JSON, BALANCED_JSON, MODEL_FILES[False], CV_FILES[False],
+               EVAL_FILES[False], IMPORTANCE_FILES[False], EXPLAIN_FILES[False])
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        base = [
+            "--set", f"run_dir={tmp_path / 'run'}",
+            "--set", f"data_dir={tmp_path / 'data'}",
+            "--set", "synth.n_patients=100",
+            "--set", "synth.signal_strength=0.8",
+            "--set", "train.folds=2",
+            "--set", "train.epochs=2",
+            "--set", "explain.n_instances=2",
+            "--set", "explain.n_permutations=10",
+            "--set", "explain.background_size=16",
+        ]
+        for command in ("synth", "ingest", "features"):
+            assert cli.main([command, *base]) == EXIT_OK
+        return tmp_path / "run", base
+
+    def downstream(self, run, base, monkeypatch) -> tuple[dict, int]:
+        """Run train, evaluate and explain --no-ae: (output bytes, feature-file parses)."""
+        parses = []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "read_feature_csv", lambda path: parses.append(path) or read_feature_csv(path))
+            for command in ("train", "evaluate", "explain"):
+                assert cli.main([command, "--no-ae", *base]) == EXIT_OK
+        return {name: (run / name).read_bytes() for name in self.OUTPUTS}, len(parses)
+
+    def test_stages_write_the_same_bytes_with_or_without_the_copy(self, run, monkeypatch):
+        run_dir, base = run
+        with_copy, parses = self.downstream(run_dir, base, monkeypatch)
+        assert parses == 0
+        (run_dir / FEATURES_NPZ).unlink()
+        without_copy, parses = self.downstream(run_dir, base, monkeypatch)
+        assert parses == 3
+        assert with_copy == without_copy
+
+    def test_a_feature_file_edited_in_place_is_parsed_again(self, run, monkeypatch):
+        run_dir, base = run
+        path = run_dir / FEATURES_CSV
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        male = FEATURE_NAMES.index("male")
+        cells[male] = "1" if cells[male] == "0" else "0"  # same length, so only the bytes tell
+        lines[2] = ",".join(cells)
+        size = path.stat().st_size
+        path.write_text("".join(lines))
+        assert path.stat().st_size == size
+
+        cfg = RunConfig.load(None, base[1::2])
+        X, y = cli._read_features(cfg)
+        assert X[0, male] == float(cells[male])
+        X_csv, y_csv = read_feature_csv(path)
+        assert np.array_equal(X, X_csv) and np.array_equal(y, y_csv)
+        stale, parses = self.downstream(run_dir, base, monkeypatch)
+        assert parses == 3
+        (run_dir / FEATURES_NPZ).unlink()
+        assert self.downstream(run_dir, base, monkeypatch) == (stale, 3)
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+        lambda path: path.write_bytes(b"not a zip file\n" * 100),
+        lambda path: _rewrite_copy(path, lambda a: {"X": a["X"], "y": a["y"] + 4}),
+        lambda path: _rewrite_copy(path, lambda a: {"X": a["X"].astype(np.float32), "y": a["y"]}),
+        lambda path: _rewrite_copy(path, lambda a: {"X": a["X"][:, 1:], "y": a["y"]}),
+    ], ids=["truncated", "garbage", "labels-outside-0-3", "float32", "17-columns"])
+    def test_a_broken_copy_falls_back_to_the_feature_file(self, run, monkeypatch, capsys, damage):
+        run_dir, base = run
+        damage(run_dir / FEATURES_NPZ)
+        capsys.readouterr()
+        broken, parses = self.downstream(run_dir, base, monkeypatch)
+        assert parses == 3
+        assert "error" not in capsys.readouterr().err
+        (run_dir / FEATURES_NPZ).unlink()
+        assert self.downstream(run_dir, base, monkeypatch) == (broken, 3)
+
+    def test_features_writes_the_same_copy_every_time(self, run):
+        run_dir, base = run
+        first = (run_dir / FEATURES_NPZ).read_bytes()
+        assert cli.main(["features", *base]) == EXIT_OK
+        assert (run_dir / FEATURES_NPZ).read_bytes() == first
+        X, y = cli._read_features(RunConfig.load(None, base[1::2]))
+        X_csv, y_csv = read_feature_csv(run_dir / FEATURES_CSV)
+        assert np.array_equal(X.view(np.uint64), X_csv.view(np.uint64))
+        assert np.array_equal(y, y_csv) and y.dtype == y_csv.dtype
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -33,7 +33,6 @@ from carechoice.neuralnet import (
     model_to_dict,
     models_equal,
     n_parameters,
-    predict,
     predict_batch,
     save_model,
     train_autoencoder,
@@ -337,9 +336,9 @@ class TestBlasThreads:
 class TestPrediction:
     def test_tied_probabilities_pick_smallest_class(self):
         model = manual_model([(np.zeros((4, 18)), np.zeros(4))], ("softmax",))
-        level, probs = predict(model, np.zeros(18))
-        assert level is HospitalLevel.MEDICAL_CENTER
-        assert probs == pytest.approx([0.25] * 4)
+        labels, probs = predict_batch(model, np.zeros((1, 18)))
+        assert HospitalLevel(int(labels[0])) is HospitalLevel.MEDICAL_CENTER
+        assert probs[0] == pytest.approx([0.25] * 4)
 
     def test_latent_classifier_needs_the_autoencoder(self):
         x, y = blob_data(n=40, d=18, classes=4)
@@ -351,14 +350,6 @@ class TestPrediction:
         assert labels.shape == (40,) and probs.shape == (40, 4)
         with pytest.raises(ValueError, match="width"):
             predict_batch(clf, x)  # raw 18-wide rows cannot feed the 3-wide classifier
-
-    def test_reconstruction_mode_keeps_original_width(self):
-        x, y = blob_data(n=40, d=18, classes=4)
-        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
-                               TrainConfig(epochs=1, batch_size=8))
-        clf = train_classifier(x, y, MlpConfig((18, 5, 4)), TrainConfig(epochs=1, batch_size=8))
-        labels, _ = predict_batch(clf, x, ae=ae, use_reconstruction=True)
-        assert labels.shape == (40,)
 
 
 class TestSerialization:

@@ -11,11 +11,8 @@ from carechoice.pipeline import (
     SamplingError,
     SplitSpec,
     kfold_indices,
-    make_kfolds,
     split_indices,
-    split_train_test,
     undersample_indices,
-    undersample_majority,
 )
 
 
@@ -52,13 +49,6 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(seed=0, train_fraction=1.0)
 
-    def test_row_wrapper_matches_indices(self):
-        rows = [f"row{i}" for i in range(23)]
-        train_rows, test_rows = split_train_test(rows, SplitSpec(seed=9))
-        train_idx, test_idx = split_indices(23, SplitSpec(seed=9))
-        assert train_rows == [rows[i] for i in train_idx]
-        assert test_rows == [rows[i] for i in test_idx]
-
 
 class TestUndersample:
     def test_uniform_class_histogram(self):
@@ -86,16 +76,6 @@ class TestUndersample:
         with pytest.raises(SamplingError, match=r"\[2, 3\]"):
             undersample_indices(labels, seed=0, required_classes=range(4))
 
-    def test_row_wrapper_uses_label_attribute(self):
-        class Row:
-            def __init__(self, label):
-                self.label = label
-
-        rows = [Row(0)] * 6 + [Row(1)] * 2
-        kept = undersample_majority(rows, seed=0)
-        assert len(kept) == 4
-        assert sum(r.label for r in kept) == 2
-
     def test_deterministic(self):
         labels = np.random.default_rng(3).choice(4, size=300)
         a = undersample_indices(labels, seed=5)
@@ -119,11 +99,6 @@ class TestKFold:
     def test_too_many_folds_rejected(self):
         with pytest.raises(SamplingError):
             kfold_indices(3, 5, seed=0)
-
-    def test_row_wrapper(self):
-        rows = list(range(11))
-        folds = make_kfolds(rows, 3, seed=2)
-        assert sorted(sum((val for _, val in folds), [])) == rows
 
 
 class TestByteReproducibility:
