@@ -63,7 +63,6 @@ from .neuralnet import (
     TrainedModel,
     TrainingDivergedError,
     dataset_loss,
-    decode,
     encode,
     forward,
     forward_logits,

@@ -395,7 +395,6 @@ def _fit_classifiers(inputs, labels, mlp, train_cfg, row_sets) -> tuple[list[Tra
         return [future.result() for future in futures], workers
 
 
-@single_blas_thread()  # the encoding and the fold scores, too, are then thread-count independent
 def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec = _prepare_training(cfg)
     x_balanced = scaler.transform(x_raw[balanced_idx])
@@ -438,7 +437,7 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
         "folds": fold_reports,
         "mean_macro_auc": float(np.mean(macro_auc)),
     })
-    threads = blas_threads() or "default"  # pinned for this stage, so the count each fit ran on
+    threads = blas_threads() or "default"  # pinned in main, so the count each fit ran on
     print(f"train[{VARIANT_NAMES[with_ae]}]: {inputs.shape[0]} balanced rows, "
           f"{len(row_sets)} fits on {workers} worker(s) with {threads} BLAS thread(s) each, "
           f"{spec.folds}-fold mean macro AUC {float(np.mean(macro_auc)):.4f}, "
@@ -477,6 +476,9 @@ def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
 
 
 def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
+    method = cfg.get_str("explain.method")
+    if method not in ("exact", "sampled"):
+        raise ConfigError(f"config key explain.method must be exact or sampled, got {method!r}")
     x_raw, y, split, scaler = _load_eval_inputs(cfg)
     model, ae_model = _load_variant_models(cfg, with_ae)
     train_idx = np.asarray(split["train"], dtype=np.int64)
@@ -493,20 +495,7 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     instances = scaler.transform(x_raw[test_idx[chosen]])
 
     model_fn = classifier_model_fn(model, ae=ae_model, output=cfg.get_str("explain.output"))
-    method = cfg.get_str("explain.method")
-    importance = global_importance(
-        model_fn,
-        instances,
-        background,
-        method=method,
-        n_permutations=cfg.get_int("explain.n_permutations"),
-        seed=derive_seed(cfg.get_int("seed"), "explain"),
-        exact_limit=cfg.get_int("explain.exact_limit"),
-    )
-    csv_path = cfg.run_dir / IMPORTANCE_FILES[with_ae]
-    write_importance_csv(csv_path, importance, header_comment=f"config_hash={cfg.config_hash}")
-
-    reports = []
+    attributions, reports = [], []
     predicted, _ = predict_batch(model, instances, ae=ae_model)
     for row_no, x in enumerate(instances):
         cls = int(predicted[row_no])
@@ -519,11 +508,16 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
                 n_permutations=cfg.get_int("explain.n_permutations"),
                 seed=derive_seed(cfg.get_int("seed"), f"explain:{row_no}"),
             )
+        attributions.append(att)
         reports.append({
             "row": int(test_idx[chosen[row_no]]),
             "attribution": att.to_dict(),
             "report": local_report(att).to_dict(),
         })
+
+    importance = global_importance(attributions)
+    csv_path = cfg.run_dir / IMPORTANCE_FILES[with_ae]
+    write_importance_csv(csv_path, importance, header_comment=f"config_hash={cfg.config_hash}")
     json_path = _write_json(cfg, EXPLAIN_FILES[with_ae], {
         "variant": VARIANT_NAMES[with_ae],
         "instances": reports,
@@ -591,20 +585,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.load(args.config, args.set)
-        if args.command == "synth":
-            return _cmd_synth(cfg)
-        if args.command == "ingest":
-            return _cmd_ingest(cfg)
-        if args.command == "features":
-            return _cmd_features(cfg)
-        if args.command == "train":
-            return _cmd_train(cfg, args.with_ae)
-        if args.command == "evaluate":
-            return _cmd_evaluate(cfg, args.with_ae)
-        if args.command == "explain":
-            return _cmd_explain(cfg, args.with_ae)
-        if args.command == "compare":
-            return _cmd_compare(cfg)
+        # OpenBLAS splits a matrix product differently at different thread
+        # counts, which changes the last bits of the results; one thread
+        # keeps every stage's artifacts the same at any count
+        with single_blas_thread():
+            if args.command == "synth":
+                return _cmd_synth(cfg)
+            if args.command == "ingest":
+                return _cmd_ingest(cfg)
+            if args.command == "features":
+                return _cmd_features(cfg)
+            if args.command == "train":
+                return _cmd_train(cfg, args.with_ae)
+            if args.command == "evaluate":
+                return _cmd_evaluate(cfg, args.with_ae)
+            if args.command == "explain":
+                return _cmd_explain(cfg, args.with_ae)
+            if args.command == "compare":
+                return _cmd_compare(cfg)
         parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -69,7 +69,12 @@ class BackgroundSet:
 
 @dataclass(frozen=True)
 class Attribution:
-    """Signed per-feature contributions for one instance and one output."""
+    """Signed per-feature contributions for one instance and one output.
+
+    `phi_matrix` holds the contributions to every model output, one column
+    per output, of which `phi` is the explained column; `global_importance`
+    reduces it, and it is not serialised.
+    """
 
     feature_names: tuple[str, ...]
     phi: np.ndarray
@@ -79,6 +84,7 @@ class Attribution:
     method: str  # "exact" | "sampled"
     stderr: Optional[np.ndarray] = None
     n_permutations: Optional[int] = None
+    phi_matrix: Optional[np.ndarray] = None  # (d, n_outputs)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
@@ -121,21 +127,9 @@ class GlobalImportance:
     overall: np.ndarray  # (d,), mean of per_class across classes
     ranking: tuple[int, ...]  # feature indices, most important first
     n_rows: int
-    method: str
 
     def ranked_names(self) -> tuple[str, ...]:
         return tuple(self.feature_names[i] for i in self.ranking)
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "per_class": [[float(v) for v in row] for row in self.per_class],
-            "overall": [float(v) for v in self.overall],
-            "ranking": list(self.ranking),
-            "ranked_names": list(self.ranked_names()),
-            "n_rows": self.n_rows,
-            "method": self.method,
-        }
 
 
 @dataclass(frozen=True)
@@ -277,6 +271,7 @@ def exact_shapley(
         fx=float(fx[col]),
         explained_class=explained_class,
         method="exact",
+        phi_matrix=phi,
     )
 
 
@@ -360,52 +355,35 @@ def sampled_shapley(
         method="sampled",
         stderr=stderr[:, col],
         n_permutations=n_used,
+        phi_matrix=phi,
     )
 
 
-def global_importance(
-    model_fn: ModelFn,
-    rows: np.ndarray,
-    background: BackgroundSet,
-    method: str = "sampled",
-    n_permutations: int = 200,
-    seed: int = 0,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
-    feature_names: Optional[Sequence[str]] = None,
-) -> GlobalImportance:
-    """Mean |phi| per feature over evaluation rows, per class and overall.
+def global_importance(attributions: Sequence[Attribution]) -> GlobalImportance:
+    """Mean |phi| per feature over explained rows, per class and overall.
 
-    The ranking sorts by the class-averaged importance, descending, with
-    ties resolved by feature declaration order.
+    Reduces the per-class matrices of the rows' own attributions, so the
+    ranking and the local explanations come from the same values. The
+    ranking sorts by the class-averaged importance, descending, with ties
+    resolved by feature declaration order.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("evaluation rows must be a nonempty (n, d) matrix")
-    if method not in ("exact", "sampled"):
-        raise ValueError(f"unknown attribution method {method!r}")
-    n, d = rows.shape
-    row_seeds = np.random.default_rng(seed).integers(0, 2**63, size=n)
-    abs_total: Optional[np.ndarray] = None
-    for i in range(n):
-        if method == "exact":
-            phi, _, _ = exact_phi_matrix(model_fn, rows[i], background, exact_limit)
-        else:
-            phi, _, _, _, _ = sampled_phi_matrix(
-                model_fn, rows[i], background, n_permutations, int(row_seeds[i])
-            )
-        abs_phi = np.abs(phi)
-        abs_total = abs_phi if abs_total is None else abs_total + abs_phi
-    per_class = abs_total / n
+    if not attributions:
+        raise ValueError("global importance needs at least one attribution")
+    matrices = [att.phi_matrix for att in attributions]
+    if any(m is None for m in matrices):
+        raise ValueError("global importance needs each attribution's per-class phi_matrix")
+    if len({m.shape for m in matrices}) != 1:
+        raise ValueError("attributions differ in feature or output count")
+    n = len(matrices)
+    per_class = sum(np.abs(m) for m in matrices) / n
     overall = per_class.mean(axis=1)
     ranking = tuple(int(i) for i in np.argsort(-overall, kind="stable"))
-    names = tuple(feature_names) if feature_names is not None else _default_names(d)
     return GlobalImportance(
-        feature_names=names,
+        feature_names=attributions[0].feature_names,
         per_class=per_class,
         overall=overall,
         ranking=ranking,
         n_rows=n,
-        method=method,
     )
 
 

@@ -377,17 +377,6 @@ def encode(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     return z[0] if single else z
 
 
-def decode(model: TrainedModel, z: np.ndarray) -> np.ndarray:
-    """Map latent codes back to reconstruction space."""
-    if model.kind != "autoencoder":
-        raise ValueError("decode requires an autoencoder model")
-    batch, single = _as_batch(z, model.latent_dim, "decoder input")
-    k = model.n_encoder_layers
-    _, acts = _forward_pass(model.layers[k:], model.activations[k:], batch)
-    out = acts[-1]
-    return out[0] if single else out
-
-
 def _ce_loss_from_logits(logits: np.ndarray, labels: np.ndarray, scale: float) -> float:
     m = logits.max(axis=1, keepdims=True)
     log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))

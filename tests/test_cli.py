@@ -1,5 +1,6 @@
 """Command-line pipeline: config handling, exit codes, artifact contracts."""
 
+import csv
 import hashlib
 import io
 import json
@@ -42,6 +43,7 @@ from carechoice.cli import (
     parse_config_text,
 )
 from carechoice.arrayzip import read_array_zip, write_array_zip
+from carechoice.domain import LEVEL_NAMES, HospitalLevel
 from carechoice.features import FEATURE_NAMES, read_feature_csv
 from carechoice.metrics import MetricReport
 from carechoice.neuralnet import blas_threads
@@ -284,8 +286,9 @@ def features_ready(tmp_path_factory):
 
 
 class TestParallelTraining:
-    TRAIN_FILES = (MODEL_FILES[False], MODEL_FILES[True], CV_FILES[False], CV_FILES[True],
-                   AE_MODEL_JSON)
+    STAGES = (("train", "--no-ae"), ("train", "--ae"), ("evaluate", "--ae"), ("explain", "--ae"))
+    OUTPUTS = (MODEL_FILES[False], MODEL_FILES[True], CV_FILES[False], CV_FILES[True],
+               AE_MODEL_JSON, EVAL_FILES[True], EXPLAIN_FILES[True], IMPORTANCE_FILES[True])
 
     def test_artifacts_identical_at_any_worker_or_blas_thread_count(
         self, features_ready, monkeypatch, capsys
@@ -294,17 +297,17 @@ class TestParallelTraining:
         outputs = []
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            for variant in ("--no-ae", "--ae"):
-                assert cli.main(["train", variant, *base]) == EXIT_OK
+            for stage in self.STAGES:
+                assert cli.main([*stage, *base]) == EXIT_OK
             assert f"3 fits on {len(cpus)} worker(s)" in capsys.readouterr().out
-            outputs.append({name: (run / name).read_bytes() for name in self.TRAIN_FILES})
+            outputs.append({name: (run / name).read_bytes() for name in self.OUTPUTS})
         src = str(Path(cli.__file__).resolve().parents[1])
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-            for variant in ("--no-ae", "--ae"):
-                subprocess.run([sys.executable, "-m", "carechoice.cli", "train", variant, *base],
+            for stage in self.STAGES:
+                subprocess.run([sys.executable, "-m", "carechoice.cli", *stage, *base],
                                env=env, capture_output=True, timeout=300, check=True)
-            outputs.append({name: (run / name).read_bytes() for name in self.TRAIN_FILES})
+            outputs.append({name: (run / name).read_bytes() for name in self.OUTPUTS})
         assert all(out == outputs[0] for out in outputs[1:])
 
     @pytest.mark.skipif(blas_threads() is None, reason="numpy's bundled OpenBLAS is absent")
@@ -318,6 +321,58 @@ class TestParallelTraining:
         rc = cli.main(["train", "--no-ae", *features_ready[1], "--set", "train.learning_rate=1e6"])
         assert rc == EXIT_DIVERGED
         assert "classifier training diverged at epoch" in capsys.readouterr().err
+
+
+class TestSinglePass:
+    """explain attributes each explained visit once; the ranking reduces
+    the same attributions it writes to the explanations file."""
+
+    N_PERMUTATIONS = 10
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("explain")
+        base = [
+            "--set", f"run_dir={root / 'run'}",
+            "--set", f"data_dir={root / 'data'}",
+            "--set", "synth.n_patients=100",
+            "--set", "synth.signal_strength=0.8",
+            "--set", "train.folds=2",
+            "--set", "train.epochs=2",
+            "--set", "explain.n_instances=1",
+            "--set", f"explain.n_permutations={self.N_PERMUTATIONS}",
+            "--set", "explain.background_size=16",
+        ]
+        for command in ("synth", "ingest", "features", "train"):
+            assert cli.main([command, *base]) == EXIT_OK
+        return root / "run", base
+
+    def test_importance_of_one_visit_is_its_abs_phi(self, trained):
+        run, base = trained
+        assert cli.main(["explain", "--no-ae", *base]) == EXIT_OK
+        (entry,) = json.loads((run / EXPLAIN_FILES[False]).read_text())["instances"]
+        att = entry["attribution"]
+        column = LEVEL_NAMES[HospitalLevel(att["explained_class"])]
+        lines = (run / IMPORTANCE_FILES[False]).read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert len(rows) == len(FEATURE_NAMES)
+        for row in rows:
+            phi = att["phi"][att["feature_names"].index(row["feature"])]
+            assert row[column] == "%.17g" % abs(phi)
+
+    def test_each_visit_is_sampled_once(self, trained, monkeypatch):
+        _, base = trained
+        rows = []
+        make_model_fn = cli.classifier_model_fn
+
+        def counting_model_fn(*args, **kwargs):
+            fn = make_model_fn(*args, **kwargs)
+            return lambda x: rows.append(len(x)) or fn(x)
+
+        monkeypatch.setattr(cli, "classifier_model_fn", counting_model_fn)
+        assert cli.main(["explain", "--no-ae", *base]) == EXIT_OK
+        # one background row (mode mean); d + 1 coalitions per permutation
+        assert sum(rows) == 1 * self.N_PERMUTATIONS * (len(FEATURE_NAMES) + 1)
 
 
 class TestFeatureFileBytes:
@@ -556,6 +611,12 @@ class TestExitCodes:
         assert cli.main(["synth", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
         assert cli.main(["synth", "--set", "no_such_key=1"]) == EXIT_CONFIG
         assert cli.main(["synth", "--set", "garbage"]) == EXIT_CONFIG
+
+    def test_unknown_explain_method_exits_three_before_reading_artifacts(self, tmp_path, capsys):
+        base = ["--set", f"run_dir={tmp_path/'run'}", "--set", f"data_dir={tmp_path/'data'}"]
+        assert cli.main(["explain", "--no-ae", *base, "--set", "explain.method=kernel"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "explain.method must be exact or sampled, got 'kernel'" in err
 
     def test_invalid_cohort_parameters_exit_three(self, tmp_path):
         base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path/'d'}"]

@@ -241,7 +241,7 @@ class TestGlobalImportance:
         w = np.array([0.1, 5.0, 0.2])
         bg = BackgroundSet(np.zeros((1, 3)))
         rows = np.random.default_rng(60).uniform(0.5, 1.0, size=(12, 3))
-        imp = global_importance(linear_model(w), rows, bg, method="exact")
+        imp = global_importance([exact_shapley(linear_model(w), x, bg) for x in rows])
         assert imp.ranked_names()[0] == "x1"
         assert imp.per_class.shape == (3, 1)
         assert imp.n_rows == 12
@@ -250,22 +250,30 @@ class TestGlobalImportance:
         fn = lambda rows: rows.sum(axis=1)
         bg = BackgroundSet(np.zeros((1, 3)))
         rows = np.full((4, 3), 2.0)
-        imp = global_importance(fn, rows, bg, method="exact")
+        imp = global_importance([exact_shapley(fn, x, bg) for x in rows])
         assert imp.ranking == (0, 1, 2)
 
     def test_sampled_method_is_seeded(self):
         fn = small_mlp_fn(d=4, seed=61)
         bg = BackgroundSet(np.random.default_rng(62).uniform(size=(2, 4)))
         rows = np.random.default_rng(63).uniform(size=(5, 4))
-        a = global_importance(fn, rows, bg, method="sampled", n_permutations=40, seed=3)
-        b = global_importance(fn, rows, bg, method="sampled", n_permutations=40, seed=3)
+
+        def reduce():
+            return global_importance([
+                sampled_shapley(fn, x, bg, explained_class=0, n_permutations=40, seed=3 + i)
+                for i, x in enumerate(rows)
+            ])
+
+        a, b = reduce(), reduce()
         assert np.array_equal(a.per_class, b.per_class)
 
     def test_importance_csv_layout(self, tmp_path):
         fn = small_mlp_fn(d=4, classes=4, seed=71)
         bg = BackgroundSet(np.random.default_rng(70).uniform(size=(2, 4)))
         rows = np.random.default_rng(72).uniform(size=(3, 4))
-        imp = global_importance(fn, rows, bg, method="sampled", n_permutations=20)
+        imp = global_importance(
+            [sampled_shapley(fn, x, bg, explained_class=1, n_permutations=20) for x in rows]
+        )
         path = tmp_path / "importance.csv"
         write_importance_csv(path, imp, header_comment="config_hash=feed")
         lines = path.read_text().splitlines()
@@ -276,6 +284,31 @@ class TestGlobalImportance:
         )
         assert len(lines) == 2 + 4
         assert lines[2].startswith("1,")
+
+    def test_reduces_every_class_of_the_rows_own_attributions(self):
+        fn = small_mlp_fn(d=4, classes=3, seed=73)
+        bg = BackgroundSet(np.random.default_rng(74).uniform(size=(2, 4)))
+        rows = np.random.default_rng(75).uniform(size=(3, 4))
+        atts = [exact_shapley(fn, x, bg, explained_class=i) for i, x in enumerate(rows)]
+        for att in atts:
+            assert np.array_equal(att.phi, att.phi_matrix[:, att.explained_class])
+        imp = global_importance(atts)
+        expected = (np.abs(atts[0].phi_matrix) + np.abs(atts[1].phi_matrix)
+                    + np.abs(atts[2].phi_matrix)) / 3
+        assert np.array_equal(imp.per_class, expected)
+        assert np.array_equal(imp.overall, expected.mean(axis=1))
+
+    def test_needs_the_per_class_matrix_of_every_row(self):
+        with pytest.raises(ValueError):
+            global_importance([])
+        bare = Attribution(feature_names=("a", "b"), phi=np.array([0.1, 0.2]),
+                           base_value=0.0, fx=0.3, explained_class=0, method="exact")
+        with pytest.raises(ValueError, match="phi_matrix"):
+            global_importance([bare])
+        widths = [exact_shapley(linear_model(np.ones(d)), np.ones(d), BackgroundSet(np.zeros((1, d))))
+                  for d in (2, 3)]
+        with pytest.raises(ValueError, match="differ"):
+            global_importance(widths)
 
 
 class TestLocalReport:

@@ -21,7 +21,6 @@ from carechoice.neuralnet import (
     TrainingDivergedError,
     blas_threads,
     dataset_loss,
-    decode,
     encode,
     forward,
     forward_logits,
@@ -183,12 +182,6 @@ class TestForwardMath:
         z = encode(ae, x)
         assert z.shape == (len(x), 3)
         assert np.all((z > 0.0) & (z < 1.0))
-
-    def test_decode_of_encode_matches_forward(self):
-        x, _ = blob_data(d=18)
-        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
-                               TrainConfig(epochs=1, batch_size=16))
-        assert np.array_equal(decode(ae, encode(ae, x)), forward(ae, x))
 
     def test_single_vector_in_single_vector_out(self):
         x, y = blob_data(d=18, classes=4)
