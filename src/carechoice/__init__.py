@@ -70,10 +70,8 @@ from .neuralnet import (
     load_model,
     model_from_dict,
     model_to_dict,
-    models_equal,
     n_parameters,
     predict_batch,
-    save_model,
     train_autoencoder,
     train_classifier,
 )

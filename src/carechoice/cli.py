@@ -7,7 +7,8 @@ snapshot reproduces its outputs byte for byte. One global seed fans out
 to fixed per-stage seeds so stages stay individually reproducible.
 
 Exit codes: 0 success, 2 usage, 3 bad config, 4 missing artifact,
-5 data error, 6 training divergence.
+5 data error (a bad input row or an unreadable artifact), 6 training
+divergence, 7 missing optional dependency.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .ingest import (
     read_visit_table,
     write_visit_table,
 )
-from .metrics import MetricReport, build_report, comparison_rows
+from .metrics import TABLE_METRICS, build_report, comparison_rows
 from .neuralnet import (
     AeConfig,
     MissingDependencyError,
@@ -146,6 +147,10 @@ class ConfigError(Exception):
 
 class MissingArtifactError(Exception):
     pass
+
+
+class UnreadableArtifactError(Exception):
+    """An artifact exists but does not parse."""
 
 
 def _allowed_keys() -> frozenset[str]:
@@ -247,6 +252,21 @@ def _read_artifact(cfg: RunConfig, name: str, producer: str) -> Path:
     if not path.exists():
         raise MissingArtifactError(f"missing artifact {path}; run `{producer}` first")
     return path
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text())
+
+
+def _load_artifact(cfg: RunConfig, name: str, producer: str, load=_read_json):
+    """`load` applied to an artifact's path; a file it cannot parse is a data error."""
+    path = _read_artifact(cfg, name, producer)
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UnreadableArtifactError(
+            f"cannot read {path} ({type(exc).__name__}: {exc}); run `{producer}` again"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +466,35 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
 
 
 def _load_variant_models(cfg: RunConfig, with_ae: bool):
-    model = load_model(_read_artifact(cfg, MODEL_FILES[with_ae], f"train {'--ae' if with_ae else '--no-ae'}"))
+    producer = f"train {'--ae' if with_ae else '--no-ae'}"
+    model = _load_artifact(cfg, MODEL_FILES[with_ae], producer, load_model)
     ae_model = None
     if with_ae:
-        ae_model = load_model(_read_artifact(cfg, AE_MODEL_JSON, "train --ae"))
+        ae_model = _load_artifact(cfg, AE_MODEL_JSON, producer, load_model)
     return model, ae_model
+
+
+def _read_split(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    split = _read_json(path)
+    return np.asarray(split["train"], dtype=np.int64), np.asarray(split["test"], dtype=np.int64)
 
 
 def _load_eval_inputs(cfg: RunConfig):
     x_raw, y = _read_features(cfg)
-    split = json.loads(_read_artifact(cfg, SPLIT_JSON, "train").read_text())
-    scaler = ScalerParams.from_dict(json.loads(_read_artifact(cfg, SCALER_JSON, "train").read_text()))
-    return x_raw, y, split, scaler
+    train_idx, test_idx = _load_artifact(cfg, SPLIT_JSON, "train", _read_split)
+    scaler = _load_artifact(cfg, SCALER_JSON, "train", lambda path: ScalerParams.from_dict(_read_json(path)))
+    return x_raw, y, train_idx, test_idx, scaler
 
 
 def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
-    x_raw, y, split, scaler = _load_eval_inputs(cfg)
+    x_raw, y, _, test_idx, scaler = _load_eval_inputs(cfg)
     model, ae_model = _load_variant_models(cfg, with_ae)
-    test_idx = np.asarray(split["test"], dtype=np.int64)
     x_test = scaler.transform(x_raw[test_idx])
     labels, probs = predict_batch(model, x_test, ae=ae_model)
     report = build_report(y[test_idx], labels, probs, VARIANT_NAMES[with_ae])
     path = _write_json(cfg, EVAL_FILES[with_ae], report.to_dict())
     print(f"evaluate[{VARIANT_NAMES[with_ae]}]: {len(test_idx)} test rows -> {path}")
-    for metric in ("auc", "accuracy", "f1", "precision", "sensitivity", "specificity"):
+    for metric in TABLE_METRICS:
         print(f"  macro {metric}: {report.macro_value(metric):.4f}")
     print(f"  multiclass accuracy: {report.multiclass_accuracy:.4f}")
     return EXIT_OK
@@ -479,10 +504,8 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     method = cfg.get_str("explain.method")
     if method not in ("exact", "sampled"):
         raise ConfigError(f"config key explain.method must be exact or sampled, got {method!r}")
-    x_raw, y, split, scaler = _load_eval_inputs(cfg)
+    x_raw, _, train_idx, test_idx, scaler = _load_eval_inputs(cfg)
     model, ae_model = _load_variant_models(cfg, with_ae)
-    train_idx = np.asarray(split["train"], dtype=np.int64)
-    test_idx = np.asarray(split["test"], dtype=np.int64)
 
     bg_rng = np.random.default_rng(derive_seed(cfg.get_int("seed"), "background"))
     bg_size = min(cfg.get_int("explain.background_size"), train_idx.size)
@@ -527,12 +550,16 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     return EXIT_OK
 
 
+def _read_macro(path: Path) -> dict[str, float]:
+    macro = _read_json(path)["macro"]
+    return {metric: float(macro[metric]) for metric in TABLE_METRICS}
+
+
 def _cmd_compare(cfg: RunConfig) -> int:
-    without = MetricReport.from_dict(json.loads(
-        _read_artifact(cfg, EVAL_FILES[False], "evaluate --no-ae").read_text()))
-    with_ae = MetricReport.from_dict(json.loads(
-        _read_artifact(cfg, EVAL_FILES[True], "evaluate --ae").read_text()))
-    rows = comparison_rows(without, with_ae)
+    rows = comparison_rows(
+        _load_artifact(cfg, EVAL_FILES[False], "evaluate --no-ae", _read_macro),
+        _load_artifact(cfg, EVAL_FILES[True], "evaluate --ae", _read_macro),
+    )
     path = cfg.run_dir / TABLE4_CSV
     with open_atomic(path) as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")
@@ -617,7 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DEPENDENCY
     except (IngestError, EmptyDatasetError, MissingRegionError, FeatureFileError,
-            CalendarCoverageError, SamplingError) as exc:
+            CalendarCoverageError, SamplingError, UnreadableArtifactError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

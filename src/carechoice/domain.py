@@ -253,11 +253,6 @@ class WorkdayCalendar:
         except KeyError:
             raise CalendarCoverageError(f"date {d.isoformat()} is outside calendar coverage")
 
-    def coverage(self) -> tuple[date, date]:
-        if not self.entries:
-            raise CalendarCoverageError("calendar is empty")
-        return min(self.entries), max(self.entries)
-
 
 class CalendarCoverageError(Exception):
     pass

@@ -93,12 +93,6 @@ class Attribution:
         object.__setattr__(self, "phi", phi)
 
     @property
-    def explained_level(self) -> Optional[HospitalLevel]:
-        if self.explained_class is not None and 0 <= self.explained_class < N_LEVELS:
-            return HospitalLevel(self.explained_class)
-        return None
-
-    @property
     def efficiency_gap(self) -> float:
         return abs(float(self.phi.sum()) + self.base_value - self.fx)
 
@@ -126,7 +120,6 @@ class GlobalImportance:
     per_class: np.ndarray  # (d, n_classes)
     overall: np.ndarray  # (d,), mean of per_class across classes
     ranking: tuple[int, ...]  # feature indices, most important first
-    n_rows: int
 
     def ranked_names(self) -> tuple[str, ...]:
         return tuple(self.feature_names[i] for i in self.ranking)
@@ -177,32 +170,56 @@ def _check_instance(x: np.ndarray, background: BackgroundSet) -> np.ndarray:
         raise ValueError(f"instance width {x.shape[0]} does not match background width {background.width}")
     return x
 
+
 def _default_names(d: int) -> tuple[str, ...]:
     return FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"x{i}" for i in range(d))
 
 
-def _class_column(n_outputs: int, explained_class: Optional[int]) -> int:
-    """Resolve which model output column an attribution explains."""
+def _attribution(
+    method: str,
+    phi: np.ndarray,
+    base: np.ndarray,
+    fx: np.ndarray,
+    explained_class: Optional[int],
+    feature_names: Optional[Sequence[str]],
+    stderr: Optional[np.ndarray] = None,
+    n_permutations: Optional[int] = None,
+) -> Attribution:
+    """The attribution of one output column of the per-output results."""
+    n_outputs = phi.shape[1]
     if explained_class is None:
         if n_outputs != 1:
             raise ValueError(f"model returns {n_outputs} outputs; pass explained_class")
-        return 0
-    if not 0 <= explained_class < n_outputs:
+        col = 0
+    elif 0 <= explained_class < n_outputs:
+        col = explained_class
+    else:
         raise ValueError(f"explained_class {explained_class} out of range for {n_outputs} outputs")
-    return explained_class
+    return Attribution(
+        feature_names=tuple(feature_names) if feature_names is not None else _default_names(phi.shape[0]),
+        phi=phi[:, col],
+        base_value=float(base[col]),
+        fx=float(fx[col]),
+        explained_class=explained_class,
+        method=method,
+        stderr=None if stderr is None else stderr[:, col],
+        n_permutations=n_permutations,
+        phi_matrix=phi,
+    )
 
 
-def _coalition_values(model_fn: ModelFn, x: np.ndarray, background: BackgroundSet) -> np.ndarray:
-    """v(S) for every coalition bitmask, shape (2^d, n_outputs)."""
-    d = x.shape[0]
-    masks = np.arange(1 << d, dtype=np.uint32)
-    # membership[m, i] is True when feature i is present in coalition m
-    membership = ((masks[:, np.newaxis] >> np.arange(d, dtype=np.uint32)) & 1).astype(bool)
+def _coalition_values(
+    model_fn: ModelFn, x: np.ndarray, background: BackgroundSet, present: np.ndarray
+) -> np.ndarray:
+    """v(S) for each coalition, shape (n_coalitions, n_outputs).
+
+    `present[k, i]` is True when feature i is in coalition k; absent
+    features take the background's values, averaged over its rows.
+    """
     total: Optional[np.ndarray] = None
     subs = background.substitution_rows
     for b in subs:
-        coalition_rows = np.where(membership, x, b)
-        out = _eval_outputs(model_fn, coalition_rows)
+        out = _eval_outputs(model_fn, np.where(present, x, b))
         total = out if total is None else total + out
     return total / subs.shape[0]
 
@@ -216,41 +233,6 @@ def _shapley_weights(d: int) -> np.ndarray:
     )
 
 
-def exact_phi_matrix(
-    model_fn: ModelFn,
-    x: np.ndarray,
-    background: BackgroundSet,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact Shapley values for every model output at once.
-
-    Returns (phi (d, n_outputs), base (n_outputs,), fx (n_outputs,)).
-    The coalition count is 2^d, so d is capped at `exact_limit`; callers
-    that can afford the full 18-feature enumeration raise the cap
-    explicitly.
-    """
-    x = _check_instance(x, background)
-    d = x.shape[0]
-    if d > exact_limit:
-        raise ExactLimitError(
-            f"{d} features need 2^{d} coalitions, over the exact limit {exact_limit}; "
-            "raise exact_limit explicitly or use sampled_shapley"
-        )
-    values = _coalition_values(model_fn, x, background)
-    sizes = np.bitwise_count(np.arange(1 << d, dtype=np.uint32)).astype(np.int64)
-    weights = _shapley_weights(d)
-    phi = np.empty((d, values.shape[1]), dtype=np.float64)
-    masks = np.arange(1 << d, dtype=np.int64)
-    for i in range(d):
-        without = masks[(masks >> i) & 1 == 0]
-        w = weights[sizes[without]]
-        delta = values[without + (1 << i)] - values[without]
-        phi[i] = w @ delta
-    base = values[0]
-    fx = values[-1]
-    return phi, base, fx
-
-
 def exact_shapley(
     model_fn: ModelFn,
     x: np.ndarray,
@@ -259,36 +241,52 @@ def exact_shapley(
     feature_names: Optional[Sequence[str]] = None,
     exact_limit: int = EXACT_LIMIT_DEFAULT,
 ) -> Attribution:
-    """Exact coalition-enumeration Shapley attribution for one output."""
+    """Exact coalition-enumeration Shapley attribution.
+
+    Every model output is attributed at once (`phi_matrix`); `phi` is the
+    explained column. The coalition count is 2^d, so d is capped at
+    `exact_limit`; callers that can afford the full 18-feature enumeration
+    raise the cap explicitly.
+    """
     x = _check_instance(x, background)
-    phi, base, fx = exact_phi_matrix(model_fn, x, background, exact_limit)
-    col = _class_column(phi.shape[1], explained_class)
-    names = tuple(feature_names) if feature_names is not None else _default_names(x.shape[0])
-    return Attribution(
-        feature_names=names,
-        phi=phi[:, col],
-        base_value=float(base[col]),
-        fx=float(fx[col]),
-        explained_class=explained_class,
-        method="exact",
-        phi_matrix=phi,
-    )
+    d = x.shape[0]
+    if d > exact_limit:
+        raise ExactLimitError(
+            f"{d} features need 2^{d} coalitions, over the exact limit {exact_limit}; "
+            "raise exact_limit explicitly or use sampled_shapley"
+        )
+    masks = np.arange(1 << d, dtype=np.int64)
+    # membership[m, i] is True when feature i is present in coalition bitmask m
+    membership = ((masks[:, np.newaxis] >> np.arange(d)) & 1).astype(bool)
+    values = _coalition_values(model_fn, x, background, membership)
+    sizes = np.bitwise_count(masks)
+    weights = _shapley_weights(d)
+    phi = np.empty((d, values.shape[1]), dtype=np.float64)
+    for i in range(d):
+        without = masks[(masks >> i) & 1 == 0]
+        w = weights[sizes[without]]
+        delta = values[without + (1 << i)] - values[without]
+        phi[i] = w @ delta
+    return _attribution("exact", phi, values[0], values[-1], explained_class, feature_names)
 
 
-def sampled_phi_matrix(
+def sampled_shapley(
     model_fn: ModelFn,
     x: np.ndarray,
     background: BackgroundSet,
+    explained_class: Optional[int] = None,
     n_permutations: int = 200,
     seed: int = 0,
     exhaustive: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Permutation-sampling Shapley values for every model output.
+    feature_names: Optional[Sequence[str]] = None,
+) -> Attribution:
+    """Monte-Carlo Shapley attribution with per-feature standard errors.
 
     Each permutation contributes one marginal per feature at a cost of
-    d+1 model evaluations. Returns (phi, stderr, base, fx, n_used).
-    `exhaustive` enumerates every permutation instead of sampling, which
-    reproduces the exact values and is only allowed for small d.
+    d+1 model evaluations; every model output is attributed at once
+    (`phi_matrix`). `exhaustive` enumerates every permutation instead of
+    sampling, which reproduces the exact values and is only allowed for
+    small d.
     """
     x = _check_instance(x, background)
     d = x.shape[0]
@@ -308,15 +306,9 @@ def sampled_phi_matrix(
     np.put_along_axis(pos, perms, np.broadcast_to(np.arange(d), perms.shape), axis=1)
     # present[p, k, i]: feature i is present after k insertion steps
     present = pos[:, np.newaxis, :] < np.arange(d + 1)[np.newaxis, :, np.newaxis]
-
-    subs = background.substitution_rows
-    total: Optional[np.ndarray] = None
-    flat = present.reshape(-1, d)
-    for b in subs:
-        out = _eval_outputs(model_fn, np.where(flat, x, b))
-        total = out if total is None else total + out
-    n_outputs = total.shape[1]
-    values = (total / subs.shape[0]).reshape(n_used, d + 1, n_outputs)
+    values = _coalition_values(model_fn, x, background, present.reshape(-1, d))
+    n_outputs = values.shape[1]
+    values = values.reshape(n_used, d + 1, n_outputs)
 
     step_marginals = np.diff(values, axis=1)  # (n_used, d, n_outputs), permutation order
     samples = np.take_along_axis(step_marginals, pos[:, :, np.newaxis], axis=1)
@@ -326,37 +318,8 @@ def sampled_phi_matrix(
     else:
         stderr = np.full((d, n_outputs), np.nan)
     # the empty and full coalitions are identical across permutations
-    return phi, stderr, values[0, 0], values[0, -1], n_used
-
-
-def sampled_shapley(
-    model_fn: ModelFn,
-    x: np.ndarray,
-    background: BackgroundSet,
-    explained_class: Optional[int] = None,
-    n_permutations: int = 200,
-    seed: int = 0,
-    exhaustive: bool = False,
-    feature_names: Optional[Sequence[str]] = None,
-) -> Attribution:
-    """Monte-Carlo Shapley attribution with per-feature standard errors."""
-    x = _check_instance(x, background)
-    phi, stderr, base, fx, n_used = sampled_phi_matrix(
-        model_fn, x, background, n_permutations, seed, exhaustive
-    )
-    col = _class_column(phi.shape[1], explained_class)
-    names = tuple(feature_names) if feature_names is not None else _default_names(x.shape[0])
-    return Attribution(
-        feature_names=names,
-        phi=phi[:, col],
-        base_value=float(base[col]),
-        fx=float(fx[col]),
-        explained_class=explained_class,
-        method="sampled",
-        stderr=stderr[:, col],
-        n_permutations=n_used,
-        phi_matrix=phi,
-    )
+    return _attribution("sampled", phi, values[0, 0], values[0, -1], explained_class,
+                        feature_names, stderr, n_used)
 
 
 def global_importance(attributions: Sequence[Attribution]) -> GlobalImportance:
@@ -383,7 +346,6 @@ def global_importance(attributions: Sequence[Attribution]) -> GlobalImportance:
         per_class=per_class,
         overall=overall,
         ranking=ranking,
-        n_rows=n,
     )
 
 

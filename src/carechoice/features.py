@@ -231,10 +231,6 @@ class ScalerParams:
     maxs: Mapping[str, float]
     scaled_features: tuple[str, ...] = SCALED_FEATURES
 
-    @property
-    def degenerate(self) -> tuple[str, ...]:
-        return tuple(f for f in self.scaled_features if self.mins[f] == self.maxs[f])
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Min-max scale the fitted columns, clamped to [0,1]; degenerate
         columns (min == max) map to 0."""

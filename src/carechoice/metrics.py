@@ -218,32 +218,6 @@ class MetricReport:
             },
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        per_class = {}
-        per_class_auc = {}
-        for key, m in d["per_class"].items():
-            c = int(key)
-            per_class[c] = ClassMetrics(
-                accuracy=m["accuracy"],
-                sensitivity=m["sensitivity"],
-                specificity=m["specificity"],
-                precision=m["precision"],
-                f1=m["f1"],
-                degenerate=tuple(m["degenerate"]),
-            )
-            per_class_auc[c] = m["auc"]
-        macro = macro_metrics(per_class)
-        return cls(
-            variant=d["variant"],
-            per_class=per_class,
-            per_class_auc=per_class_auc,
-            macro=macro,
-            macro_auc=d["macro"]["auc"],
-            multiclass_accuracy=d["multiclass_accuracy"],
-            n_samples=d["n_samples"],
-        )
-
 
 def build_report(
     labels: Sequence[int],
@@ -268,11 +242,14 @@ def build_report(
     )
 
 
-def comparison_rows(without_ae: MetricReport, with_ae: MetricReport) -> list[tuple[str, float, float, float]]:
-    """Rows (metric, withoutAE, withAE, increase) for the comparison table."""
+def comparison_rows(
+    without_ae: Mapping[str, float], with_ae: Mapping[str, float]
+) -> list[tuple[str, float, float, float]]:
+    """Rows (metric, withoutAE, withAE, increase) for the comparison table,
+    from the `macro` objects of the two variants' reports."""
     rows = []
     for metric in TABLE_METRICS:
-        a = without_ae.macro_value(metric)
-        b = with_ae.macro_value(metric)
+        a = without_ae[metric]
+        b = with_ae[metric]
         rows.append((TABLE_ROW_LABELS[metric], a, b, b - a))
     return rows

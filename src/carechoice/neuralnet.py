@@ -19,17 +19,16 @@ import glob
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .atomic import open_atomic
 from .domain import N_LEVELS
 from .features import N_FEATURES
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 ACTIVATIONS = ("relu", "sigmoid", "linear", "softmax")
 
@@ -197,7 +196,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 50
     seed: int = 0
-    loss_scale: float = 1.0  # constant multiplier on the loss, for invariance checks
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -206,21 +204,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
-        if not self.loss_scale > 0:
-            raise ValueError(f"loss_scale must be positive, got {self.loss_scale}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "loss_scale": self.loss_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -258,10 +241,6 @@ class TrainedModel:
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layer_sizes[-1]
 
     @property
     def latent_dim(self) -> int:
@@ -377,27 +356,24 @@ def encode(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     return z[0] if single else z
 
 
-def _ce_loss_from_logits(logits: np.ndarray, labels: np.ndarray, scale: float) -> float:
-    m = logits.max(axis=1, keepdims=True)
-    log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
-    picked = log_probs[np.arange(labels.size), labels]
-    return float(-scale * picked.mean())
-
-
-def _mse_loss(out: np.ndarray, targets: np.ndarray, scale: float) -> float:
-    return float(scale * np.mean((out - targets) ** 2))
+def _loss(layers: Sequence, activations: Sequence[str], x: np.ndarray, targets: np.ndarray) -> float:
+    """Mean loss over the rows: cross-entropy on the logits for a softmax
+    output (targets are integer labels), mean squared error otherwise."""
+    zs, acts = _forward_pass(layers, activations, x)
+    if activations[-1] == "softmax":
+        labels = np.asarray(targets, dtype=np.int64)
+        logits = zs[-1]
+        m = logits.max(axis=1, keepdims=True)
+        log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+        return float(-log_probs[np.arange(labels.size), labels].mean())
+    return float(np.mean((acts[-1] - np.asarray(targets, dtype=np.float64)) ** 2))
 
 
 def dataset_loss(model: TrainedModel, x: np.ndarray, targets: np.ndarray) -> float:
     """Loss of the model on a dataset: cross-entropy for classifiers
     (targets are integer labels), mean squared error otherwise."""
     batch, _ = _as_batch(x, model.input_dim, f"{model.kind} input")
-    zs, acts = _forward_pass(model.layers, model.activations, batch)
-    scale = model.config.loss_scale
-    if model.activations[-1] == "softmax":
-        labels = np.asarray(targets, dtype=np.int64)
-        return _ce_loss_from_logits(zs[-1], labels, scale)
-    return _mse_loss(acts[-1], np.asarray(targets, dtype=np.float64), scale)
+    return _loss(model.layers, model.activations, batch, targets)
 
 
 def _gradients(
@@ -405,7 +381,6 @@ def _gradients(
     activations: Sequence[str],
     x: np.ndarray,
     targets: np.ndarray,
-    loss_scale: float,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Analytic (dW, db) per layer for the mean loss over the batch."""
     zs, acts = _forward_pass(layers, activations, x)
@@ -415,10 +390,10 @@ def _gradients(
         # Softmax and cross-entropy fused: dL/dz = (p - onehot) / n.
         onehot = np.zeros_like(out)
         onehot[np.arange(n), np.asarray(targets, dtype=np.int64)] = 1.0
-        dz = (out - onehot) * (loss_scale / n)
+        dz = (out - onehot) * (1.0 / n)
     else:
         d = out.shape[1]
-        dout = (out - np.asarray(targets, dtype=np.float64)) * (2.0 * loss_scale / (n * d))
+        dout = (out - np.asarray(targets, dtype=np.float64)) * (2.0 / (n * d))
         dz = dout * _activation_grad(activations[-1], zs[-1], out)
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     for i in reversed(range(len(layers))):
@@ -442,16 +417,6 @@ def _init_layers(sizes: Sequence[int], rng: np.random.Generator) -> tuple[LayerP
         weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         layers.append(LayerParams(weights=weights, biases=np.zeros(fan_out)))
     return tuple(layers)
-
-
-def initialize_classifier(mlp: MlpConfig, seed: int) -> tuple[LayerParams, ...]:
-    """The exact layer stack train_classifier starts from for this seed."""
-    return _init_layers(mlp.layer_sizes, np.random.default_rng(seed))
-
-
-def initialize_autoencoder(ae: AeConfig, seed: int) -> tuple[LayerParams, ...]:
-    """The exact layer stack train_autoencoder starts from for this seed."""
-    return _init_layers(ae.layer_sizes, np.random.default_rng(seed))
 
 
 class _ScratchLayer:
@@ -489,13 +454,7 @@ def _run_sgd(
         for p in _init_layers(layer_sizes, rng)
     ]
 
-    def full_loss() -> float:
-        zs, acts = _forward_pass(layers, activations, x)
-        if activations[-1] == "softmax":
-            return _ce_loss_from_logits(zs[-1], targets, config.loss_scale)
-        return _mse_loss(acts[-1], targets, config.loss_scale)
-
-    initial_loss = full_loss()
+    initial_loss = _loss(layers, activations, x, targets)
     if not np.isfinite(initial_loss):
         raise TrainingDivergedError(0, kind)
 
@@ -508,11 +467,11 @@ def _run_sgd(
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                grads = _gradients(layers, activations, x[idx], targets[idx], config.loss_scale)
+                grads = _gradients(layers, activations, x[idx], targets[idx])
                 for layer, (dw, db) in zip(layers, grads):
                     layer.weights -= lr * dw
                     layer.biases -= lr * db
-            loss = full_loss()
+            loss = _loss(layers, activations, x, targets)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, kind)
             trace.append(loss)
@@ -624,21 +583,10 @@ def gradient_check(
     if n_parameters(model) > GRADIENT_CHECK_PARAM_LIMIT:
         raise ValueError(f"gradient_check is limited to {GRADIENT_CHECK_PARAM_LIMIT} parameters")
     x = np.asarray(x, dtype=np.float64)
-    if model.activations[-1] == "softmax":
-        targets = np.asarray(targets, dtype=np.int64)
-    else:
-        targets = np.asarray(targets, dtype=np.float64)
-
     layers = [
         LayerParams(weights=p.weights.copy(), biases=p.biases.copy()) for p in model.layers
     ]
-    analytic = _gradients(layers, model.activations, x, targets, model.config.loss_scale)
-
-    def loss_at() -> float:
-        zs, acts = _forward_pass(layers, model.activations, x)
-        if model.activations[-1] == "softmax":
-            return _ce_loss_from_logits(zs[-1], targets, model.config.loss_scale)
-        return _mse_loss(acts[-1], targets, model.config.loss_scale)
+    analytic = _gradients(layers, model.activations, x, targets)
 
     worst = 0.0
     for li, layer in enumerate(layers):
@@ -648,9 +596,9 @@ def gradient_check(
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + step
-                hi = loss_at()
+                hi = _loss(layers, model.activations, x, targets)
                 flat[j] = orig - step
-                lo = loss_at()
+                lo = _loss(layers, model.activations, x, targets)
                 flat[j] = orig
                 numeric = (hi - lo) / (2.0 * step)
                 denom = max(abs(gflat[j]), abs(numeric), 1e-8)
@@ -669,7 +617,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "layer_sizes": list(model.layer_sizes),
         "activations": list(model.activations),
         "n_encoder_layers": model.n_encoder_layers,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "initial_loss": model.initial_loss,
         "loss_trace": list(model.loss_trace),
         "layers": [
@@ -694,36 +642,13 @@ def model_from_dict(d: dict) -> TrainedModel:
             )
             for layer in d["layers"]
         ),
-        config=TrainConfig.from_dict(d["config"]),
+        config=TrainConfig(**d["config"]),
         initial_loss=d["initial_loss"],
         loss_trace=tuple(d["loss_trace"]),
         n_encoder_layers=d["n_encoder_layers"],
     )
 
 
-def save_model(model: TrainedModel, path: Path | str) -> None:
-    """Write the model as JSON; floats survive the round trip exactly."""
-    with open_atomic(path) as fh:
-        fh.write(json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n")
-
-
 def load_model(path: Path | str) -> TrainedModel:
     return model_from_dict(json.loads(Path(path).read_text()))
 
-
-def models_equal(a: TrainedModel, b: TrainedModel) -> bool:
-    """Bit-exact equality of two models' parameters and metadata."""
-    if (a.kind, a.layer_sizes, a.activations, a.config, a.n_encoder_layers) != (
-        b.kind,
-        b.layer_sizes,
-        b.activations,
-        b.config,
-        b.n_encoder_layers,
-    ):
-        return False
-    if a.initial_loss != b.initial_loss or a.loss_trace != b.loss_trace:
-        return False
-    return all(
-        np.array_equal(la.weights, lb.weights) and np.array_equal(la.biases, lb.biases)
-        for la, lb in zip(a.layers, b.layers)
-    )

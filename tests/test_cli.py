@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import zipfile
@@ -45,7 +46,7 @@ from carechoice.cli import (
 from carechoice.arrayzip import read_array_zip, write_array_zip
 from carechoice.domain import LEVEL_NAMES, HospitalLevel
 from carechoice.features import FEATURE_NAMES, read_feature_csv
-from carechoice.metrics import MetricReport
+from carechoice.metrics import TABLE_METRICS
 from carechoice.neuralnet import blas_threads
 
 
@@ -206,12 +207,12 @@ class TestPipelineChain:
         run = pipeline_run["run"]
         split = json.loads((run / SPLIT_JSON).read_text())
         for with_ae, variant in ((False, "withoutAE"), (True, "withAE")):
-            report = MetricReport.from_dict(
-                json.loads((run / EVAL_FILES[with_ae]).read_text())
-            )
-            assert report.variant == variant
-            assert report.n_samples == len(split["test"])
-            assert 0.0 <= report.multiclass_accuracy <= 1.0
+            report = json.loads((run / EVAL_FILES[with_ae]).read_text())
+            assert report["variant"] == variant
+            assert report["n_samples"] == len(split["test"])
+            assert 0.0 <= report["multiclass_accuracy"] <= 1.0
+            assert sorted(report["macro"]) == sorted(TABLE_METRICS)
+            assert sorted(report["per_class"]) == ["0", "1", "2", "3"]
 
     def test_cv_metrics_have_one_report_per_fold(self, pipeline_run):
         payload = json.loads((pipeline_run["run"] / "cv_metrics_without_ae.json").read_text())
@@ -671,6 +672,44 @@ class TestExitCodes:
         assert cli.main(["features", *base]) == EXIT_OK
         rc = cli.main(["train", "--no-ae", *base, "--set", "train.learning_rate=1e12"])
         assert rc == EXIT_DIVERGED
+
+    @pytest.fixture(scope="class")
+    def trained_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        base = [
+            "--set", f"run_dir={root / 'run'}",
+            "--set", f"data_dir={root / 'data'}",
+            "--set", "synth.n_patients=200",
+            "--set", "train.folds=2",
+            "--set", "train.epochs=2",
+        ]
+        for stage in (["synth"], ["ingest"], ["features"], ["train", "--no-ae"]):
+            assert cli.main([*stage, *base]) == EXIT_OK
+        return root
+
+    def cut_short(self, text):
+        return text[: len(text) // 2]
+
+    def drop_layers(self, text):
+        model = json.loads(text)
+        del model["layers"]
+        return json.dumps(model)
+
+    def format_version_1(self, text):
+        return json.dumps({**json.loads(text), "format_version": 1})
+
+    @pytest.mark.parametrize("damage", ["cut_short", "drop_layers", "format_version_1"])
+    def test_unreadable_model_exits_five(self, trained_run, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        path = run / MODEL_FILES[False]
+        path.write_text(getattr(self, damage)(path.read_text()))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={trained_run / 'data'}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (")
+        assert err.endswith("; run `train --no-ae` again\n")
 
     def features_then(self, tmp_path, edit):
         base = [

@@ -210,7 +210,3 @@ class TestWorkdayCalendar:
         cal = make_calendar()
         with pytest.raises(CalendarCoverageError):
             cal.is_workday(date(2000, 1, 1))
-
-    def test_coverage_bounds(self):
-        cal = make_calendar(date(2010, 1, 1), date(2010, 1, 31))
-        assert cal.coverage() == (date(2010, 1, 1), date(2010, 1, 31))

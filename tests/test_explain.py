@@ -10,11 +10,9 @@ from carechoice.explain import (
     BackgroundSet,
     ExactLimitError,
     classifier_model_fn,
-    exact_phi_matrix,
     exact_shapley,
     global_importance,
     local_report,
-    sampled_phi_matrix,
     sampled_shapley,
     write_importance_csv,
 )
@@ -220,20 +218,17 @@ class TestMultiOutput:
         fn = small_mlp_fn(d=5, classes=4, seed=51)
         bg = BackgroundSet(np.random.default_rng(50).uniform(size=(3, 5)))
         x = np.random.default_rng(52).uniform(size=5)
-        phi, base, fx = exact_phi_matrix(fn, x, bg, exact_limit=12)
+        att = exact_shapley(fn, x, bg, explained_class=2, exact_limit=12)
+        phi = att.phi_matrix
         assert phi.shape == (5, 4)
-        assert base.shape == (4,) and fx.shape == (4,)
-        assert fx == pytest.approx(fn(x[np.newaxis, :])[0], abs=1e-12)
+        assert np.array_equal(phi[:, 2], att.phi)
+        # the mean background row is the empty coalition
+        base = fn(bg.rows.mean(axis=0, keepdims=True))[0]
+        fx = fn(x[np.newaxis, :])[0]
+        assert att.base_value == pytest.approx(base[2], abs=1e-12)
+        assert att.fx == pytest.approx(fx[2], abs=1e-12)
         # every column independently satisfies efficiency
         assert np.abs(phi.sum(axis=0) + base - fx).max() <= 1e-8
-
-    def test_explained_level_names_the_hospital_tier(self):
-        att = Attribution(
-            feature_names=("a", "b"), phi=np.array([0.1, 0.2]),
-            base_value=0.0, fx=0.3, explained_class=1, method="exact",
-        )
-        assert att.explained_level is not None
-        assert att.explained_level.name == "REGIONAL_HOSPITAL"
 
 
 class TestGlobalImportance:
@@ -244,7 +239,6 @@ class TestGlobalImportance:
         imp = global_importance([exact_shapley(linear_model(w), x, bg) for x in rows])
         assert imp.ranked_names()[0] == "x1"
         assert imp.per_class.shape == (3, 1)
-        assert imp.n_rows == 12
 
     def test_ties_preserve_declaration_order(self):
         fn = lambda rows: rows.sum(axis=1)

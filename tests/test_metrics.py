@@ -7,7 +7,6 @@ import pytest
 
 from carechoice.metrics import (
     ClassCounts,
-    MetricReport,
     TABLE_METRICS,
     auc_ovr,
     binary_auc,
@@ -128,15 +127,6 @@ class TestMetricReport:
         assert report.multiclass_accuracy == pytest.approx(np.mean(labels == preds))
         assert report.n_samples == 60
 
-    def test_dict_round_trip(self):
-        *_, report = random_report(8)
-        again = MetricReport.from_dict(report.to_dict())
-        assert again.variant == report.variant
-        assert again.macro_auc == report.macro_auc
-        assert again.macro == report.macro
-        assert again.per_class == dict(report.per_class)
-        assert again.per_class_auc == dict(report.per_class_auc)
-
     def test_macro_value_covers_table_metrics(self):
         *_, report = random_report(9)
         for metric in TABLE_METRICS:
@@ -145,7 +135,7 @@ class TestMetricReport:
     def test_comparison_rows_order_and_increase(self):
         *_, without = random_report(10, "withoutAE")
         *_, with_ae = random_report(11, "withAE")
-        rows = comparison_rows(without, with_ae)
+        rows = comparison_rows(without.to_dict()["macro"], with_ae.to_dict()["macro"])
         assert [r[0] for r in rows] == [
             "AUC", "Accuracy", "F1 Score", "Precision", "Sensitivity", "Specificity",
         ]

@@ -1,5 +1,6 @@
 """From-scratch networks: initialization, forward math, gradients, SGD."""
 
+import json
 import math
 import os
 import pickle
@@ -25,15 +26,11 @@ from carechoice.neuralnet import (
     forward,
     forward_logits,
     gradient_check,
-    initialize_autoencoder,
-    initialize_classifier,
     load_model,
     model_from_dict,
     model_to_dict,
-    models_equal,
     n_parameters,
     predict_batch,
-    save_model,
     train_autoencoder,
     train_classifier,
 )
@@ -93,39 +90,46 @@ class TestConfigs:
             TrainConfig(epochs=-1)
 
 
+def initial_classifier(seed, x=None, y=None, epochs=0):
+    """A classifier fit for `epochs` epochs; at 0, the layers training starts from."""
+    if x is None:
+        x, y = blob_data(d=18, classes=4)
+    cfg = TrainConfig(epochs=epochs, seed=seed, batch_size=16)
+    return train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
+
+
 class TestInitialization:
     def test_fan_in_bound_and_zero_biases(self):
-        layers = initialize_classifier(MlpConfig((18, 8, 4)), seed=0)
+        layers = initial_classifier(seed=0).layers
         for layer, fan_in in zip(layers, (18, 8)):
             assert np.max(np.abs(layer.weights)) <= 1.0 / math.sqrt(fan_in)
             assert np.all(layer.biases == 0.0)
 
     def test_deterministic_per_seed(self):
-        a = initialize_classifier(MlpConfig((18, 8, 4)), seed=5)
-        b = initialize_classifier(MlpConfig((18, 8, 4)), seed=5)
-        c = initialize_classifier(MlpConfig((18, 8, 4)), seed=6)
+        a = initial_classifier(seed=5).layers
+        b = initial_classifier(seed=5).layers
+        c = initial_classifier(seed=6).layers
         assert all(np.array_equal(x.weights, y.weights) for x, y in zip(a, b))
         assert not np.array_equal(a[0].weights, c[0].weights)
 
     def test_zero_epoch_training_equals_initialization(self):
         x, y = blob_data(d=18, classes=4)
-        cfg = TrainConfig(epochs=0, seed=9, batch_size=16)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
-        init = initialize_classifier(MlpConfig((18, 8, 4)), seed=9)
-        assert all(
-            np.array_equal(layer.weights, ref.weights) and np.array_equal(layer.biases, ref.biases)
-            for layer, ref in zip(model.layers, init)
-        )
+        model = initial_classifier(seed=9, x=x, y=y)
         assert model.loss_trace == ()
         assert model.final_loss == model.initial_loss
+        assert dataset_loss(model, x, y) == model.initial_loss
+        trained = initial_classifier(seed=9, x=x, y=y, epochs=2)
+        assert trained.initial_loss == model.initial_loss
+        assert not np.array_equal(trained.layers[0].weights, model.layers[0].weights)
 
     def test_zero_epoch_autoencoder_matches_too(self):
         x, _ = blob_data(d=18)
         ae = AeConfig((18, 6, 3), (3, 6, 18))
-        cfg = TrainConfig(epochs=0, seed=4, batch_size=16)
-        model = train_autoencoder(x, ae, cfg)
-        init = initialize_autoencoder(ae, seed=4)
-        assert all(np.array_equal(l.weights, r.weights) for l, r in zip(model.layers, init))
+        model = train_autoencoder(x, ae, TrainConfig(epochs=0, seed=4, batch_size=16))
+        assert model.loss_trace == ()
+        assert dataset_loss(model, x, x) == model.initial_loss
+        trained = train_autoencoder(x, ae, TrainConfig(epochs=1, seed=4, batch_size=16))
+        assert trained.initial_loss == model.initial_loss
 
 
 class TestForwardMath:
@@ -231,24 +235,10 @@ class TestTraining:
         cfg = TrainConfig(epochs=3, batch_size=16, seed=12)
         a = train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
         b = train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
-        assert models_equal(a, b)
+        assert model_to_dict(a) == model_to_dict(b)
         c = train_classifier(x, y, MlpConfig((18, 8, 4)),
                              TrainConfig(epochs=3, batch_size=16, seed=13))
-        assert not models_equal(a, c)
-
-    def test_loss_scale_is_equivalent_to_learning_rate_scale(self):
-        x, y = blob_data(d=18, classes=4)
-        doubled = train_classifier(
-            x, y, MlpConfig((18, 8, 4)),
-            TrainConfig(epochs=3, batch_size=16, seed=1, learning_rate=0.01, loss_scale=2.0),
-        )
-        hotter = train_classifier(
-            x, y, MlpConfig((18, 8, 4)),
-            TrainConfig(epochs=3, batch_size=16, seed=1, learning_rate=0.02, loss_scale=1.0),
-        )
-        for a, b in zip(doubled.layers, hotter.layers):
-            assert np.allclose(a.weights, b.weights, rtol=0, atol=1e-12)
-            assert np.allclose(a.biases, b.biases, rtol=0, atol=1e-12)
+        assert model_to_dict(a) != model_to_dict(c)
 
     def test_divergence_raises_with_epoch_number(self):
         x, y = blob_data(d=6, classes=3)
@@ -351,16 +341,16 @@ class TestSerialization:
         model = train_classifier(x, y, MlpConfig((18, 8, 4)),
                                  TrainConfig(epochs=2, batch_size=16))
         path = tmp_path / "model.json"
-        save_model(model, path)
-        assert models_equal(load_model(path), model)
+        path.write_text(json.dumps(model_to_dict(model)))
+        assert model_to_dict(load_model(path)) == model_to_dict(model)
 
     def test_autoencoder_round_trip(self, tmp_path):
         x, _ = blob_data(d=18)
         model = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
                                   TrainConfig(epochs=1, batch_size=16))
-        save_model(model, tmp_path / "ae.json")
+        (tmp_path / "ae.json").write_text(json.dumps(model_to_dict(model)))
         loaded = load_model(tmp_path / "ae.json")
-        assert models_equal(loaded, model)
+        assert model_to_dict(loaded) == model_to_dict(model)
         assert loaded.latent_dim == 3
 
     def test_unknown_format_version_rejected(self):
@@ -376,7 +366,7 @@ class TestSerialization:
         model = train_classifier(x, y, MlpConfig((18, 8, 4)), TrainConfig(epochs=0))
         d = model_to_dict(model)
         d["config_hash"] = "abc"
-        assert models_equal(model_from_dict(d), model)
+        assert model_to_dict(model_from_dict(d)) == model_to_dict(model)
 
     def test_parameter_count(self):
         x, y = blob_data(d=18, classes=4)
