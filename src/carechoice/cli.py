@@ -67,7 +67,6 @@ from .neuralnet import (
     MissingDependencyError,
     MlpConfig,
     TrainConfig,
-    TrainedModel,
     TrainingDivergedError,
     blas_threads,
     encode,
@@ -381,37 +380,36 @@ def _train_config(cfg: RunConfig, section: str, stage: str) -> TrainConfig:
     )
 
 
-# inputs of the classifier fits, set in each worker process by _init_fit_worker
-_fit_inputs: Optional[tuple] = None
+# the job of a pool, set in each worker process by _init_pool_worker
+_pool_job = None
 
 
-def _init_fit_worker(inputs, labels, mlp, train_cfg, row_sets) -> None:
-    global _fit_inputs
-    _fit_inputs = (inputs, labels, mlp, train_cfg, row_sets)
+def _init_pool_worker(job) -> None:
+    global _pool_job
+    _pool_job = job
 
 
-def _fit_job(job: int) -> TrainedModel:
-    inputs, labels, mlp, train_cfg, row_sets = _fit_inputs
-    rows = row_sets[job]
-    return train_classifier(inputs[rows], labels[rows], mlp, train_cfg)
+def _run_pool_job(i: int):
+    return _pool_job(i)
 
 
-def _fit_classifiers(inputs, labels, mlp, train_cfg, row_sets) -> tuple[list[TrainedModel], int]:
-    """Fit one classifier per row set in worker processes; (models, workers).
+def _in_pool(job, n_jobs: int) -> tuple[list, int]:
+    """[job(0), ..., job(n_jobs - 1)] computed in worker processes; (results, workers).
 
-    The fits are independent and each runs on one BLAS thread, so they use
-    one worker per core. Forked workers share the inputs with this process
-    instead of receiving a pickled copy. Jobs start in list order, so put
-    the longest first.
+    The jobs are independent and each runs on one BLAS thread, so they use
+    one worker per core. The workers are forked, so `job` and everything it
+    reads are shared with this process instead of pickled; only the results
+    come back pickled. Jobs start in index order, so put the longest first.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(row_sets))
+    # a pool needs one worker, which it starts only at the first job
+    workers = min(len(os.sched_getaffinity(0)), max(n_jobs, 1))
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_fit_worker,
-        initargs=(inputs, labels, mlp, train_cfg, row_sets),
+        initializer=_init_pool_worker,
+        initargs=(job,),
     ) as pool:
-        futures = [pool.submit(_fit_job, job) for job in range(len(row_sets))]
+        futures = [pool.submit(_run_pool_job, i) for i in range(n_jobs)]
         return [future.result() for future in futures], workers
 
 
@@ -441,7 +439,10 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     # the final fit on the whole balanced pool is the longest job, so it goes first
     folds = kfold_indices(inputs.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
     row_sets = [slice(None), *(fit_idx for fit_idx, _ in folds)]
-    (final, *fold_models), workers = _fit_classifiers(inputs, y_balanced, mlp, train_cfg, row_sets)
+    (final, *fold_models), workers = _in_pool(
+        lambda i: train_classifier(inputs[row_sets[i]], y_balanced[row_sets[i]], mlp, train_cfg),
+        len(row_sets),
+    )
 
     # fold-level validation metrics on the balanced pool
     fold_reports = []
@@ -474,14 +475,17 @@ def _load_variant_models(cfg: RunConfig, with_ae: bool):
     return model, ae_model
 
 
-def _read_split(path: Path) -> tuple[np.ndarray, np.ndarray]:
+def _read_split(path: Path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     split = _read_json(path)
-    return np.asarray(split["train"], dtype=np.int64), np.asarray(split["test"], dtype=np.int64)
+    train, test = (np.asarray(split[part], dtype=np.int64) for part in ("train", "test"))
+    if any(((idx < 0) | (idx >= n_rows)).any() for idx in (train, test)):
+        raise ValueError(f"a row index lies outside [0, {n_rows}), the rows of {FEATURES_CSV}")
+    return train, test
 
 
 def _load_eval_inputs(cfg: RunConfig):
     x_raw, y = _read_features(cfg)
-    train_idx, test_idx = _load_artifact(cfg, SPLIT_JSON, "train", _read_split)
+    train_idx, test_idx = _load_artifact(cfg, SPLIT_JSON, "train", lambda path: _read_split(path, y.size))
     scaler = _load_artifact(cfg, SCALER_JSON, "train", lambda path: ScalerParams.from_dict(_read_json(path)))
     return x_raw, y, train_idx, test_idx, scaler
 
@@ -518,25 +522,28 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     instances = scaler.transform(x_raw[test_idx[chosen]])
 
     model_fn = classifier_model_fn(model, ae=ae_model, output=cfg.get_str("explain.output"))
-    attributions, reports = [], []
     predicted, _ = predict_batch(model, instances, ae=ae_model)
-    for row_no, x in enumerate(instances):
+
+    def attribute(row_no: int):
         cls = int(predicted[row_no])
         if method == "exact":
-            att = exact_shapley(model_fn, x, background, explained_class=cls,
-                                exact_limit=cfg.get_int("explain.exact_limit"))
-        else:
-            att = sampled_shapley(
-                model_fn, x, background, explained_class=cls,
-                n_permutations=cfg.get_int("explain.n_permutations"),
-                seed=derive_seed(cfg.get_int("seed"), f"explain:{row_no}"),
-            )
-        attributions.append(att)
-        reports.append({
+            return exact_shapley(model_fn, instances[row_no], background, explained_class=cls,
+                                 exact_limit=cfg.get_int("explain.exact_limit"))
+        return sampled_shapley(
+            model_fn, instances[row_no], background, explained_class=cls,
+            n_permutations=cfg.get_int("explain.n_permutations"),
+            seed=derive_seed(cfg.get_int("seed"), f"explain:{row_no}"),
+        )
+
+    attributions, workers = _in_pool(attribute, n_instances)
+    reports = [
+        {
             "row": int(test_idx[chosen[row_no]]),
             "attribution": att.to_dict(),
             "report": local_report(att).to_dict(),
-        })
+        }
+        for row_no, att in enumerate(attributions)
+    ]
 
     importance = global_importance(attributions)
     csv_path = cfg.run_dir / IMPORTANCE_FILES[with_ae]
@@ -546,7 +553,8 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
         "instances": reports,
     })
     top3 = ", ".join(importance.ranked_names()[:3])
-    print(f"explain[{VARIANT_NAMES[with_ae]}]: top features {top3} -> {csv_path}, {json_path}")
+    print(f"explain[{VARIANT_NAMES[with_ae]}]: {n_instances} visits on {workers} worker(s), "
+          f"top features {top3} -> {csv_path}, {json_path}")
     return EXIT_OK
 
 

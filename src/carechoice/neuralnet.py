@@ -323,6 +323,19 @@ def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> tuple[np.ndarray, 
     return batch, single
 
 
+def _outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pre-activation, activation) of the last layer.
+
+    The same arithmetic as `_forward_pass`, holding only the current
+    layer's arrays, so a pass over a whole training set stays small.
+    """
+    z = a = x
+    for layer, name in zip(layers, activations):
+        z = a @ layer.weights.T + layer.biases
+        a = _activate(name, z)
+    return z, a
+
+
 def forward(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Run the network on one vector or a batch.
 
@@ -330,8 +343,7 @@ def forward(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     is the reconstruction. A 1-D input yields a 1-D output.
     """
     batch, single = _as_batch(x, model.input_dim, f"{model.kind} input")
-    _, acts = _forward_pass(model.layers, model.activations, batch)
-    out = acts[-1]
+    _, out = _outputs(model.layers, model.activations, batch)
     return out[0] if single else out
 
 
@@ -340,8 +352,7 @@ def forward_logits(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     if model.activations[-1] != "softmax":
         raise ValueError("forward_logits requires a softmax classifier")
     batch, single = _as_batch(x, model.input_dim, "classifier input")
-    zs, _ = _forward_pass(model.layers, model.activations, batch)
-    out = zs[-1]
+    out, _ = _outputs(model.layers, model.activations, batch)
     return out[0] if single else out
 
 
@@ -351,22 +362,20 @@ def encode(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         raise ValueError("encode requires an autoencoder model")
     batch, single = _as_batch(x, model.input_dim, "encoder input")
     k = model.n_encoder_layers
-    _, acts = _forward_pass(model.layers[:k], model.activations[:k], batch)
-    z = acts[-1]
+    _, z = _outputs(model.layers[:k], model.activations[:k], batch)
     return z[0] if single else z
 
 
 def _loss(layers: Sequence, activations: Sequence[str], x: np.ndarray, targets: np.ndarray) -> float:
     """Mean loss over the rows: cross-entropy on the logits for a softmax
     output (targets are integer labels), mean squared error otherwise."""
-    zs, acts = _forward_pass(layers, activations, x)
+    logits, out = _outputs(layers, activations, x)
     if activations[-1] == "softmax":
         labels = np.asarray(targets, dtype=np.int64)
-        logits = zs[-1]
         m = logits.max(axis=1, keepdims=True)
         log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
         return float(-log_probs[np.arange(labels.size), labels].mean())
-    return float(np.mean((acts[-1] - np.asarray(targets, dtype=np.float64)) ** 2))
+    return float(np.mean((out - np.asarray(targets, dtype=np.float64)) ** 2))
 
 
 def dataset_loss(model: TrainedModel, x: np.ndarray, targets: np.ndarray) -> float:
@@ -628,6 +637,8 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(d: dict) -> TrainedModel:
+    if not isinstance(d, dict):
+        raise ValueError(f"a model is a JSON object, not {type(d).__name__}")
     version = d.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")

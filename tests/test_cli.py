@@ -287,9 +287,11 @@ def features_ready(tmp_path_factory):
 
 
 class TestParallelTraining:
-    STAGES = (("train", "--no-ae"), ("train", "--ae"), ("evaluate", "--ae"), ("explain", "--ae"))
+    STAGES = (("train", "--no-ae"), ("train", "--ae"), ("evaluate", "--ae"), ("explain", "--ae"),
+              ("explain", "--no-ae"))
     OUTPUTS = (MODEL_FILES[False], MODEL_FILES[True], CV_FILES[False], CV_FILES[True],
-               AE_MODEL_JSON, EVAL_FILES[True], EXPLAIN_FILES[True], IMPORTANCE_FILES[True])
+               AE_MODEL_JSON, EVAL_FILES[True], EXPLAIN_FILES[True], IMPORTANCE_FILES[True],
+               EXPLAIN_FILES[False], IMPORTANCE_FILES[False])
 
     def test_artifacts_identical_at_any_worker_or_blas_thread_count(
         self, features_ready, monkeypatch, capsys
@@ -300,7 +302,9 @@ class TestParallelTraining:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             for stage in self.STAGES:
                 assert cli.main([*stage, *base]) == EXIT_OK
-            assert f"3 fits on {len(cpus)} worker(s)" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            assert f"3 fits on {len(cpus)} worker(s)" in out
+            assert f"20 visits on {len(cpus)} worker(s)" in out
             outputs.append({name: (run / name).read_bytes() for name in self.OUTPUTS})
         src = str(Path(cli.__file__).resolve().parents[1])
         for threads in ("1", "2"):
@@ -361,19 +365,36 @@ class TestSinglePass:
             phi = att["phi"][att["feature_names"].index(row["feature"])]
             assert row[column] == "%.17g" % abs(phi)
 
-    def test_each_visit_is_sampled_once(self, trained, monkeypatch):
+    def test_each_visit_is_sampled_once(self, trained, monkeypatch, tmp_path):
         _, base = trained
-        rows = []
+        # visits are attributed in worker processes, so the count goes through a file
+        log = tmp_path / "model_rows.txt"
         make_model_fn = cli.classifier_model_fn
 
         def counting_model_fn(*args, **kwargs):
             fn = make_model_fn(*args, **kwargs)
-            return lambda x: rows.append(len(x)) or fn(x)
+
+            def counting(x):
+                with open(log, "a") as fh:
+                    fh.write(f"{len(x)}\n")
+                return fn(x)
+
+            return counting
 
         monkeypatch.setattr(cli, "classifier_model_fn", counting_model_fn)
         assert cli.main(["explain", "--no-ae", *base]) == EXIT_OK
+        rows = [int(line) for line in log.read_text().split()]
         # one background row (mode mean); d + 1 coalitions per permutation
         assert sum(rows) == 1 * self.N_PERMUTATIONS * (len(FEATURE_NAMES) + 1)
+
+    def test_an_error_in_an_explain_worker_keeps_its_exit_code(self, trained, monkeypatch, capsys):
+        _, base = trained
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        capsys.readouterr()
+        # exact enumeration of 18 features is over the default limit of 12
+        assert cli.main(["explain", "--no-ae", *base, "--set", "explain.method=exact",
+                         "--set", "explain.n_instances=2"]) == EXIT_CONFIG
+        assert "18 features need 2^18 coalitions, over the exact limit 12" in capsys.readouterr().err
 
 
 class TestFeatureFileBytes:
@@ -698,7 +719,10 @@ class TestExitCodes:
     def format_version_1(self, text):
         return json.dumps({**json.loads(text), "format_version": 1})
 
-    @pytest.mark.parametrize("damage", ["cut_short", "drop_layers", "format_version_1"])
+    def not_an_object(self, text):
+        return "[1, 2]"
+
+    @pytest.mark.parametrize("damage", ["cut_short", "drop_layers", "format_version_1", "not_an_object"])
     def test_unreadable_model_exits_five(self, trained_run, tmp_path, capsys, damage):
         run = tmp_path / "run"
         shutil.copytree(trained_run / "run", run)
@@ -710,6 +734,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (")
         assert err.endswith("; run `train --no-ae` again\n")
+
+    @pytest.mark.parametrize("index", [1_000_000, -1])
+    def test_split_index_outside_the_feature_rows_exits_five(self, trained_run, tmp_path, capsys, index):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        path = run / SPLIT_JSON
+        split = json.loads(path.read_text())
+        split["test"][0] = index
+        path.write_text(json.dumps(split))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={trained_run / 'data'}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (")
+        assert err.endswith("; run `train` again\n")
 
     def features_then(self, tmp_path, edit):
         base = [

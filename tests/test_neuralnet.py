@@ -179,6 +179,28 @@ class TestForwardMath:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert dataset_loss(model, x, x) == pytest.approx(np.mean(x**2), abs=1e-15)
 
+    def test_loss_and_outputs_match_the_forward_pass_bit_for_bit(self):
+        # _loss, forward, forward_logits and encode keep one layer's arrays at
+        # a time; their values must be those read off _forward_pass's arrays
+        x, y = blob_data(n=300, d=18, classes=4)
+        clf = train_classifier(x, y, MlpConfig((18, 32, 16, 4)),
+                               TrainConfig(epochs=2, batch_size=16, seed=3))
+        zs, acts = neuralnet._forward_pass(clf.layers, clf.activations, x)
+        m = zs[-1].max(axis=1, keepdims=True)
+        log_probs = zs[-1] - (m + np.log(np.exp(zs[-1] - m).sum(axis=1, keepdims=True)))
+        assert neuralnet._loss(clf.layers, clf.activations, x, y) == float(
+            -log_probs[np.arange(y.size), y].mean()
+        )
+        assert np.array_equal(forward(clf, x), acts[-1])
+        assert np.array_equal(forward_logits(clf, x), zs[-1])
+
+        ae = train_autoencoder(x, AeConfig((18, 24, 8), (8, 24, 18)),
+                               TrainConfig(epochs=2, batch_size=16, seed=3))
+        _, acts = neuralnet._forward_pass(ae.layers, ae.activations, x)
+        assert neuralnet._loss(ae.layers, ae.activations, x, x) == float(np.mean((acts[-1] - x) ** 2))
+        assert np.array_equal(forward(ae, x), acts[-1])
+        assert np.array_equal(encode(ae, x), acts[ae.n_encoder_layers])
+
     def test_encode_is_sigmoid_bounded(self):
         x, _ = blob_data(d=18)
         ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
