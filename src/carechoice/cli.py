@@ -262,7 +262,7 @@ def _load_artifact(cfg: RunConfig, name: str, producer: str, load=_read_json):
     path = _read_artifact(cfg, name, producer)
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UnreadableArtifactError(
             f"cannot read {path} ({type(exc).__name__}: {exc}); run `{producer}` again"
         ) from exc
@@ -448,8 +448,7 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     fold_reports = []
     for model, (_, val_idx) in zip(fold_models, folds):
         labels, probs = predict_batch(model, inputs[val_idx])
-        report = build_report(y_balanced[val_idx], labels, probs, VARIANT_NAMES[with_ae])
-        fold_reports.append(report.to_dict())
+        fold_reports.append(build_report(y_balanced[val_idx], labels, probs, VARIANT_NAMES[with_ae]))
 
     model_path = _write_json(cfg, MODEL_FILES[with_ae], model_to_dict(final))
     macro_auc = [r["macro"]["auc"] for r in fold_reports]
@@ -477,6 +476,9 @@ def _load_variant_models(cfg: RunConfig, with_ae: bool):
 
 def _read_split(path: Path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     split = _read_json(path)
+    # numpy would truncate 1.5 and read true as 1, so check the JSON types first
+    if not all(set(map(type, split[part])) <= {int} for part in ("train", "test")):
+        raise ValueError("a row index is not an integer")
     train, test = (np.asarray(split[part], dtype=np.int64) for part in ("train", "test"))
     if any(((idx < 0) | (idx >= n_rows)).any() for idx in (train, test)):
         raise ValueError(f"a row index lies outside [0, {n_rows}), the rows of {FEATURES_CSV}")
@@ -496,11 +498,11 @@ def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
     x_test = scaler.transform(x_raw[test_idx])
     labels, probs = predict_batch(model, x_test, ae=ae_model)
     report = build_report(y[test_idx], labels, probs, VARIANT_NAMES[with_ae])
-    path = _write_json(cfg, EVAL_FILES[with_ae], report.to_dict())
+    path = _write_json(cfg, EVAL_FILES[with_ae], report)
     print(f"evaluate[{VARIANT_NAMES[with_ae]}]: {len(test_idx)} test rows -> {path}")
     for metric in TABLE_METRICS:
-        print(f"  macro {metric}: {report.macro_value(metric):.4f}")
-    print(f"  multiclass accuracy: {report.multiclass_accuracy:.4f}")
+        print(f"  macro {metric}: {report['macro'][metric]:.4f}")
+    print(f"  multiclass accuracy: {report['multiclass_accuracy']:.4f}")
     return EXIT_OK
 
 
@@ -540,7 +542,7 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
         {
             "row": int(test_idx[chosen[row_no]]),
             "attribution": att.to_dict(),
-            "report": local_report(att).to_dict(),
+            "report": local_report(att),
         }
         for row_no, att in enumerate(attributions)
     ]

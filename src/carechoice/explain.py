@@ -125,28 +125,6 @@ class GlobalImportance:
         return tuple(self.feature_names[i] for i in self.ranking)
 
 
-@dataclass(frozen=True)
-class LocalReport:
-    """Force-style listing: contributions split by sign, largest first."""
-
-    explained_class: Optional[int]
-    base_value: float
-    fx: float
-    positive: tuple[tuple[str, float], ...]
-    negative: tuple[tuple[str, float], ...]
-    checksum: float  # base_value plus every contribution; equals fx up to method error
-
-    def to_dict(self) -> dict:
-        return {
-            "explained_class": self.explained_class,
-            "base_value": self.base_value,
-            "fx": self.fx,
-            "positive": [[name, value] for name, value in self.positive],
-            "negative": [[name, value] for name, value in self.negative],
-            "checksum": self.checksum,
-        }
-
-
 # ---------------------------------------------------------------------------
 # value-function plumbing
 
@@ -349,19 +327,19 @@ def global_importance(attributions: Sequence[Attribution]) -> GlobalImportance:
     )
 
 
-def local_report(attribution: Attribution) -> LocalReport:
-    """Split an attribution into signed blocks sorted by magnitude."""
-    pairs = [(name, float(v)) for name, v in zip(attribution.feature_names, attribution.phi)]
-    positive = tuple(sorted((p for p in pairs if p[1] > 0), key=lambda p: -p[1]))
-    negative = tuple(sorted((p for p in pairs if p[1] < 0), key=lambda p: p[1]))
-    return LocalReport(
-        explained_class=attribution.explained_class,
-        base_value=attribution.base_value,
-        fx=attribution.fx,
-        positive=positive,
-        negative=negative,
-        checksum=float(attribution.base_value + attribution.phi.sum()),
-    )
+def local_report(attribution: Attribution) -> dict:
+    """Force-style listing: contributions split by sign, largest first, as
+    `[name, phi]` pairs. `checksum` is the base value plus every
+    contribution; it equals fx up to method error."""
+    pairs = [[name, float(v)] for name, v in zip(attribution.feature_names, attribution.phi)]
+    return {
+        "explained_class": attribution.explained_class,
+        "base_value": attribution.base_value,
+        "fx": attribution.fx,
+        "positive": sorted((p for p in pairs if p[1] > 0), key=lambda p: -p[1]),
+        "negative": sorted((p for p in pairs if p[1] < 0), key=lambda p: p[1]),
+        "checksum": float(attribution.base_value + attribution.phi.sum()),
+    }
 
 
 def classifier_model_fn(

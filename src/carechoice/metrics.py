@@ -8,7 +8,6 @@ statistic with ties counted as half, computed via average ranks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,77 +23,52 @@ TABLE_ROW_LABELS = {
     "sensitivity": "Sensitivity",
     "specificity": "Specificity",
 }
-
-
-@dataclass(frozen=True)
-class ClassCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    per_class: Mapping[int, ClassCounts]
-    n: int
+_CLASS_METRICS = ("accuracy", "sensitivity", "specificity", "precision", "f1")
 
 
 def confusion_counts(
     labels: Sequence[int], predictions: Sequence[int], n_classes: int = N_LEVELS
-) -> ConfusionCounts:
+) -> list[tuple[int, int, int, int]]:
+    """One-vs-rest (tp, fp, fn, tn) of each class, in class order."""
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
     if labels.shape != predictions.shape:
         raise ValueError(f"length mismatch: {labels.shape} labels vs {predictions.shape} predictions")
     if labels.size == 0:
         raise ValueError("cannot tabulate zero samples")
-    per_class = {}
+    counts = []
     for c in range(n_classes):
         pos = labels == c
         pred_pos = predictions == c
-        per_class[c] = ClassCounts(
-            tp=int(np.sum(pos & pred_pos)),
-            fp=int(np.sum(~pos & pred_pos)),
-            fn=int(np.sum(pos & ~pred_pos)),
-            tn=int(np.sum(~pos & ~pred_pos)),
-        )
-    return ConfusionCounts(per_class=per_class, n=int(labels.size))
+        counts.append((
+            int(np.sum(pos & pred_pos)),
+            int(np.sum(~pos & pred_pos)),
+            int(np.sum(pos & ~pred_pos)),
+            int(np.sum(~pos & ~pred_pos)),
+        ))
+    return counts
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    precision: float
-    f1: float
-    degenerate: tuple[str, ...] = ()
-
-
-def per_class_metrics(c: ClassCounts) -> ClassMetrics:
+def per_class_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
     """Accuracy, sensitivity, specificity, precision, and F1 from one-vs-rest
-    counts. Zero denominators resolve to 0 and are flagged in `degenerate`."""
-    if c.n < 1:
+    counts. Zero denominators resolve to 0 and are listed in `degenerate`."""
+    n = tp + fp + fn + tn
+    if n < 1:
         raise ValueError("empty counts")
     degenerate = []
-    accuracy = (c.tp + c.tn) / c.n
-    if c.tp + c.fn > 0:
-        sensitivity = c.tp / (c.tp + c.fn)
+    accuracy = (tp + tn) / n
+    if tp + fn > 0:
+        sensitivity = tp / (tp + fn)
     else:
         sensitivity = 0.0
         degenerate.append("sensitivity")
-    if c.tn + c.fp > 0:
-        specificity = c.tn / (c.tn + c.fp)
+    if tn + fp > 0:
+        specificity = tn / (tn + fp)
     else:
         specificity = 0.0
         degenerate.append("specificity")
-    if c.tp + c.fp > 0:
-        precision = c.tp / (c.tp + c.fp)
+    if tp + fp > 0:
+        precision = tp / (tp + fp)
     else:
         precision = 0.0
         degenerate.append("precision")
@@ -103,30 +77,24 @@ def per_class_metrics(c: ClassCounts) -> ClassMetrics:
     else:
         f1 = 0.0
         degenerate.append("f1")
-    return ClassMetrics(
-        accuracy=accuracy,
-        sensitivity=sensitivity,
-        specificity=specificity,
-        precision=precision,
-        f1=f1,
-        degenerate=tuple(degenerate),
-    )
+    return {
+        "accuracy": accuracy,
+        "sensitivity": sensitivity,
+        "specificity": specificity,
+        "precision": precision,
+        "f1": f1,
+        "degenerate": degenerate,
+    }
 
 
-def macro_metrics(per_class: Mapping[int, ClassMetrics]) -> ClassMetrics:
-    """Unweighted arithmetic mean of each metric across classes."""
+def macro_metrics(per_class: Sequence[dict]) -> dict:
+    """Unweighted arithmetic mean of each metric across classes, with the
+    sorted union of their `degenerate` flags."""
     if not per_class:
         raise ValueError("no classes")
-    ms = list(per_class.values())
-    flags = tuple(sorted({f for m in ms for f in m.degenerate}))
-    return ClassMetrics(
-        accuracy=float(np.mean([m.accuracy for m in ms])),
-        sensitivity=float(np.mean([m.sensitivity for m in ms])),
-        specificity=float(np.mean([m.specificity for m in ms])),
-        precision=float(np.mean([m.precision for m in ms])),
-        f1=float(np.mean([m.f1 for m in ms])),
-        degenerate=flags,
-    )
+    macro = {m: float(np.mean([c[m] for c in per_class])) for m in _CLASS_METRICS}
+    macro["degenerate"] = sorted({f for c in per_class for f in c["degenerate"]})
+    return macro
 
 
 def binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -180,66 +148,28 @@ def auc_ovr(
     return per_class, float(np.mean(valid))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-class and macro metrics for one model variant."""
-
-    variant: str  # "withoutAE" | "withAE"
-    per_class: Mapping[int, ClassMetrics]
-    per_class_auc: Mapping[int, float]
-    macro: ClassMetrics
-    macro_auc: float
-    multiclass_accuracy: float
-    n_samples: int
-
-    def macro_value(self, metric: str) -> float:
-        if metric == "auc":
-            return self.macro_auc
-        return getattr(self.macro, metric)
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_samples": self.n_samples,
-            "multiclass_accuracy": self.multiclass_accuracy,
-            "macro": {m: self.macro_value(m) for m in TABLE_METRICS},
-            "macro_degenerate": list(self.macro.degenerate),
-            "per_class": {
-                str(c): {
-                    "accuracy": m.accuracy,
-                    "sensitivity": m.sensitivity,
-                    "specificity": m.specificity,
-                    "precision": m.precision,
-                    "f1": m.f1,
-                    "auc": self.per_class_auc[c],
-                    "degenerate": list(m.degenerate),
-                }
-                for c, m in self.per_class.items()
-            },
-        }
-
-
 def build_report(
     labels: Sequence[int],
     predictions: Sequence[int],
     probabilities: np.ndarray,
     variant: str,
     n_classes: int = N_LEVELS,
-) -> MetricReport:
+) -> dict:
+    """Per-class and macro metrics of one model variant ("withoutAE" or
+    "withAE"), as written to `eval_*.json` and each fold of `cv_metrics_*.json`."""
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
-    counts = confusion_counts(labels, predictions, n_classes)
-    per_class = {c: per_class_metrics(cc) for c, cc in counts.per_class.items()}
+    per_class = [per_class_metrics(*counts) for counts in confusion_counts(labels, predictions, n_classes)]
     per_class_auc, macro_auc = auc_ovr(labels, probabilities, n_classes)
-    return MetricReport(
-        variant=variant,
-        per_class=per_class,
-        per_class_auc=per_class_auc,
-        macro=macro_metrics(per_class),
-        macro_auc=macro_auc,
-        multiclass_accuracy=float(np.mean(labels == predictions)),
-        n_samples=int(labels.size),
-    )
+    macro = macro_metrics(per_class)
+    return {
+        "variant": variant,
+        "n_samples": int(labels.size),
+        "multiclass_accuracy": float(np.mean(labels == predictions)),
+        "macro": {"auc": macro_auc, **{m: macro[m] for m in _CLASS_METRICS}},
+        "macro_degenerate": macro["degenerate"],
+        "per_class": {str(c): {**m, "auc": per_class_auc[c]} for c, m in enumerate(per_class)},
+    }
 
 
 def comparison_rows(

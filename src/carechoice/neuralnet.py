@@ -30,8 +30,6 @@ from .features import N_FEATURES
 
 MODEL_FORMAT_VERSION = 2
 
-ACTIVATIONS = ("relu", "sigmoid", "linear", "softmax")
-
 
 class MissingDependencyError(Exception):
     """An optional package the requested model needs is not installed."""

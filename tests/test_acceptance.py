@@ -153,11 +153,11 @@ def test_criterion_4_metrics_match_naive_reimplementations():
             preds = rng.integers(0, 4, size=n)
             counts = confusion_counts(labels, preds)
             for c in range(4):
-                cc = counts.per_class[c]
-                assert (cc.tp, cc.fp, cc.fn, cc.tn) == naive_class_counts(labels, preds, c)
-                m = per_class_metrics(cc)
+                cc = counts[c]
+                assert cc == naive_class_counts(labels, preds, c)
+                m = per_class_metrics(*cc)
                 acc, sen, spe, pre, f1 = naive_class_metrics(labels, preds, c)
-                assert (m.accuracy, m.sensitivity, m.specificity, m.precision, m.f1) == (
+                assert (m["accuracy"], m["sensitivity"], m["specificity"], m["precision"], m["f1"]) == (
                     acc, sen, spe, pre, f1,
                 )
             # tied scores included deliberately; both sides count ties as half
@@ -169,12 +169,12 @@ def test_criterion_4_metrics_match_naive_reimplementations():
 
         labels = np.array([1] * 50 + [0] * 30 + [0] * 10 + [1] * 10)
         preds = np.array([1] * 50 + [0] * 30 + [1] * 10 + [0] * 10)
-        m = per_class_metrics(confusion_counts(labels, preds, n_classes=2).per_class[1])
-        assert round(m.accuracy, 4) == 0.8000
-        assert round(m.sensitivity, 4) == 0.8333
-        assert round(m.specificity, 4) == 0.7500
-        assert round(m.precision, 4) == 0.8333
-        assert round(m.f1, 4) == 0.8333
+        m = per_class_metrics(*confusion_counts(labels, preds, n_classes=2)[1])
+        assert round(m["accuracy"], 4) == 0.8000
+        assert round(m["sensitivity"], 4) == 0.8333
+        assert round(m["specificity"], 4) == 0.7500
+        assert round(m["precision"], 4) == 0.8333
+        assert round(m["f1"], 4) == 0.8333
 
 
 def test_criterion_5_sampling_utilities_partition_and_reproduce():

@@ -735,7 +735,7 @@ class TestExitCodes:
         assert err.startswith(f"data error: cannot read {path} (")
         assert err.endswith("; run `train --no-ae` again\n")
 
-    @pytest.mark.parametrize("index", [1_000_000, -1])
+    @pytest.mark.parametrize("index", [1_000_000, -1, 1.5, True, 2**63])
     def test_split_index_outside_the_feature_rows_exits_five(self, trained_run, tmp_path, capsys, index):
         run = tmp_path / "run"
         shutil.copytree(trained_run / "run", run)
@@ -749,6 +749,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (")
         assert err.endswith("; run `train` again\n")
+
+    def test_split_with_an_empty_part_loads(self, tmp_path):
+        path = tmp_path / SPLIT_JSON
+        path.write_text(json.dumps({"train": [0, 2], "test": []}))
+        train, test = cli._read_split(path, 3)
+        assert train.tolist() == [0, 2]
+        assert test.dtype == np.int64 and test.size == 0
 
     def features_then(self, tmp_path, edit):
         base = [

@@ -1,5 +1,6 @@
 """Shapley attribution: axioms, closed forms, oracles, sampling behavior."""
 
+import json
 import math
 
 import numpy as np
@@ -313,10 +314,10 @@ class TestLocalReport:
             base_value=1.0, fx=-0.6, explained_class=None, method="exact",
         )
         report = local_report(att)
-        assert report.positive == (("a", 0.5),)
-        assert report.negative == (("d", -2.0), ("b", -0.1))
-        assert report.checksum == pytest.approx(1.0 + 0.5 - 0.1 - 2.0)
-        d = report.to_dict()
+        assert report["positive"] == [["a", 0.5]]
+        assert report["negative"] == [["d", -2.0], ["b", -0.1]]
+        assert report["checksum"] == pytest.approx(1.0 + 0.5 - 0.1 - 2.0)
+        d = json.loads(json.dumps(report))
         assert d["positive"] == [["a", 0.5]]
 
 

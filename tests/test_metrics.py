@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from carechoice.metrics import (
-    ClassCounts,
     TABLE_METRICS,
     auc_ovr,
     binary_auc,
@@ -21,13 +20,13 @@ from oracles import naive_auc, naive_class_counts, naive_class_metrics
 
 class TestWorkedExample:
     def test_textbook_counts(self):
-        m = per_class_metrics(ClassCounts(tp=50, tn=30, fp=10, fn=10))
-        assert round(m.accuracy, 4) == 0.80
-        assert round(m.sensitivity, 4) == 0.8333
-        assert round(m.specificity, 4) == 0.75
-        assert round(m.precision, 4) == 0.8333
-        assert round(m.f1, 4) == 0.8333
-        assert m.degenerate == ()
+        m = per_class_metrics(tp=50, fp=10, fn=10, tn=30)
+        assert round(m["accuracy"], 4) == 0.80
+        assert round(m["sensitivity"], 4) == 0.8333
+        assert round(m["specificity"], 4) == 0.75
+        assert round(m["precision"], 4) == 0.8333
+        assert round(m["f1"], 4) == 0.8333
+        assert m["degenerate"] == []
 
 
 class TestAgainstNaiveOracles:
@@ -41,11 +40,11 @@ class TestAgainstNaiveOracles:
             counts = confusion_counts(labels, preds, n_classes=k)
             for c in range(k):
                 tp, fp, fn, tn = naive_class_counts(labels, preds, c)
-                got = counts.per_class[c]
-                assert (got.tp, got.fp, got.fn, got.tn) == (tp, fp, fn, tn)
+                got = counts[c]
+                assert got == (tp, fp, fn, tn)
                 expect = naive_class_metrics(labels, preds, c)
-                m = per_class_metrics(got)
-                assert (m.accuracy, m.sensitivity, m.specificity, m.precision, m.f1) == expect
+                m = per_class_metrics(*got)
+                assert (m["accuracy"], m["sensitivity"], m["specificity"], m["precision"], m["f1"]) == expect
 
     def test_binary_auc_matches_all_pairs_count(self):
         rng = np.random.default_rng(321)
@@ -72,31 +71,31 @@ class TestAgainstNaiveOracles:
 
 class TestDegenerateCounts:
     def test_no_positives_zeroes_sensitivity(self):
-        m = per_class_metrics(ClassCounts(tp=0, fp=0, fn=0, tn=10))
-        assert m.sensitivity == 0.0
-        assert "sensitivity" in m.degenerate
-        assert "precision" in m.degenerate
-        assert "f1" in m.degenerate
+        m = per_class_metrics(tp=0, fp=0, fn=0, tn=10)
+        assert m["sensitivity"] == 0.0
+        assert "sensitivity" in m["degenerate"]
+        assert "precision" in m["degenerate"]
+        assert "f1" in m["degenerate"]
 
     def test_no_negatives_zeroes_specificity(self):
-        m = per_class_metrics(ClassCounts(tp=10, fp=0, fn=0, tn=0))
-        assert m.specificity == 0.0
-        assert m.degenerate == ("specificity",)
+        m = per_class_metrics(tp=10, fp=0, fn=0, tn=0)
+        assert m["specificity"] == 0.0
+        assert m["degenerate"] == ["specificity"]
 
     def test_macro_collects_flags(self):
-        per_class = {
-            0: per_class_metrics(ClassCounts(tp=5, fp=1, fn=1, tn=5)),
-            1: per_class_metrics(ClassCounts(tp=0, fp=0, fn=0, tn=12)),
-        }
+        per_class = [
+            per_class_metrics(tp=5, fp=1, fn=1, tn=5),
+            per_class_metrics(tp=0, fp=0, fn=0, tn=12),
+        ]
         macro = macro_metrics(per_class)
-        assert "sensitivity" in macro.degenerate
+        assert "sensitivity" in macro["degenerate"]
 
     def test_macro_is_unweighted_mean(self):
-        a = per_class_metrics(ClassCounts(tp=8, fp=2, fn=1, tn=9))
-        b = per_class_metrics(ClassCounts(tp=1, fp=5, fn=6, tn=8))
-        macro = macro_metrics({0: a, 1: b})
-        assert macro.f1 == pytest.approx((a.f1 + b.f1) / 2)
-        assert macro.accuracy == pytest.approx((a.accuracy + b.accuracy) / 2)
+        a = per_class_metrics(tp=8, fp=2, fn=1, tn=9)
+        b = per_class_metrics(tp=1, fp=5, fn=6, tn=8)
+        macro = macro_metrics([a, b])
+        assert macro["f1"] == pytest.approx((a["f1"] + b["f1"]) / 2)
+        assert macro["accuracy"] == pytest.approx((a["accuracy"] + b["accuracy"]) / 2)
 
 
 class TestOvrAuc:
@@ -124,24 +123,24 @@ def random_report(seed, variant="withoutAE", n=60):
 class TestMetricReport:
     def test_multiclass_accuracy(self):
         labels, preds, probs, report = random_report(7)
-        assert report.multiclass_accuracy == pytest.approx(np.mean(labels == preds))
-        assert report.n_samples == 60
+        assert report["multiclass_accuracy"] == pytest.approx(np.mean(labels == preds))
+        assert report["n_samples"] == 60
 
     def test_macro_value_covers_table_metrics(self):
         *_, report = random_report(9)
         for metric in TABLE_METRICS:
-            assert isinstance(report.macro_value(metric), float)
+            assert isinstance(report["macro"][metric], float)
 
     def test_comparison_rows_order_and_increase(self):
         *_, without = random_report(10, "withoutAE")
         *_, with_ae = random_report(11, "withAE")
-        rows = comparison_rows(without.to_dict()["macro"], with_ae.to_dict()["macro"])
+        rows = comparison_rows(without["macro"], with_ae["macro"])
         assert [r[0] for r in rows] == [
             "AUC", "Accuracy", "F1 Score", "Precision", "Sensitivity", "Specificity",
         ]
         for (_, a, b, inc), metric in zip(rows, TABLE_METRICS):
-            assert a == without.macro_value(metric)
-            assert b == with_ae.macro_value(metric)
+            assert a == without["macro"][metric]
+            assert b == with_ae["macro"][metric]
             assert inc == pytest.approx(b - a)
 
 
