@@ -562,7 +562,12 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
 
 def _read_macro(path: Path) -> dict[str, float]:
     macro = _read_json(path)["macro"]
-    return {metric: float(macro[metric]) for metric in TABLE_METRICS}
+    values = {metric: macro[metric] for metric in TABLE_METRICS}
+    for metric, value in values.items():
+        # bool is an int subclass; NaN (an AUC with an absent class) is a float
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"macro {metric} is not a number: {value!r}")
+    return {metric: float(value) for metric, value in values.items()}
 
 
 def _cmd_compare(cfg: RunConfig) -> int:

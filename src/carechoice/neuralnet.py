@@ -208,9 +208,10 @@ class TrainConfig:
 class TrainedModel:
     """An immutable trained (or merely initialized) network.
 
-    `loss_trace[e]` is the full-training-set loss after epoch e+1, so the
+    `loss_trace[e]` is the row-weighted mean of the batch losses of epoch
+    e+1, each taken on the weights before that batch's update, so the
     trace always has exactly `config.epochs` entries; `initial_loss` is
-    the loss before any update.
+    the full-training-set loss before any update.
     """
 
     kind: str  # "classifier" | "autoencoder"
@@ -364,23 +365,21 @@ def encode(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     return z[0] if single else z
 
 
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Mean cross-entropy of integer labels under the softmax of the logits."""
+    labels = np.asarray(targets, dtype=np.int64)
+    m = logits.max(axis=1, keepdims=True)
+    log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+    return float(-log_probs[np.arange(labels.size), labels].mean())
+
+
 def _loss(layers: Sequence, activations: Sequence[str], x: np.ndarray, targets: np.ndarray) -> float:
     """Mean loss over the rows: cross-entropy on the logits for a softmax
     output (targets are integer labels), mean squared error otherwise."""
     logits, out = _outputs(layers, activations, x)
     if activations[-1] == "softmax":
-        labels = np.asarray(targets, dtype=np.int64)
-        m = logits.max(axis=1, keepdims=True)
-        log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
-        return float(-log_probs[np.arange(labels.size), labels].mean())
+        return _cross_entropy(logits, targets)
     return float(np.mean((out - np.asarray(targets, dtype=np.float64)) ** 2))
-
-
-def dataset_loss(model: TrainedModel, x: np.ndarray, targets: np.ndarray) -> float:
-    """Loss of the model on a dataset: cross-entropy for classifiers
-    (targets are integer labels), mean squared error otherwise."""
-    batch, _ = _as_batch(x, model.input_dim, f"{model.kind} input")
-    return _loss(model.layers, model.activations, batch, targets)
 
 
 def _gradients(
@@ -388,19 +387,23 @@ def _gradients(
     activations: Sequence[str],
     x: np.ndarray,
     targets: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Analytic (dW, db) per layer for the mean loss over the batch."""
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+    """Analytic (dW, db) per layer for the mean loss over the batch, and
+    that mean loss, read off the same forward pass (the `_loss` value)."""
     zs, acts = _forward_pass(layers, activations, x)
     n = x.shape[0]
     out = acts[-1]
     if activations[-1] == "softmax":
+        loss = _cross_entropy(zs[-1], targets)
         # Softmax and cross-entropy fused: dL/dz = (p - onehot) / n.
         onehot = np.zeros_like(out)
         onehot[np.arange(n), np.asarray(targets, dtype=np.int64)] = 1.0
         dz = (out - onehot) * (1.0 / n)
     else:
         d = out.shape[1]
-        dout = (out - np.asarray(targets, dtype=np.float64)) * (2.0 / (n * d))
+        diff = out - np.asarray(targets, dtype=np.float64)
+        loss = float(np.mean(diff**2))
+        dout = diff * (2.0 / (n * d))
         dz = dout * _activation_grad(activations[-1], zs[-1], out)
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     for i in reversed(range(len(layers))):
@@ -409,7 +412,7 @@ def _gradients(
             da = dz @ layers[i].weights
             dz = da * _activation_grad(activations[i - 1], zs[i - 1], acts[i])
     grads.reverse()
-    return grads
+    return grads, loss
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +470,29 @@ def _run_sgd(
 
     lr = config.learning_rate
     trace: list[float] = []
-    # divergence is detected by the finiteness check below, so the overflow
+    # divergence is detected by the finiteness checks below, so the overflow
     # warnings numpy would raise on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
+            total = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                grads = _gradients(layers, activations, x[idx], targets[idx])
+                grads, loss = _gradients(layers, activations, x[idx], targets[idx])
+                total += loss * idx.size
                 for layer, (dw, db) in zip(layers, grads):
-                    layer.weights -= lr * dw
-                    layer.biases -= lr * db
-            loss = _loss(layers, activations, x, targets)
-            if not np.isfinite(loss):
+                    # in place: the same roundings as `w -= lr * dw`, one temporary fewer
+                    dw *= lr
+                    db *= lr
+                    layer.weights -= dw
+                    layer.biases -= db
+            if not np.isfinite(total):
                 raise TrainingDivergedError(epoch, kind)
-            trace.append(loss)
+            trace.append(total / n)
+        # each batch loss is taken before its batch's update, so only a pass
+        # over the whole set sees what the last update did
+        if config.epochs and not np.isfinite(_loss(layers, activations, x, targets)):
+            raise TrainingDivergedError(config.epochs, kind)
 
     return TrainedModel(
         kind=kind,
@@ -593,7 +604,7 @@ def gradient_check(
     layers = [
         LayerParams(weights=p.weights.copy(), biases=p.biases.copy()) for p in model.layers
     ]
-    analytic = _gradients(layers, model.activations, x, targets)
+    analytic, _ = _gradients(layers, model.activations, x, targets)
 
     worst = 0.0
     for li, layer in enumerate(layers):

@@ -693,6 +693,13 @@ class TestExitCodes:
         assert cli.main(["features", *base]) == EXIT_OK
         rc = cli.main(["train", "--no-ae", *base, "--set", "train.learning_rate=1e12"])
         assert rc == EXIT_DIVERGED
+        # the final fit in one batch and one epoch: only the full-set pass after
+        # the last epoch sees the update, and it is a divergence, not the
+        # config error of the fold fits' batch size exceeding their rows
+        n_rows = len(json.loads((tmp_path / "run" / BALANCED_JSON).read_text())["indices"])
+        rc = cli.main(["train", "--no-ae", *base, "--set", "train.learning_rate=1e305",
+                       "--set", "train.epochs=1", "--set", f"train.batch_size={n_rows}"])
+        assert rc == EXIT_DIVERGED
 
     @pytest.fixture(scope="class")
     def trained_run(self, tmp_path_factory):
@@ -749,6 +756,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (")
         assert err.endswith("; run `train` again\n")
+
+    @pytest.mark.parametrize("metric, value, expected", [
+        ("auc", True, EXIT_DATA),
+        ("f1", "0.5", EXIT_DATA),
+        ("auc", float("nan"), EXIT_OK),  # json writes an absent class's AUC as NaN
+    ])
+    def test_a_macro_value_must_be_a_number(self, tmp_path, capsys, metric, value, expected):
+        macro = {name: 0.5 for name in TABLE_METRICS}
+        (tmp_path / EVAL_FILES[False]).write_text(json.dumps({"macro": macro}))
+        path = tmp_path / EVAL_FILES[True]
+        path.write_text(json.dumps({"macro": {**macro, metric: value}}))
+        capsys.readouterr()
+        assert cli.main(["compare", "--set", f"run_dir={tmp_path}"]) == expected
+        if expected == EXIT_DATA:
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: cannot read {path} (ValueError: macro {metric} is not a number")
 
     def test_split_with_an_empty_part_loads(self, tmp_path):
         path = tmp_path / SPLIT_JSON

@@ -1,5 +1,6 @@
 """From-scratch networks: initialization, forward math, gradients, SGD."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from carechoice.neuralnet import (
     TrainedModel,
     TrainingDivergedError,
     blas_threads,
-    dataset_loss,
     encode,
     forward,
     forward_logits,
@@ -117,7 +117,7 @@ class TestInitialization:
         model = initial_classifier(seed=9, x=x, y=y)
         assert model.loss_trace == ()
         assert model.final_loss == model.initial_loss
-        assert dataset_loss(model, x, y) == model.initial_loss
+        assert neuralnet._loss(model.layers, model.activations, x, y) == model.initial_loss
         trained = initial_classifier(seed=9, x=x, y=y, epochs=2)
         assert trained.initial_loss == model.initial_loss
         assert not np.array_equal(trained.layers[0].weights, model.layers[0].weights)
@@ -127,7 +127,7 @@ class TestInitialization:
         ae = AeConfig((18, 6, 3), (3, 6, 18))
         model = train_autoencoder(x, ae, TrainConfig(epochs=0, seed=4, batch_size=16))
         assert model.loss_trace == ()
-        assert dataset_loss(model, x, x) == model.initial_loss
+        assert neuralnet._loss(model.layers, model.activations, x, x) == model.initial_loss
         trained = train_autoencoder(x, ae, TrainConfig(epochs=1, seed=4, batch_size=16))
         assert trained.initial_loss == model.initial_loss
 
@@ -167,7 +167,9 @@ class TestForwardMath:
     def test_uniform_model_cross_entropy_is_log_c(self):
         model = manual_model([(np.zeros((4, 18)), np.zeros(4))], ("softmax",))
         x, y = blob_data(d=18, classes=4)
-        assert dataset_loss(model, x, y) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert neuralnet._loss(model.layers, model.activations, x, y) == pytest.approx(
+            math.log(4.0), abs=1e-12
+        )
 
     def test_zero_autoencoder_mse_is_mean_square(self):
         model = manual_model(
@@ -177,7 +179,9 @@ class TestForwardMath:
             n_enc=1,
         )
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert dataset_loss(model, x, x) == pytest.approx(np.mean(x**2), abs=1e-15)
+        assert neuralnet._loss(model.layers, model.activations, x, x) == pytest.approx(
+            np.mean(x**2), abs=1e-15
+        )
 
     def test_loss_and_outputs_match_the_forward_pass_bit_for_bit(self):
         # _loss, forward, forward_logits and encode keep one layer's arrays at
@@ -268,6 +272,38 @@ class TestTraining:
             train_classifier(x, y, MlpConfig((6, 5, 3)),
                              TrainConfig(learning_rate=1e12, epochs=5, batch_size=16))
         assert err.value.epoch >= 1
+
+    def test_divergence_in_the_last_batch_is_caught(self):
+        # one batch, one epoch: no batch loss sees the only update, so the
+        # full-set pass after the last epoch is what catches it
+        x, y = blob_data(d=6, classes=3)
+        with pytest.raises(TrainingDivergedError) as err:
+            train_classifier(x, y, MlpConfig((6, 5, 3)),
+                             TrainConfig(learning_rate=1e305, epochs=1, batch_size=len(x)))
+        assert err.value.epoch == 1
+
+    def test_one_batch_epoch_traces_the_initial_loss(self):
+        # the batch loss is taken before the update, on every row
+        x, y = blob_data(d=18, classes=4)
+        model = train_classifier(x, y, MlpConfig((18, 8, 4)),
+                                 TrainConfig(epochs=1, batch_size=len(x), seed=2))
+        assert model.loss_trace[0] == pytest.approx(model.initial_loss, abs=1e-12)
+
+    # sha256 of the weights and biases of the two fits below, recorded before
+    # the trace came from batch losses: tracing must not move a weight bit
+    WEIGHTS_SHA256 = "6fec45881cc8e6dee0bb404c8f92761e81c6d4726891590b06899e809afae9fb"
+
+    def test_weights_match_the_recorded_bytes(self):
+        x, y = blob_data(d=18, classes=4)  # 120 rows: the last batch of 16 has 8
+        clf = train_classifier(x, y, MlpConfig((18, 8, 4)),
+                               TrainConfig(epochs=3, batch_size=16, seed=21))
+        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
+                               TrainConfig(epochs=2, batch_size=16, seed=4))
+        digest = hashlib.sha256()
+        for layer in clf.layers + ae.layers:
+            digest.update(layer.weights.tobytes())
+            digest.update(layer.biases.tobytes())
+        assert digest.hexdigest() == self.WEIGHTS_SHA256
 
     def test_divergence_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "classifier")))
