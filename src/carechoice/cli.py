@@ -417,6 +417,14 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec = _prepare_training(cfg)
     x_balanced = scaler.transform(x_raw[balanced_idx])
     y_balanced = y[balanced_idx]
+    train_cfg = _train_config(cfg, "train", "train")
+    folds = kfold_indices(x_balanced.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
+    # each fit checks its own batch size, but the final fit runs first and
+    # longest, so the smallest fold is checked before any fit starts
+    fold_no, fit_rows = min(enumerate((fit.size for fit, _ in folds), 1), key=lambda f: f[1])
+    if train_cfg.batch_size > fit_rows:
+        raise ConfigError(f"train.batch_size {train_cfg.batch_size} exceeds the {fit_rows} rows "
+                          f"that fold {fold_no} of {spec.folds} fits on")
 
     ae_model = None
     if with_ae:
@@ -434,10 +442,7 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
         inputs = x_balanced
         mlp = MlpConfig()
 
-    train_cfg = _train_config(cfg, "train", "train")
-
     # the final fit on the whole balanced pool is the longest job, so it goes first
-    folds = kfold_indices(inputs.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
     row_sets = [slice(None), *(fit_idx for fit_idx, _ in folds)]
     (final, *fold_models), workers = _in_pool(
         lambda i: train_classifier(inputs[row_sets[i]], y_balanced[row_sets[i]], mlp, train_cfg),

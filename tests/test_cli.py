@@ -1,5 +1,6 @@
 """Command-line pipeline: config handling, exit codes, artifact contracts."""
 
+import base64
 import csv
 import hashlib
 import io
@@ -48,6 +49,7 @@ from carechoice.domain import LEVEL_NAMES, HospitalLevel
 from carechoice.features import FEATURE_NAMES, read_feature_csv
 from carechoice.metrics import TABLE_METRICS
 from carechoice.neuralnet import blas_threads
+from carechoice.pipeline import kfold_indices
 
 
 class TestParseConfigText:
@@ -693,13 +695,17 @@ class TestExitCodes:
         assert cli.main(["features", *base]) == EXIT_OK
         rc = cli.main(["train", "--no-ae", *base, "--set", "train.learning_rate=1e12"])
         assert rc == EXIT_DIVERGED
-        # the final fit in one batch and one epoch: only the full-set pass after
-        # the last epoch sees the update, and it is a divergence, not the
-        # config error of the fold fits' batch size exceeding their rows
-        n_rows = len(json.loads((tmp_path / "run" / BALANCED_JSON).read_text())["indices"])
+        # the smallest fold fits in one batch and one epoch: only the full-set
+        # pass after the last epoch sees that update
+        fit_rows = self.smallest_fold_rows(tmp_path / "run")
         rc = cli.main(["train", "--no-ae", *base, "--set", "train.learning_rate=1e305",
-                       "--set", "train.epochs=1", "--set", f"train.batch_size={n_rows}"])
+                       "--set", "train.epochs=1", "--set", f"train.batch_size={fit_rows}"])
         assert rc == EXIT_DIVERGED
+
+    def smallest_fold_rows(self, run):
+        """Rows of the smallest fit set of a two-fold, seed-0 train in `run`."""
+        n_rows = len(json.loads((run / BALANCED_JSON).read_text())["indices"])
+        return min(fit.size for fit, _ in kfold_indices(n_rows, 2, derive_seed(0, "fold")))
 
     @pytest.fixture(scope="class")
     def trained_run(self, tmp_path_factory):
@@ -715,6 +721,22 @@ class TestExitCodes:
             assert cli.main([*stage, *base]) == EXIT_OK
         return root
 
+    def test_batch_size_a_fold_cannot_take_exits_three_before_any_fit(
+            self, trained_run, tmp_path, capsys, monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        for path in run.glob("classifier_*.json"):
+            path.unlink()
+        fit_rows = self.smallest_fold_rows(run)
+        monkeypatch.setattr(cli, "_in_pool", lambda *args: pytest.fail("a fit started"))
+        capsys.readouterr()
+        rc = cli.main(["train", "--no-ae", "--set", f"run_dir={run}",
+                       "--set", f"data_dir={trained_run / 'data'}",
+                       "--set", "train.folds=2", "--set", f"train.batch_size={fit_rows + 1}"])
+        assert rc == EXIT_CONFIG
+        assert f"exceeds the {fit_rows} rows that fold " in capsys.readouterr().err
+        assert not list(run.glob("classifier_*.json"))
+
     def cut_short(self, text):
         return text[: len(text) // 2]
 
@@ -726,10 +748,35 @@ class TestExitCodes:
     def format_version_1(self, text):
         return json.dumps({**json.loads(text), "format_version": 1})
 
+    def format_version_2(self, text):
+        return json.dumps({**json.loads(text), "format_version": 2})
+
+    def edit_first_weights(self, text, edit):
+        model = json.loads(text)
+        layer = model["layers"][0]
+        layer["weights"] = edit(layer["weights"])
+        return json.dumps(model)
+
+    def weights_not_base64(self, text):
+        return self.edit_first_weights(text, lambda w: w[:10] + "!" + w[11:])
+
+    def weights_cut_short(self, text):
+        return self.edit_first_weights(text, lambda w: w[:-4])
+
+    def weights_decode_to_nan(self, text):
+        def to_nan(w):
+            weights = np.frombuffer(base64.b64decode(w), dtype="<f8").copy()
+            weights[0] = np.nan
+            return base64.b64encode(weights.tobytes()).decode("ascii")
+        return self.edit_first_weights(text, to_nan)
+
     def not_an_object(self, text):
         return "[1, 2]"
 
-    @pytest.mark.parametrize("damage", ["cut_short", "drop_layers", "format_version_1", "not_an_object"])
+    @pytest.mark.parametrize("damage", [
+        "cut_short", "drop_layers", "format_version_1", "format_version_2", "not_an_object",
+        "weights_not_base64", "weights_cut_short", "weights_decode_to_nan",
+    ])
     def test_unreadable_model_exits_five(self, trained_run, tmp_path, capsys, damage):
         run = tmp_path / "run"
         shutil.copytree(trained_run / "run", run)

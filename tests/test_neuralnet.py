@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from carechoice import neuralnet
 from carechoice.domain import HospitalLevel
@@ -410,6 +412,42 @@ class TestSerialization:
         loaded = load_model(tmp_path / "ae.json")
         assert model_to_dict(loaded) == model_to_dict(model)
         assert loaded.latent_dim == 3
+
+    # -0.0, the smallest subnormal, a larger subnormal, the largest finite
+    # magnitudes and a double with no short decimal form
+    EDGE_DOUBLES = [-0.0, 5e-324, -5e-324, 1.5e-310, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 0.1 + 0.2, math.pi]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_finite_weights_survive_json_bit_for_bit(self, data):
+        doubles = st.floats(allow_nan=False, allow_infinity=False)
+        sizes = [len(self.EDGE_DOUBLES), *data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))]
+        params = [
+            (data.draw(arrays(np.float64, (fan_out, fan_in), elements=doubles)),
+             data.draw(arrays(np.float64, (fan_out,), elements=doubles)))
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+        ]
+        params[0][0][0] = self.EDGE_DOUBLES
+        model = manual_model(params, ("relu",) * (len(params) - 1) + ("softmax",))
+        loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        for before, after in zip(model.layers, loaded.layers, strict=True):
+            assert after.weights.tobytes() == before.weights.tobytes()
+            assert after.biases.tobytes() == before.biases.tobytes()
+
+    # sha256 of the model_to_dict JSON of the two fits of
+    # test_weights_match_the_recorded_bytes: pins the byte order, the base64
+    # alphabet and the key order of the model files
+    MODEL_JSON_SHA256 = "98770f1868ddc9aa6bb6582548bd8c28ef4b6286fff7931386010ba2b8dc45a8"
+
+    def test_model_json_matches_the_recorded_bytes(self):
+        x, y = blob_data(d=18, classes=4)
+        clf = train_classifier(x, y, MlpConfig((18, 8, 4)),
+                               TrainConfig(epochs=3, batch_size=16, seed=21))
+        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
+                               TrainConfig(epochs=2, batch_size=16, seed=4))
+        text = json.dumps([model_to_dict(clf), model_to_dict(ae)])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.MODEL_JSON_SHA256
 
     def test_unknown_format_version_rejected(self):
         x, y = blob_data(d=18, classes=4)
