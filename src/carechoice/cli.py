@@ -345,7 +345,10 @@ def _read_features(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prepare_training(cfg: RunConfig):
-    """Split, scaler, and balanced pool: shared by both train variants."""
+    """Split, scaler, and balanced pool: shared by both train variants.
+
+    Writes nothing: `_cmd_train` writes them once the batch sizes are checked.
+    """
     x_raw, y = _read_features(cfg)
     spec = SplitSpec(
         seed=derive_seed(cfg.get_int("seed"), "split"),
@@ -360,14 +363,6 @@ def _prepare_training(cfg: RunConfig):
         required_classes=range(N_LEVELS),
     )
     balanced_idx = train_idx[balanced_rel]
-
-    _write_json(cfg, SPLIT_JSON, {
-        "train": [int(i) for i in train_idx],
-        "test": [int(i) for i in test_idx],
-        "train_fraction": spec.train_fraction,
-    })
-    _write_json(cfg, SCALER_JSON, scaler.to_dict())
-    _write_json(cfg, BALANCED_JSON, {"indices": [int(i) for i in balanced_idx]})
     return x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec
 
 
@@ -419,20 +414,30 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     y_balanced = y[balanced_idx]
     train_cfg = _train_config(cfg, "train", "train")
     folds = kfold_indices(x_balanced.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
-    # each fit checks its own batch size, but the final fit runs first and
-    # longest, so the smallest fold is checked before any fit starts
+    # each fit checks its own batch size, but only once the split files are
+    # written and the fits before it have run, so both batch sizes are
+    # checked here first, the classifier's against the smallest fold
     fold_no, fit_rows = min(enumerate((fit.size for fit, _ in folds), 1), key=lambda f: f[1])
     if train_cfg.batch_size > fit_rows:
         raise ConfigError(f"train.batch_size {train_cfg.batch_size} exceeds the {fit_rows} rows "
                           f"that fold {fold_no} of {spec.folds} fits on")
+    if with_ae:
+        ae_cfg = _train_config(cfg, "ae", "ae")
+        if ae_cfg.batch_size > train_idx.size:
+            raise ConfigError(f"ae.batch_size {ae_cfg.batch_size} exceeds the {train_idx.size} "
+                              "training rows the autoencoder fits on")
+
+    _write_json(cfg, SPLIT_JSON, {
+        "train": [int(i) for i in train_idx],
+        "test": [int(i) for i in test_idx],
+        "train_fraction": spec.train_fraction,
+    })
+    _write_json(cfg, SCALER_JSON, scaler.to_dict())
+    _write_json(cfg, BALANCED_JSON, {"indices": [int(i) for i in balanced_idx]})
 
     ae_model = None
     if with_ae:
-        ae_model = train_autoencoder(
-            scaler.transform(x_raw[train_idx]),
-            AeConfig(),
-            _train_config(cfg, "ae", "ae"),
-        )
+        ae_model = train_autoencoder(scaler.transform(x_raw[train_idx]), AeConfig(), ae_cfg)
         ae_path = cfg.run_dir / AE_MODEL_JSON
         _write_json(cfg, AE_MODEL_JSON, model_to_dict(ae_model))
         print(f"autoencoder: final reconstruction loss {ae_model.final_loss:.6f} -> {ae_path}")

@@ -22,7 +22,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -262,8 +262,10 @@ def n_parameters(model: TrainedModel) -> int:
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of the pre-activation `z`, written over `z` except
+    for softmax, whose logits the cross-entropy still reads."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         # SciPy's expit, not 1 / (1 + np.exp(-z)): numpy's vectorised exp can
         # differ from it in the last bit, which would change trained models;
@@ -274,7 +276,7 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
             raise MissingDependencyError(
                 "the autoencoder's sigmoid layer needs SciPy; install carechoice[ae]"
             ) from exc
-        return expit(z)
+        return expit(z, out=z)
     if name == "linear":
         return z
     if name == "softmax":
@@ -284,34 +286,34 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Derivative w.r.t. z, expressed with whichever of z/a is cheaper.
+def _times_activation_grad(name: str, da: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """`da` times the activation's derivative, written over `da`; `a` is the
+    layer's activation, from which each derivative is read."""
     if name == "relu":
-        return (z > 0).astype(np.float64)
+        # a > 0 exactly where z > 0, and a bool multiplies as exactly 1.0 or 0.0
+        return np.multiply(da, a > 0, out=da)
     if name == "sigmoid":
-        return a * (1.0 - a)
+        da *= a * (1.0 - a)
+        return da
     if name == "linear":
-        return np.ones_like(z)
+        return da
     raise ValueError(f"no elementwise gradient for activation {name!r}")
 
 
-def _forward_pass(
-    layers: Sequence, activations: Sequence[str], x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return (pre-activations per layer, activations including the input).
+def _layer_outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray):
+    """Yield each layer's (pre-activation, activation) for the rows `x`.
 
     Accepts anything with .weights/.biases so the SGD scratch layers and
-    the immutable LayerParams both work.
+    the immutable LayerParams both work. The activation overwrites the
+    pre-activation (see `_activate`), so only a softmax layer's
+    pre-activation survives as its own array.
     """
     a = x
-    zs: list[np.ndarray] = []
-    acts: list[np.ndarray] = [x]
     for layer, name in zip(layers, activations):
-        z = a @ layer.weights.T + layer.biases
-        zs.append(z)
+        z = a @ layer.weights.T
+        z += layer.biases
         a = _activate(name, z)
-        acts.append(a)
-    return zs, acts
+        yield z, a
 
 
 def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -324,15 +326,12 @@ def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> tuple[np.ndarray, 
 
 
 def _outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pre-activation, activation) of the last layer.
-
-    The same arithmetic as `_forward_pass`, holding only the current
-    layer's arrays, so a pass over a whole training set stays small.
-    """
+    """(pre-activation, activation) of the last layer, as `_layer_outputs`
+    gives them, holding only the current layer's arrays, so a pass over a
+    whole training set stays small."""
     z = a = x
-    for layer, name in zip(layers, activations):
-        z = a @ layer.weights.T + layer.biases
-        a = _activate(name, z)
+    for z, a in _layer_outputs(layers, activations, x):
+        pass
     return z, a
 
 
@@ -383,19 +382,29 @@ def _loss(layers: Sequence, activations: Sequence[str], x: np.ndarray, targets: 
     return float(np.mean((out - np.asarray(targets, dtype=np.float64)) ** 2))
 
 
-def _gradients(
+def _backprop(
     layers: Sequence,
     activations: Sequence[str],
     x: np.ndarray,
     targets: np.ndarray,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
-    """Analytic (dW, db) per layer for the mean loss over the batch, and
-    that mean loss, read off the same forward pass (the `_loss` value)."""
-    zs, acts = _forward_pass(layers, activations, x)
+    weight_grads: Sequence[np.ndarray],
+    take: Callable[[int, np.ndarray, np.ndarray], None],
+) -> float:
+    """The mean loss over the batch, read off the forward pass (the `_loss`
+    value), and its analytic gradients.
+
+    Layer i's (dW, db) go to `take(i, dW, db)`, last layer first, once
+    backprop has read layer i's weights, so `take` may update the layer in
+    place while the next one's weights are still in cache. dW is written
+    into `weight_grads[i]`, which a fit allocates once.
+    """
+    acts = [x]
+    for z, a in _layer_outputs(layers, activations, x):
+        acts.append(a)
     n = x.shape[0]
     out = acts[-1]
     if activations[-1] == "softmax":
-        loss = _cross_entropy(zs[-1], targets)
+        loss = _cross_entropy(z, targets)
         # Softmax and cross-entropy fused: dL/dz = (p - onehot) / n.
         onehot = np.zeros_like(out)
         onehot[np.arange(n), np.asarray(targets, dtype=np.int64)] = 1.0
@@ -404,16 +413,17 @@ def _gradients(
         d = out.shape[1]
         diff = out - np.asarray(targets, dtype=np.float64)
         loss = float(np.mean(diff**2))
-        dout = diff * (2.0 / (n * d))
-        dz = dout * _activation_grad(activations[-1], zs[-1], out)
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+        diff *= 2.0 / (n * d)
+        dz = _times_activation_grad(activations[-1], diff, out)
     for i in reversed(range(len(layers))):
-        grads.append((dz.T @ acts[i], dz.sum(axis=0)))
+        dw = np.matmul(dz.T, acts[i], out=weight_grads[i])
+        db = dz.sum(axis=0)
         if i > 0:
             da = dz @ layers[i].weights
-            dz = da * _activation_grad(activations[i - 1], zs[i - 1], acts[i])
-    grads.reverse()
-    return grads, loss
+        take(i, dw, db)
+        if i > 0:
+            dz = _times_activation_grad(activations[i - 1], da, acts[i])
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +480,15 @@ def _run_sgd(
         raise TrainingDivergedError(0, kind)
 
     lr = config.learning_rate
+
+    def update(i: int, dw: np.ndarray, db: np.ndarray) -> None:
+        # in place: the same roundings as `w -= lr * dw`, one temporary fewer
+        dw *= lr
+        db *= lr
+        layers[i].weights -= dw
+        layers[i].biases -= db
+
+    weight_grads = [np.empty_like(layer.weights) for layer in layers]
     trace: list[float] = []
     # divergence is detected by the finiteness checks below, so the overflow
     # warnings numpy would raise on the way there are just noise
@@ -479,14 +498,8 @@ def _run_sgd(
             total = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                grads, loss = _gradients(layers, activations, x[idx], targets[idx])
+                loss = _backprop(layers, activations, x[idx], targets[idx], weight_grads, update)
                 total += loss * idx.size
-                for layer, (dw, db) in zip(layers, grads):
-                    # in place: the same roundings as `w -= lr * dw`, one temporary fewer
-                    dw *= lr
-                    db *= lr
-                    layer.weights -= dw
-                    layer.biases -= db
             if not np.isfinite(total):
                 raise TrainingDivergedError(epoch, kind)
             trace.append(total / n)
@@ -605,7 +618,10 @@ def gradient_check(
     layers = [
         LayerParams(weights=p.weights.copy(), biases=p.biases.copy()) for p in model.layers
     ]
-    analytic, _ = _gradients(layers, model.activations, x, targets)
+    analytic: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    _backprop(layers, model.activations, x, targets,
+              [np.empty_like(layer.weights) for layer in layers],
+              lambda i, dw, db: analytic.__setitem__(i, (dw, db)))
 
     worst = 0.0
     for li, layer in enumerate(layers):

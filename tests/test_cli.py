@@ -737,6 +737,23 @@ class TestExitCodes:
         assert f"exceeds the {fit_rows} rows that fold " in capsys.readouterr().err
         assert not list(run.glob("classifier_*.json"))
 
+    def test_ae_batch_size_over_the_training_rows_exits_three_before_any_write(
+            self, trained_run, tmp_path, capsys, monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        train_rows = len(json.loads((run / SPLIT_JSON).read_text())["train"])
+        for name in (SPLIT_JSON, SCALER_JSON, BALANCED_JSON):
+            (run / name).unlink()
+        monkeypatch.setattr(cli, "train_autoencoder", lambda *args: pytest.fail("a fit started"))
+        capsys.readouterr()
+        rc = cli.main(["train", "--ae", "--set", f"run_dir={run}",
+                       "--set", f"data_dir={trained_run / 'data'}",
+                       "--set", "train.folds=2", "--set", f"ae.batch_size={train_rows + 1}"])
+        assert rc == EXIT_CONFIG
+        assert (f"ae.batch_size {train_rows + 1} exceeds the {train_rows} training rows"
+                in capsys.readouterr().err)
+        assert not any((run / name).exists() for name in (SPLIT_JSON, SCALER_JSON, BALANCED_JSON))
+
     def cut_short(self, text):
         return text[: len(text) // 2]
 

@@ -187,25 +187,34 @@ class TestForwardMath:
 
     def test_loss_and_outputs_match_the_forward_pass_bit_for_bit(self):
         # _loss, forward, forward_logits and encode keep one layer's arrays at
-        # a time; their values must be those read off _forward_pass's arrays
+        # a time; their values must be those read off the arrays of every
+        # layer that backprop keeps, and backprop's loss must be _loss
         x, y = blob_data(n=300, d=18, classes=4)
         clf = train_classifier(x, y, MlpConfig((18, 32, 16, 4)),
                                TrainConfig(epochs=2, batch_size=16, seed=3))
-        zs, acts = neuralnet._forward_pass(clf.layers, clf.activations, x)
-        m = zs[-1].max(axis=1, keepdims=True)
-        log_probs = zs[-1] - (m + np.log(np.exp(zs[-1] - m).sum(axis=1, keepdims=True)))
-        assert neuralnet._loss(clf.layers, clf.activations, x, y) == float(
-            -log_probs[np.arange(y.size), y].mean()
-        )
-        assert np.array_equal(forward(clf, x), acts[-1])
-        assert np.array_equal(forward_logits(clf, x), zs[-1])
+        logits, probs = list(neuralnet._layer_outputs(clf.layers, clf.activations, x))[-1]
+        m = logits.max(axis=1, keepdims=True)
+        log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+        loss = neuralnet._loss(clf.layers, clf.activations, x, y)
+        assert loss == float(-log_probs[np.arange(y.size), y].mean())
+        assert loss == self.backprop_loss(clf, x, y)
+        assert np.array_equal(forward(clf, x), probs)
+        assert np.array_equal(forward_logits(clf, x), logits)
 
         ae = train_autoencoder(x, AeConfig((18, 24, 8), (8, 24, 18)),
                                TrainConfig(epochs=2, batch_size=16, seed=3))
-        _, acts = neuralnet._forward_pass(ae.layers, ae.activations, x)
-        assert neuralnet._loss(ae.layers, ae.activations, x, x) == float(np.mean((acts[-1] - x) ** 2))
+        acts = [a for _, a in neuralnet._layer_outputs(ae.layers, ae.activations, x)]
+        loss = neuralnet._loss(ae.layers, ae.activations, x, x)
+        assert loss == float(np.mean((acts[-1] - x) ** 2))
+        assert loss == self.backprop_loss(ae, x, x)
         assert np.array_equal(forward(ae, x), acts[-1])
-        assert np.array_equal(encode(ae, x), acts[ae.n_encoder_layers])
+        assert np.array_equal(encode(ae, x), acts[ae.n_encoder_layers - 1])
+
+    @staticmethod
+    def backprop_loss(model, x, targets):
+        grads = [np.empty_like(layer.weights) for layer in model.layers]
+        return neuralnet._backprop(model.layers, model.activations, x, targets, grads,
+                                   lambda i, dw, db: None)
 
     def test_encode_is_sigmoid_bounded(self):
         x, _ = blob_data(d=18)
@@ -233,6 +242,21 @@ class TestGradients:
         ae = AeConfig((6, 4, 2), (2, 4, 6))
         model = train_autoencoder(x, ae, TrainConfig(epochs=1, batch_size=5))
         assert gradient_check(model, x, x) < 1e-4
+
+    def test_checks_the_backprop_that_sgd_runs(self, monkeypatch):
+        calls = []
+        backprop = neuralnet._backprop
+
+        def recording(*args):
+            calls.append(args[0])
+            return backprop(*args)
+
+        monkeypatch.setattr(neuralnet, "_backprop", recording)
+        x, y = blob_data(n=20, d=6, classes=3, seed=1)
+        model = train_classifier(x, y, MlpConfig((6, 5, 3)), TrainConfig(epochs=1, batch_size=10))
+        assert len(calls) == 2  # one call per batch
+        assert gradient_check(model, x, y) < 1e-4
+        assert len(calls) == 3
 
     def test_refuses_large_models(self):
         x, y = blob_data(d=18, classes=4)
@@ -307,6 +331,29 @@ class TestTraining:
             digest.update(layer.biases.tobytes())
         assert digest.hexdigest() == self.WEIGHTS_SHA256
 
+    # sha256 of the weights and biases, the initial loss and the loss trace
+    # of the default-shaped fits below, recorded before the SGD step reused
+    # its gradient buffers and updated each layer as backprop passed it
+    DEFAULT_SHAPE_FITS = {
+        "autoencoder": ("121970e14876c95606babf4280e219a9cc48694ac4a04a3e15c1c017992bc4ca",
+                        14.378386242097086, (14.103537542716294,)),
+        "classifier": ("e5b9f4274d7bde4efd446b499ba224f9f51472322b0eefb13007967508b46f01",
+                       1.3269303342963668, (1.3011524818157592, 1.2341701055052086)),
+    }
+
+    def test_default_shapes_match_the_recorded_bytes(self):
+        x, _ = blob_data(n=150, d=18, classes=4)  # the last batch of 16 has 6 rows
+        ae = train_autoencoder(x, AeConfig(), TrainConfig(epochs=1, batch_size=16, seed=5))
+        x, y = blob_data(n=300, d=18, classes=4, seed=1)  # the last batch of 64 has 44
+        clf = train_classifier(x, y, MlpConfig(), TrainConfig(epochs=2, batch_size=64, seed=6))
+        for model in (ae, clf):
+            digest = hashlib.sha256()
+            for layer in model.layers:
+                digest.update(layer.weights.tobytes())
+                digest.update(layer.biases.tobytes())
+            assert (digest.hexdigest(), model.initial_loss, model.loss_trace) == \
+                self.DEFAULT_SHAPE_FITS[model.kind]
+
     def test_divergence_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "classifier")))
         assert isinstance(err, TrainingDivergedError)
@@ -342,13 +389,13 @@ print(hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest())
 class TestBlasThreads:
     def test_fit_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
         seen = []
-        gradients = neuralnet._gradients
+        backprop = neuralnet._backprop
 
         def recording(*args):
             seen.append(blas_threads())
-            return gradients(*args)
+            return backprop(*args)
 
-        monkeypatch.setattr(neuralnet, "_gradients", recording)
+        monkeypatch.setattr(neuralnet, "_backprop", recording)
         before = blas_threads()
         x, y = blob_data(d=6, classes=3)
         train_classifier(x, y, MlpConfig((6, 5, 3)), TrainConfig(epochs=2, batch_size=16))
