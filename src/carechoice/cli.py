@@ -517,9 +517,17 @@ def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
 
 
 def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
+    # checked before any artifact is read, and each by its key: a bad value
+    # would otherwise fail deep inside, some only in a pool worker
+    for key, allowed in (("explain.method", ("exact", "sampled")),
+                         ("explain.background_mode", ("mean", "samples")),
+                         ("explain.output", ("probability", "logit"))):
+        if cfg.get_str(key) not in allowed:
+            raise ConfigError(f"config key {key} must be {' or '.join(allowed)}, got {cfg.get_str(key)!r}")
+    for key in ("explain.n_permutations", "explain.n_instances", "explain.background_size"):
+        if cfg.get_int(key) < 1:
+            raise ConfigError(f"config key {key} must be at least 1, got {cfg.get_int(key)}")
     method = cfg.get_str("explain.method")
-    if method not in ("exact", "sampled"):
-        raise ConfigError(f"config key explain.method must be exact or sampled, got {method!r}")
     x_raw, _, train_idx, test_idx, scaler = _load_eval_inputs(cfg)
     model, ae_model = _load_variant_models(cfg, with_ae)
 

@@ -29,7 +29,14 @@ import numpy as np
 from .domain import N_LEVELS
 from .features import N_FEATURES
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+
+# A fit skips its full-set guard pass when `_bounded` proves every forward
+# value, and each output's distance from its target, below this bound in
+# magnitude. Then a squared error is under 1e200, and the n * d of them sum
+# to under 1e200 * n * d, which cannot overflow float64 (1.8e308) for any
+# n * d below 1e108; a softmax cross-entropy is under 2e100 + log(d) a row.
+_FINITE_BOUND = 1e100
 
 
 class MissingDependencyError(Exception):
@@ -211,8 +218,7 @@ class TrainedModel:
 
     `loss_trace[e]` is the row-weighted mean of the batch losses of epoch
     e+1, each taken on the weights before that batch's update, so the
-    trace always has exactly `config.epochs` entries; `initial_loss` is
-    the full-training-set loss before any update.
+    trace always has exactly `config.epochs` entries.
     """
 
     kind: str  # "classifier" | "autoencoder"
@@ -220,7 +226,6 @@ class TrainedModel:
     activations: tuple[str, ...]
     layers: tuple[LayerParams, ...]
     config: TrainConfig
-    initial_loss: float
     loss_trace: tuple[float, ...]
     n_encoder_layers: Optional[int] = None  # autoencoder only
 
@@ -250,7 +255,8 @@ class TrainedModel:
 
     @property
     def final_loss(self) -> float:
-        return self.loss_trace[-1] if self.loss_trace else self.initial_loss
+        """The last epoch's mean batch loss; NaN for a model of 0 epochs."""
+        return self.loss_trace[-1] if self.loss_trace else float("nan")
 
 
 def n_parameters(model: TrainedModel) -> int:
@@ -382,6 +388,28 @@ def _loss(layers: Sequence, activations: Sequence[str], x: np.ndarray, targets: 
     return float(np.mean((out - np.asarray(targets, dtype=np.float64)) ** 2))
 
 
+def _bounded(layers: Sequence, activations: Sequence[str], x: np.ndarray, targets: np.ndarray) -> bool:
+    """True when the weights prove every forward value over the rows `x`
+    below _FINITE_BOUND, and so `_loss` finite, in O(parameters).
+
+    An interval bound on |value|, carried layer by layer: |z| <= B times the
+    largest row sum of |W|, plus max|b|, and a sigmoid resets B to 1. Every
+    layer is checked: a sigmoid maps any input into [0, 1] but a NaN, which
+    an overflow in a layer before it gives through 0 * inf. A NaN or
+    infinite weight fails the comparison, so False only means "not proven".
+    """
+    bound = np.abs(x).max()
+    for layer, name in zip(layers, activations):
+        bound = np.abs(layer.weights).sum(axis=1).max() * bound + np.abs(layer.biases).max()
+        if not bound < _FINITE_BOUND:
+            return False
+        if name == "sigmoid":
+            bound = 1.0
+    if activations[-1] != "softmax":
+        bound += np.abs(targets).max()  # the squared error's other term
+    return bool(bound < _FINITE_BOUND)
+
+
 def _backprop(
     layers: Sequence,
     activations: Sequence[str],
@@ -475,10 +503,6 @@ def _run_sgd(
         for p in _init_layers(layer_sizes, rng)
     ]
 
-    initial_loss = _loss(layers, activations, x, targets)
-    if not np.isfinite(initial_loss):
-        raise TrainingDivergedError(0, kind)
-
     lr = config.learning_rate
 
     def update(i: int, dw: np.ndarray, db: np.ndarray) -> None:
@@ -503,9 +527,10 @@ def _run_sgd(
             if not np.isfinite(total):
                 raise TrainingDivergedError(epoch, kind)
             trace.append(total / n)
-        # each batch loss is taken before its batch's update, so only a pass
-        # over the whole set sees what the last update did
-        if config.epochs and not np.isfinite(_loss(layers, activations, x, targets)):
+        # each batch loss is taken before its batch's update, so what the last
+        # update did is proven finite from the weights, or else by a full pass
+        if (config.epochs and not _bounded(layers, activations, x, targets)
+                and not np.isfinite(_loss(layers, activations, x, targets))):
             raise TrainingDivergedError(config.epochs, kind)
 
     return TrainedModel(
@@ -514,7 +539,6 @@ def _run_sgd(
         activations=activations,
         layers=tuple(LayerParams(weights=l.weights, biases=l.biases) for l in layers),
         config=config,
-        initial_loss=initial_loss,
         loss_trace=tuple(trace),
         n_encoder_layers=n_encoder_layers,
     )
@@ -664,7 +688,6 @@ def model_to_dict(model: TrainedModel) -> dict:
         "activations": list(model.activations),
         "n_encoder_layers": model.n_encoder_layers,
         "config": asdict(model.config),
-        "initial_loss": model.initial_loss,
         "loss_trace": list(model.loss_trace),
         "layers": [
             {"weights": _encode(layer.weights), "biases": _encode(layer.biases)}
@@ -692,7 +715,6 @@ def model_from_dict(d: dict) -> TrainedModel:
             for layer, fan_in, fan_out in zip(d["layers"], sizes[:-1], sizes[1:], strict=True)
         ),
         config=TrainConfig(**d["config"]),
-        initial_loss=d["initial_loss"],
         loss_trace=tuple(d["loss_trace"]),
         n_encoder_layers=d["n_encoder_layers"],
     )

@@ -636,11 +636,20 @@ class TestExitCodes:
         assert cli.main(["synth", "--set", "no_such_key=1"]) == EXIT_CONFIG
         assert cli.main(["synth", "--set", "garbage"]) == EXIT_CONFIG
 
-    def test_unknown_explain_method_exits_three_before_reading_artifacts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param("method=kernel", "must be exact or sampled, got 'kernel'", id="method=kernel"),
+        pytest.param("background_mode=foo", "must be mean or samples, got 'foo'", id="background_mode=foo"),
+        pytest.param("output=odds", "must be probability or logit, got 'odds'", id="output=odds"),
+        pytest.param("n_instances=0", "must be at least 1, got 0", id="n_instances=0"),
+        pytest.param("n_instances=-1", "must be at least 1, got -1", id="n_instances=-1"),
+        pytest.param("n_permutations=0", "must be at least 1, got 0", id="n_permutations=0"),
+        pytest.param("background_size=0", "must be at least 1, got 0", id="background_size=0"),
+    ])
+    def test_bad_explain_value_exits_three_before_reading_artifacts(self, tmp_path, capsys, setting, message):
         base = ["--set", f"run_dir={tmp_path/'run'}", "--set", f"data_dir={tmp_path/'data'}"]
-        assert cli.main(["explain", "--no-ae", *base, "--set", "explain.method=kernel"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "explain.method must be exact or sampled, got 'kernel'" in err
+        assert cli.main(["explain", "--no-ae", *base, "--set", f"explain.{setting}"]) == EXIT_CONFIG
+        key = setting.split("=")[0]
+        assert f"config key explain.{key} {message}" in capsys.readouterr().err
 
     def test_invalid_cohort_parameters_exit_three(self, tmp_path):
         base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path/'d'}"]
@@ -754,6 +763,21 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not any((run / name).exists() for name in (SPLIT_JSON, SCALER_JSON, BALANCED_JSON))
 
+    def test_ae_divergence_in_its_only_batch_exits_six_and_writes_no_model(
+            self, trained_run, tmp_path, capsys):
+        # one batch, one epoch: no batch loss sees the update, so the full-set
+        # pass after the last epoch is what catches it
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        train_rows = len(json.loads((run / SPLIT_JSON).read_text())["train"])
+        rc = cli.main(["train", "--ae", "--set", f"run_dir={run}",
+                       "--set", f"data_dir={trained_run / 'data'}", "--set", "train.folds=2",
+                       "--set", "ae.epochs=1", "--set", f"ae.batch_size={train_rows}",
+                       "--set", "ae.learning_rate=1e305"])
+        assert rc == EXIT_DIVERGED
+        assert "autoencoder training diverged at epoch 1" in capsys.readouterr().err
+        assert not (run / AE_MODEL_JSON).exists()
+
     def cut_short(self, text):
         return text[: len(text) // 2]
 
@@ -767,6 +791,9 @@ class TestExitCodes:
 
     def format_version_2(self, text):
         return json.dumps({**json.loads(text), "format_version": 2})
+
+    def format_version_3(self, text):
+        return json.dumps({**json.loads(text), "format_version": 3})
 
     def edit_first_weights(self, text, edit):
         model = json.loads(text)
@@ -791,7 +818,8 @@ class TestExitCodes:
         return "[1, 2]"
 
     @pytest.mark.parametrize("damage", [
-        "cut_short", "drop_layers", "format_version_1", "format_version_2", "not_an_object",
+        "cut_short", "drop_layers", "format_version_1", "format_version_2", "format_version_3",
+        "not_an_object",
         "weights_not_base64", "weights_cut_short", "weights_decode_to_nan",
     ])
     def test_unreadable_model_exits_five(self, trained_run, tmp_path, capsys, damage):

@@ -1,5 +1,6 @@
 """From-scratch networks: initialization, forward math, gradients, SGD."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -55,7 +56,7 @@ def manual_model(weights_list, activations, kind="classifier", n_enc=None):
     sizes = (layers[0].in_dim,) + tuple(l.out_dim for l in layers)
     return TrainedModel(
         kind=kind, layer_sizes=sizes, activations=activations, layers=layers,
-        config=TrainConfig(), initial_loss=0.0, loss_trace=(),
+        config=TrainConfig(), loss_trace=(),
         n_encoder_layers=n_enc,
     )
 
@@ -100,6 +101,38 @@ def initial_classifier(seed, x=None, y=None, epochs=0):
     return train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
 
 
+def initial_loss(fit, *args, config: TrainConfig):
+    """`_loss` over the rows of the layers that `fit(*args, config)` starts
+    from: the layers of the same fit at 0 epochs."""
+    x, targets = args[0], (args[1] if fit is train_classifier else args[0])
+    model = fit(*args, dataclasses.replace(config, epochs=0))
+    return neuralnet._loss(model.layers, model.activations, x, targets)
+
+
+def first_batch(monkeypatch):
+    """A dict that receives the first SGD batch's weights (copied before its
+    update), rows, targets and loss."""
+    seen = {}
+    backprop = neuralnet._backprop
+
+    def recording(layers, activations, x, targets, *args):
+        weights = [layer.weights.copy() for layer in layers]
+        loss = backprop(layers, activations, x, targets, *args)
+        if not seen:
+            seen.update(weights=weights, x=x, targets=targets, loss=loss)
+        return loss
+
+    monkeypatch.setattr(neuralnet, "_backprop", recording)
+    return seen
+
+
+def starts_from(model, batch) -> bool:
+    """Whether the recorded first batch read `model`'s layers: its weights,
+    and the `_loss` of those layers over its rows."""
+    return (all(np.array_equal(w, layer.weights) for w, layer in zip(batch["weights"], model.layers, strict=True))
+            and neuralnet._loss(model.layers, model.activations, batch["x"], batch["targets"]) == batch["loss"])
+
+
 class TestInitialization:
     def test_fan_in_bound_and_zero_biases(self):
         layers = initial_classifier(seed=0).layers
@@ -114,24 +147,25 @@ class TestInitialization:
         assert all(np.array_equal(x.weights, y.weights) for x, y in zip(a, b))
         assert not np.array_equal(a[0].weights, c[0].weights)
 
-    def test_zero_epoch_training_equals_initialization(self):
+    def test_zero_epoch_training_equals_initialization(self, monkeypatch):
         x, y = blob_data(d=18, classes=4)
         model = initial_classifier(seed=9, x=x, y=y)
         assert model.loss_trace == ()
-        assert model.final_loss == model.initial_loss
-        assert neuralnet._loss(model.layers, model.activations, x, y) == model.initial_loss
+        assert math.isnan(model.final_loss)
+        batch = first_batch(monkeypatch)
         trained = initial_classifier(seed=9, x=x, y=y, epochs=2)
-        assert trained.initial_loss == model.initial_loss
+        assert starts_from(model, batch)
         assert not np.array_equal(trained.layers[0].weights, model.layers[0].weights)
 
-    def test_zero_epoch_autoencoder_matches_too(self):
+    def test_zero_epoch_autoencoder_matches_too(self, monkeypatch):
         x, _ = blob_data(d=18)
         ae = AeConfig((18, 6, 3), (3, 6, 18))
         model = train_autoencoder(x, ae, TrainConfig(epochs=0, seed=4, batch_size=16))
         assert model.loss_trace == ()
-        assert neuralnet._loss(model.layers, model.activations, x, x) == model.initial_loss
-        trained = train_autoencoder(x, ae, TrainConfig(epochs=1, seed=4, batch_size=16))
-        assert trained.initial_loss == model.initial_loss
+        assert math.isnan(model.final_loss)
+        batch = first_batch(monkeypatch)
+        train_autoencoder(x, ae, TrainConfig(epochs=1, seed=4, batch_size=16))
+        assert starts_from(model, batch)
 
 
 class TestForwardMath:
@@ -268,19 +302,19 @@ class TestGradients:
 class TestTraining:
     def test_loss_decreases_on_separable_data(self):
         x, y = blob_data(n=200, d=6, classes=3, seed=3)
-        model = train_classifier(x, y, MlpConfig((6, 16, 3)),
-                                 TrainConfig(epochs=25, batch_size=16, seed=0))
+        cfg = TrainConfig(epochs=25, batch_size=16, seed=0)
+        model = train_classifier(x, y, MlpConfig((6, 16, 3)), cfg)
         assert len(model.loss_trace) == 25
-        assert model.final_loss < model.initial_loss / 3
+        assert model.final_loss < initial_loss(train_classifier, x, y, MlpConfig((6, 16, 3)), config=cfg) / 3
         labels, _ = predict_batch(model, x)
         assert np.mean(labels == y) > 0.9
 
     def test_autoencoder_reconstruction_improves(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=(150, 6))
-        model = train_autoencoder(x, AeConfig((6, 8, 4), (4, 8, 6)),
-                                  TrainConfig(epochs=30, batch_size=10, learning_rate=0.3))
-        assert model.final_loss < model.initial_loss
+        ae, cfg = AeConfig((6, 8, 4), (4, 8, 6)), TrainConfig(epochs=30, batch_size=10, learning_rate=0.3)
+        model = train_autoencoder(x, ae, cfg)
+        assert model.final_loss < initial_loss(train_autoencoder, x, ae, config=cfg)
 
     def test_same_seed_reproduces_bit_exactly(self):
         x, y = blob_data(d=18, classes=4)
@@ -311,9 +345,10 @@ class TestTraining:
     def test_one_batch_epoch_traces_the_initial_loss(self):
         # the batch loss is taken before the update, on every row
         x, y = blob_data(d=18, classes=4)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)),
-                                 TrainConfig(epochs=1, batch_size=len(x), seed=2))
-        assert model.loss_trace[0] == pytest.approx(model.initial_loss, abs=1e-12)
+        cfg = TrainConfig(epochs=1, batch_size=len(x), seed=2)
+        model = train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
+        assert model.loss_trace[0] == pytest.approx(
+            initial_loss(train_classifier, x, y, MlpConfig((18, 8, 4)), config=cfg), abs=1e-12)
 
     # sha256 of the weights and biases of the two fits below, recorded before
     # the trace came from batch losses: tracing must not move a weight bit
@@ -331,9 +366,10 @@ class TestTraining:
             digest.update(layer.biases.tobytes())
         assert digest.hexdigest() == self.WEIGHTS_SHA256
 
-    # sha256 of the weights and biases, the initial loss and the loss trace
-    # of the default-shaped fits below, recorded before the SGD step reused
-    # its gradient buffers and updated each layer as backprop passed it
+    # sha256 of the weights and biases, the loss of the initial layers (the
+    # `initial_loss` that model files once held) and the loss trace of the
+    # default-shaped fits below, recorded before the SGD step reused its
+    # gradient buffers and updated each layer as backprop passed it
     DEFAULT_SHAPE_FITS = {
         "autoencoder": ("121970e14876c95606babf4280e219a9cc48694ac4a04a3e15c1c017992bc4ca",
                         14.378386242097086, (14.103537542716294,)),
@@ -343,16 +379,17 @@ class TestTraining:
 
     def test_default_shapes_match_the_recorded_bytes(self):
         x, _ = blob_data(n=150, d=18, classes=4)  # the last batch of 16 has 6 rows
-        ae = train_autoencoder(x, AeConfig(), TrainConfig(epochs=1, batch_size=16, seed=5))
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=5)
+        ae = (train_autoencoder(x, AeConfig(), cfg), initial_loss(train_autoencoder, x, AeConfig(), config=cfg))
         x, y = blob_data(n=300, d=18, classes=4, seed=1)  # the last batch of 64 has 44
-        clf = train_classifier(x, y, MlpConfig(), TrainConfig(epochs=2, batch_size=64, seed=6))
-        for model in (ae, clf):
+        cfg = TrainConfig(epochs=2, batch_size=64, seed=6)
+        clf = (train_classifier(x, y, MlpConfig(), cfg), initial_loss(train_classifier, x, y, MlpConfig(), config=cfg))
+        for model, loss in (ae, clf):
             digest = hashlib.sha256()
             for layer in model.layers:
                 digest.update(layer.weights.tobytes())
                 digest.update(layer.biases.tobytes())
-            assert (digest.hexdigest(), model.initial_loss, model.loss_trace) == \
-                self.DEFAULT_SHAPE_FITS[model.kind]
+            assert (digest.hexdigest(), loss, model.loss_trace) == self.DEFAULT_SHAPE_FITS[model.kind]
 
     def test_divergence_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "classifier")))
@@ -369,6 +406,89 @@ class TestTraining:
         x, _ = blob_data(n=10, d=6)
         with pytest.raises(ValueError, match="labels"):
             train_classifier(x, np.full(10, 7), MlpConfig((6, 5, 3)), TrainConfig(epochs=0))
+
+
+class TestFiniteBound:
+    """After the last epoch a fit proves the loss finite from its weights
+    (`_bounded`), and runs a full-set pass only when that proof fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_proven_loss_is_finite(self, data):
+        d, hidden, out = (data.draw(st.integers(1, 5)) for _ in range(3))
+        if data.draw(st.booleans()):
+            sizes, activations, kind = (d, hidden, out + 1), ("relu", "softmax"), "classifier"
+        else:
+            sizes, activations, kind = (d, hidden, out, hidden, d), AeConfig((d, hidden, out), (out, hidden, d)).activations, "autoencoder"
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = st.integers(-5, 160).map(lambda k: 10.0**k)
+        layers = [
+            LayerParams(rng.uniform(-1, 1, (fan_out, fan_in)) * data.draw(scale),
+                        rng.uniform(-1, 1, fan_out) * data.draw(scale))
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+        ]
+        x = rng.uniform(-1, 1, (data.draw(st.integers(1, 8)), d)) * data.draw(scale)
+        targets = rng.integers(0, sizes[-1], size=len(x)) if kind == "classifier" else x
+        with np.errstate(all="ignore"):
+            if neuralnet._bounded(layers, activations, x, targets):
+                assert np.isfinite(neuralnet._loss(layers, activations, x, targets))
+
+    @staticmethod
+    def sigmoid_after_an_overflow():
+        # the second layer overflows and the sigmoid layer's zero weights make
+        # 0 * inf = NaN, which the sigmoid keeps: its output bound of 1 needs
+        # every value before it proven finite
+        return ([(np.full((2, 2), 1e200), np.zeros(2)), (np.full((2, 2), 1e200), np.zeros(2)),
+                 (np.zeros((1, 2)), np.zeros(1)), (np.ones((2, 1)), np.zeros(2))],
+                ("relu", "relu", "sigmoid", "linear"), np.ones((1, 2)))
+
+    @staticmethod
+    def a_bias_alone():
+        return ([(np.zeros((1, 2)), np.zeros(1)), (np.zeros((2, 1)), np.full(2, 1e160))],
+                ("sigmoid", "linear"), np.ones((3, 2)))
+
+    @staticmethod
+    def targets_alone():
+        # every output is 0, but its distance from a target of 1e160 squares to inf
+        return ([(np.zeros((1, 2)), np.zeros(1)), (np.zeros((2, 1)), np.zeros(2))],
+                ("sigmoid", "linear"), np.full((3, 2), 1e160))
+
+    @pytest.mark.parametrize("case", ["sigmoid_after_an_overflow", "a_bias_alone", "targets_alone"])
+    def test_an_overflowing_loss_is_not_proven(self, case):
+        params, activations, x = getattr(self, case)()
+        layers = [LayerParams(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                  for w, b in params]
+        assert not neuralnet._bounded(layers, activations, x, x)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(neuralnet._loss(layers, activations, x, x))
+
+    def test_fits_at_the_default_shapes_run_no_full_set_pass(self, monkeypatch):
+        monkeypatch.setattr(neuralnet, "_loss", lambda *args: pytest.fail("a full-set pass ran"))
+        x, y = blob_data(n=150, d=18, classes=4)
+        train_classifier(x, y, MlpConfig(), TrainConfig(epochs=2, batch_size=16))
+        train_autoencoder(x, AeConfig(), TrainConfig(epochs=2, batch_size=16, learning_rate=0.5))
+
+    def test_finite_weights_that_overflow_the_forward_pass_are_caught(self, monkeypatch):
+        # one batch, so no batch loss sees the update; it leaves every weight
+        # finite, but their products overflow: the bound cannot prove the
+        # loss finite, and the full-set pass finds it is not
+        passes = []
+        loss = neuralnet._loss
+
+        def recording(layers, *args):
+            finite = all(np.isfinite(l.weights).all() and np.isfinite(l.biases).all() for l in layers)
+            passes.append((finite, loss(layers, *args)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(neuralnet, "_loss", recording)
+        x, y = blob_data(d=6, classes=3)
+        cfg = TrainConfig(learning_rate=1e200, epochs=1, batch_size=len(x))
+        with pytest.raises(TrainingDivergedError) as err:
+            train_classifier(x, y, MlpConfig((6, 5, 3)), cfg)
+        assert err.value.epoch == cfg.epochs
+        assert len(passes) == 1
+        finite_weights, value = passes[0]
+        assert finite_weights and not np.isfinite(value)
 
 
 # trains one classifier large enough for OpenBLAS to split its products
@@ -484,8 +604,9 @@ class TestSerialization:
 
     # sha256 of the model_to_dict JSON of the two fits of
     # test_weights_match_the_recorded_bytes: pins the byte order, the base64
-    # alphabet and the key order of the model files
-    MODEL_JSON_SHA256 = "98770f1868ddc9aa6bb6582548bd8c28ef4b6286fff7931386010ba2b8dc45a8"
+    # alphabet and the key order of the model files; re-recorded for format 4,
+    # whose JSON is format 3's with `initial_loss` deleted
+    MODEL_JSON_SHA256 = "1a11780fbdd823520a84253c2ef854be3537ce8f1231f30a47e10f613250d315"
 
     def test_model_json_matches_the_recorded_bytes(self):
         x, y = blob_data(d=18, classes=4)
