@@ -45,6 +45,7 @@ from .explain import (
 from .features import (
     FeatureFileError,
     MissingRegionError,
+    N_FEATURES,
     ScalerParams,
     build_feature_vectors,
     fit_scaler,
@@ -528,6 +529,11 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
         if cfg.get_int(key) < 1:
             raise ConfigError(f"config key {key} must be at least 1, got {cfg.get_int(key)}")
     method = cfg.get_str("explain.method")
+    exact_limit = cfg.get_int("explain.exact_limit")
+    if method == "exact" and N_FEATURES > exact_limit:
+        raise ConfigError(f"explain.method=exact enumerates 2^{N_FEATURES} coalitions, over "
+                          f"explain.exact_limit {exact_limit}; raise explain.exact_limit to "
+                          f"{N_FEATURES} or use explain.method=sampled")
     x_raw, _, train_idx, test_idx, scaler = _load_eval_inputs(cfg)
     model, ae_model = _load_variant_models(cfg, with_ae)
 
@@ -548,7 +554,7 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
         cls = int(predicted[row_no])
         if method == "exact":
             return exact_shapley(model_fn, instances[row_no], background, explained_class=cls,
-                                 exact_limit=cfg.get_int("explain.exact_limit"))
+                                 exact_limit=exact_limit)
         return sampled_shapley(
             model_fn, instances[row_no], background, explained_class=cls,
             n_permutations=cfg.get_int("explain.n_permutations"),
@@ -573,8 +579,9 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
         "instances": reports,
     })
     top3 = ", ".join(importance.ranked_names()[:3])
-    print(f"explain[{VARIANT_NAMES[with_ae]}]: {n_instances} visits on {workers} worker(s), "
-          f"top features {top3} -> {csv_path}, {json_path}")
+    model_rows = sum(att.model_rows for att in attributions)
+    print(f"explain[{VARIANT_NAMES[with_ae]}]: {n_instances} visits, {model_rows:,} model rows on "
+          f"{workers} worker(s), top features {top3} -> {csv_path}, {json_path}")
     return EXIT_OK
 
 

@@ -73,7 +73,8 @@ class Attribution:
 
     `phi_matrix` holds the contributions to every model output, one column
     per output, of which `phi` is the explained column; `global_importance`
-    reduces it, and it is not serialised.
+    reduces it. `model_rows` counts the rows the model function was given.
+    Neither is serialised.
     """
 
     feature_names: tuple[str, ...]
@@ -85,6 +86,7 @@ class Attribution:
     stderr: Optional[np.ndarray] = None
     n_permutations: Optional[int] = None
     phi_matrix: Optional[np.ndarray] = None  # (d, n_outputs)
+    model_rows: Optional[int] = None
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
@@ -160,6 +162,7 @@ def _attribution(
     fx: np.ndarray,
     explained_class: Optional[int],
     feature_names: Optional[Sequence[str]],
+    model_rows: int,
     stderr: Optional[np.ndarray] = None,
     n_permutations: Optional[int] = None,
 ) -> Attribution:
@@ -183,6 +186,7 @@ def _attribution(
         stderr=None if stderr is None else stderr[:, col],
         n_permutations=n_permutations,
         phi_matrix=phi,
+        model_rows=model_rows,
     )
 
 
@@ -245,7 +249,8 @@ def exact_shapley(
         w = weights[sizes[without]]
         delta = values[without + (1 << i)] - values[without]
         phi[i] = w @ delta
-    return _attribution("exact", phi, values[0], values[-1], explained_class, feature_names)
+    model_rows = masks.size * background.substitution_rows.shape[0]
+    return _attribution("exact", phi, values[0], values[-1], explained_class, feature_names, model_rows)
 
 
 def sampled_shapley(
@@ -260,8 +265,9 @@ def sampled_shapley(
 ) -> Attribution:
     """Monte-Carlo Shapley attribution with per-feature standard errors.
 
-    Each permutation contributes one marginal per feature at a cost of
-    d+1 model evaluations; every model output is attributed at once
+    Each permutation contributes one marginal per feature from its d+1
+    prefix coalitions; a coalition that several prefixes share is
+    evaluated once. Every model output is attributed at once
     (`phi_matrix`). `exhaustive` enumerates every permutation instead of
     sampling, which reproduces the exact values and is only allowed for
     small d.
@@ -283,10 +289,19 @@ def sampled_shapley(
     pos = np.empty_like(perms)
     np.put_along_axis(pos, perms, np.broadcast_to(np.arange(d), perms.shape), axis=1)
     # present[p, k, i]: feature i is present after k insertion steps
-    present = pos[:, np.newaxis, :] < np.arange(d + 1)[np.newaxis, :, np.newaxis]
-    values = _coalition_values(model_fn, x, background, present.reshape(-1, d))
+    present = (pos[:, np.newaxis, :] < np.arange(d + 1)[np.newaxis, :, np.newaxis]).reshape(-1, d)
+    # the prefixes repeat across permutations (every one starts empty and
+    # ends full), so each distinct coalition is evaluated once. Its key is
+    # its membership bits packed into bytes: a 1-D unique is some 25 times
+    # faster than np.unique(present, axis=0), and unlike an int64 bitmask
+    # it holds any d
+    packed = np.packbits(present, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    values = _coalition_values(model_fn, x, background, present[first])
+    model_rows = first.size * background.substitution_rows.shape[0]
     n_outputs = values.shape[1]
-    values = values.reshape(n_used, d + 1, n_outputs)
+    values = values[inverse].reshape(n_used, d + 1, n_outputs)
 
     step_marginals = np.diff(values, axis=1)  # (n_used, d, n_outputs), permutation order
     samples = np.take_along_axis(step_marginals, pos[:, :, np.newaxis], axis=1)
@@ -297,7 +312,7 @@ def sampled_shapley(
         stderr = np.full((d, n_outputs), np.nan)
     # the empty and full coalitions are identical across permutations
     return _attribution("sampled", phi, values[0, 0], values[0, -1], explained_class,
-                        feature_names, stderr, n_used)
+                        feature_names, model_rows, stderr, n_used)
 
 
 def global_importance(attributions: Sequence[Attribution]) -> GlobalImportance:

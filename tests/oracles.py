@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Optional
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, sqrt
+from statistics import fmean, stdev
 
 import numpy as np
 
@@ -247,6 +248,28 @@ def naive_permutation_shapley(model_fn, x, background_rows):
             prev = cur
         count += 1
     return phi / count
+
+
+def per_prefix_shapley(model_fn, x, background_rows, orders):
+    """Permutation-sampling Shapley estimate over the given feature orders
+    (scalar model) that evaluates every prefix of every order, repeats
+    included: (phi, stderr, base value, fx), where stderr is the sample
+    standard deviation of a feature's marginals over sqrt(len(orders))."""
+    d = len(x)
+    marginals = [[] for _ in range(d)]
+    for order in orders:
+        prefix = []
+        prev = naive_value(model_fn, x, background_rows, ())
+        for i in order:
+            prefix.append(i)
+            cur = naive_value(model_fn, x, background_rows, tuple(prefix))
+            marginals[i].append(cur - prev)
+            prev = cur
+    phi = np.array([fmean(m) for m in marginals])
+    stderr = np.array([stdev(m) / sqrt(len(orders)) for m in marginals])
+    base = naive_value(model_fn, x, background_rows, ())
+    fx = naive_value(model_fn, x, background_rows, tuple(range(d)))
+    return phi, stderr, base, fx
 
 
 def _dict_rows(path):

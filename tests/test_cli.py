@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -306,7 +307,7 @@ class TestParallelTraining:
                 assert cli.main([*stage, *base]) == EXIT_OK
             out = capsys.readouterr().out
             assert f"3 fits on {len(cpus)} worker(s)" in out
-            assert f"20 visits on {len(cpus)} worker(s)" in out
+            assert re.search(rf"20 visits, [\d,]+ model rows on {len(cpus)} worker\(s\)", out)
             outputs.append({name: (run / name).read_bytes() for name in self.OUTPUTS})
         src = str(Path(cli.__file__).resolve().parents[1])
         for threads in ("1", "2"):
@@ -367,7 +368,7 @@ class TestSinglePass:
             phi = att["phi"][att["feature_names"].index(row["feature"])]
             assert row[column] == "%.17g" % abs(phi)
 
-    def test_each_visit_is_sampled_once(self, trained, monkeypatch, tmp_path):
+    def test_each_visit_is_sampled_once(self, trained, monkeypatch, tmp_path, capsys):
         _, base = trained
         # visits are attributed in worker processes, so the count goes through a file
         log = tmp_path / "model_rows.txt"
@@ -384,19 +385,32 @@ class TestSinglePass:
             return counting
 
         monkeypatch.setattr(cli, "classifier_model_fn", counting_model_fn)
+        capsys.readouterr()
         assert cli.main(["explain", "--no-ae", *base]) == EXIT_OK
         rows = [int(line) for line in log.read_text().split()]
-        # one background row (mode mean); d + 1 coalitions per permutation
-        assert sum(rows) == 1 * self.N_PERMUTATIONS * (len(FEATURE_NAMES) + 1)
+        # the summary line reports the rows the model was given
+        assert f"1 visits, {sum(rows):,} model rows on " in capsys.readouterr().out
+        # one background row (mode mean); one row per distinct prefix of the
+        # visit's permutations, drawn from its own derived seed
+        rng = np.random.default_rng(derive_seed(0, "explain:0"))
+        perms = [rng.permutation(len(FEATURE_NAMES)).tolist() for _ in range(self.N_PERMUTATIONS)]
+        prefixes = {frozenset(p[:k]) for p in perms for k in range(len(FEATURE_NAMES) + 1)}
+        assert sum(rows) == 1 * len(prefixes)
 
     def test_an_error_in_an_explain_worker_keeps_its_exit_code(self, trained, monkeypatch, capsys):
         _, base = trained
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def failing_shapley(*args, **kwargs):
+            raise ValueError(f"attribution failed in process {os.getpid()}")
+
+        # the pool forks after the patch, so its workers run the failing version
+        monkeypatch.setattr(cli, "sampled_shapley", failing_shapley)
         capsys.readouterr()
-        # exact enumeration of 18 features is over the default limit of 12
-        assert cli.main(["explain", "--no-ae", *base, "--set", "explain.method=exact",
-                         "--set", "explain.n_instances=2"]) == EXIT_CONFIG
-        assert "18 features need 2^18 coalitions, over the exact limit 12" in capsys.readouterr().err
+        assert cli.main(["explain", "--no-ae", *base, "--set", "explain.n_instances=2"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: attribution failed in process ")
+        assert int(err.split()[-1]) != os.getpid()
 
 
 class TestFeatureFileBytes:
@@ -650,6 +664,20 @@ class TestExitCodes:
         assert cli.main(["explain", "--no-ae", *base, "--set", f"explain.{setting}"]) == EXIT_CONFIG
         key = setting.split("=")[0]
         assert f"config key explain.{key} {message}" in capsys.readouterr().err
+
+    def test_exact_method_over_the_limit_exits_three_before_reading_artifacts(
+            self, tmp_path, capsys, monkeypatch):
+        base = ["--set", f"run_dir={tmp_path/'run'}", "--set", f"data_dir={tmp_path/'data'}",
+                "--set", "explain.method=exact"]
+        monkeypatch.setattr(cli, "_load_eval_inputs", lambda cfg: pytest.fail("an artifact was read"))
+        capsys.readouterr()
+        assert cli.main(["explain", "--no-ae", *base]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: explain.method=exact enumerates 2^18 coalitions, over "
+            "explain.exact_limit 12; raise explain.exact_limit to 18 or use explain.method=sampled\n")
+        monkeypatch.undo()
+        # at the limit the check passes, and the missing artifacts are reported
+        assert cli.main(["explain", "--no-ae", *base, "--set", "explain.exact_limit=18"]) == EXIT_MISSING_ARTIFACT
 
     def test_invalid_cohort_parameters_exit_three(self, tmp_path):
         base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path/'d'}"]

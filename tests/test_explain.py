@@ -26,7 +26,7 @@ from carechoice.neuralnet import (
     train_autoencoder,
     train_classifier,
 )
-from oracles import naive_permutation_shapley, naive_shapley
+from oracles import naive_permutation_shapley, naive_shapley, per_prefix_shapley
 
 
 def linear_model(w, b=0.0):
@@ -174,6 +174,59 @@ class TestSampling:
         bg = BackgroundSet(np.zeros((1, 9)))
         with pytest.raises(ValueError, match="exhaustive"):
             sampled_shapley(fn, np.ones(9), bg, exhaustive=True)
+
+
+class CountingModel:
+    """A model function that keeps every row it is given."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = []
+
+    def __call__(self, rows):
+        self.rows.extend(map(tuple, rows))
+        return self.fn(rows)
+
+
+class TestDistinctCoalitions:
+    @pytest.mark.parametrize("d", [6, 18, 70])
+    def test_each_distinct_prefix_is_evaluated_once(self, d):
+        # generic values, so two coalitions never give the same row
+        x, bg_row = np.random.default_rng(d).uniform(size=(2, d))
+        model = CountingModel(linear_model(np.arange(1.0, d + 1)))
+        att = sampled_shapley(model, x, BackgroundSet(bg_row[np.newaxis, :]), n_permutations=40, seed=d)
+        rng = np.random.default_rng(d)
+        orders = [rng.permutation(d).tolist() for _ in range(40)]
+        prefixes = {frozenset(order[:k]) for order in orders for k in range(d + 1)}
+        assert len(set(model.rows)) == len(model.rows) == len(prefixes) == att.model_rows
+        assert len(prefixes) < 40 * (d + 1)  # at least the empty and full coalitions repeat
+        assert att.efficiency_gap <= 1e-9
+
+    def test_matches_a_reference_that_evaluates_every_prefix(self):
+        fn = small_mlp_fn(d=6, seed=61)
+        rows = np.random.default_rng(60).uniform(size=(3, 6))
+        x = np.random.default_rng(62).uniform(size=6)
+        att = sampled_shapley(fn, x, BackgroundSet(rows, mode="samples"), explained_class=1,
+                              n_permutations=50, seed=3)
+        rng = np.random.default_rng(3)
+        orders = [rng.permutation(6).tolist() for _ in range(50)]
+        phi, stderr, base, fx = per_prefix_shapley(lambda r: fn(r)[:, 1], x, rows, orders)
+        # 3 background rows times the distinct coalitions, fewer than 50 * 7
+        assert att.model_rows % 3 == 0 and att.model_rows < 3 * 50 * 7
+        assert np.abs(att.phi - phi).max() <= 1e-12
+        assert np.abs(att.stderr - stderr).max() <= 1e-12
+        assert abs(att.base_value - base) <= 1e-12
+        assert abs(att.fx - fx) <= 1e-12
+
+    def test_exhaustive_mode_evaluates_each_coalition_once(self):
+        fn = linear_model(np.arange(1.0, 9.0))
+        x, bg_row = np.random.default_rng(8).uniform(size=(2, 8))
+        bg = BackgroundSet(bg_row[np.newaxis, :])
+        model = CountingModel(fn)
+        att = sampled_shapley(model, x, bg, exhaustive=True)
+        assert att.n_permutations == math.factorial(8)
+        assert len(set(model.rows)) == len(model.rows) == att.model_rows == 2**8
+        assert exact_shapley(fn, x, bg).model_rows == 2**8
 
 
 class TestLimitsAndValidation:
