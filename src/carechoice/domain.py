@@ -83,6 +83,17 @@ def _rank(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, values), np.int32, len(values))
 
 
+def _rank_used(lookup: Sequence[str], index: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """(the values of `lookup` that `index` names, in string order; `index`
+    pointed into them). An index of -1 stays -1."""
+    used = np.flatnonzero(np.bincount(index.ravel() + 1, minlength=len(lookup) + 1)[1:])
+    names = [lookup[i] for i in used.tolist()]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    remap = np.full(len(lookup) + 1, -1, np.int64)  # the last entry serves -1
+    remap[used[order]] = np.arange(len(order))
+    return tuple(names[i] for i in order), remap[index].astype(np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class VisitTable:
     """Visits as columns, one array entry per visit.
@@ -150,6 +161,57 @@ class VisitTable:
             emergency=np.fromiter(emergency, bool, n),
         )
 
+    @classmethod
+    def from_codes(cls, patient_ids: Sequence[str], provider_ids: Sequence[str],
+                   codes: Sequence[str], patient: np.ndarray, provider: np.ndarray,
+                   day: np.ndarray, primary: np.ndarray, dx: np.ndarray, treatments: np.ndarray,
+                   triage: np.ndarray, catastrophic: np.ndarray,
+                   emergency: np.ndarray) -> "VisitTable":
+        """Build the table from integer columns that index lookups in any order.
+
+        `dx` and `treatments` hold one row of code indices per visit, padded
+        with -1; a code may repeat within a row. Only the strings the columns
+        use are ranked, and each distinct set is sorted once, so the cost per
+        visit is array work alone.
+        """
+        patient_lookup, patient = _rank_used(patient_ids, patient)
+        provider_lookup, provider = _rank_used(provider_ids, provider)
+        width = max(dx.shape[1], treatments.shape[1])
+        rows = np.full((len(dx) + len(treatments), width), -1, np.int64)
+        rows[:len(dx), :dx.shape[1]] = dx
+        rows[len(dx):, :treatments.shape[1]] = treatments
+        code_lookup, ranked = _rank_used(codes, np.concatenate([primary, rows.ravel()]))
+        primary, rows = ranked[:len(primary)], ranked[len(primary):].reshape(rows.shape)
+        # a set's key reads its distinct members ascending, then its padding,
+        # as digits (code + 1, padding 0) in base len(codes) + 1, so the keys
+        # order the sets as their member tuples compare
+        base = len(code_lookup) + 1
+        if base ** width > 2**63:
+            raise ValueError(f"sets of {width} drawn from {base - 1} codes overflow an int64 key")
+        place = base ** np.arange(width - 1, -1, -1)
+        digits = np.sort(np.where(rows < 0, base - 1, rows), axis=1)  # padding last
+        digits[:, 1:][digits[:, 1:] == digits[:, :-1]] = base - 1  # a repeat is padding
+        digits = (np.sort(digits, axis=1) + 1) % base
+        distinct, set_index = np.unique(digits @ place, return_inverse=True)
+        members = distinct[:, np.newaxis] // place % base
+        set_index = set_index.astype(np.int32)
+        return cls(
+            patient_ids=patient_lookup,
+            provider_ids=provider_lookup,
+            codes=code_lookup,
+            set_offsets=np.concatenate([[0], np.cumsum((members > 0).sum(axis=1))]).astype(np.int64),
+            set_members=(members[members > 0] - 1).astype(np.int32),
+            patient=patient,
+            provider=provider,
+            day=day.astype(np.int32),
+            primary=primary,
+            dx=set_index[:len(dx)],
+            treatments=set_index[len(dx):],
+            triage=triage.astype(np.int8),
+            catastrophic=catastrophic.astype(bool),
+            emergency=emergency.astype(bool),
+        )
+
     def __len__(self) -> int:
         return len(self.patient)
 
@@ -173,8 +235,19 @@ class VisitTable:
         return np.lexsort((~self.emergency, self.catastrophic, self.triage, self.treatments,
                            self.dx, self.primary, self.provider, self.day, self.patient))
 
+    def _in_canonical_order(self) -> bool:
+        """Whether no row sorts after the next one; cheaper than sorting."""
+        later = np.zeros(max(len(self) - 1, 0), bool)  # row i sorts after row i + 1
+        # the least significant key first, as `canonical_order` lists them
+        for key in (~self.emergency, self.catastrophic, self.triage, self.treatments,
+                    self.dx, self.primary, self.provider, self.day, self.patient):
+            a, b = key[:-1], key[1:]
+            later = np.where(a == b, later, a > b)
+        return not later.any()
+
     def sorted(self) -> "VisitTable":
-        return self.take(self.canonical_order())
+        """The table in canonical order: itself when it is already."""
+        return self if self._in_canonical_order() else self.take(self.canonical_order())
 
 
 def exclusion_masks(

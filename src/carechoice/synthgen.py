@@ -27,6 +27,7 @@ audit can be checked exactly.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
@@ -99,6 +100,10 @@ class CohortSpec:
     dirty_count: int = 0  # violations injected per exclusion type
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_patients < 1:
             raise ValueError(f"n_patients must be positive, got {self.n_patients}")
         if not 0.0 <= self.signal_strength <= 1.0:
@@ -191,6 +196,11 @@ def _choose_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cums = probs.cumsum(axis=1)
     # clip guards the case where u exceeds a cumsum that rounds below 1.0
     return np.minimum((u[:, np.newaxis] > cums).sum(axis=1), probs.shape[1] - 1)
+
+
+def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions start, start + 1, ... of each segment, segment after segment."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
 def _make_calendar() -> WorkdayCalendar:
@@ -295,24 +305,26 @@ def generate_cohort(
             pool = global_pools[level]  # nobody at that level nearby; travel
         return int(pool[rng.integers(pool.size)])
 
-    networks: list[np.ndarray] = []
+    # each alternate's level is an inverse-CDF draw against its home
+    # region's cumulative row, as `_choose_rows` draws the primary level
+    region_cums = tilt.cumsum(axis=1).tolist()
+    networks: list[list[int]] = []
     n_alternates = rng.integers(1, 5, size=n)
-    for i in range(n):
-        chosen = [_pick_provider(int(home_region[i]), int(primary_level[i]))]
-        alt_levels = _choose_rows(
-            np.broadcast_to(tilt[home_region[i]], (int(n_alternates[i]), N_LEVELS)),
-            rng.random(int(n_alternates[i])),
-        )
-        for lvl in alt_levels:
-            pick = _pick_provider(int(home_region[i]), int(lvl))
+    for region, level, n_alt in zip(home_region.tolist(), primary_level.tolist(),
+                                    n_alternates.tolist()):
+        chosen = [_pick_provider(region, level)]
+        cums = region_cums[region]
+        for u in rng.random(n_alt).tolist():
+            lvl = min(sum(u > c for c in cums), N_LEVELS - 1)
+            pick = _pick_provider(region, lvl)
             tries = 0
             while pick in chosen and tries < 8:
-                pick = _pick_provider(int(home_region[i]), int(lvl))
+                pick = _pick_provider(region, lvl)
                 tries += 1
             while pick in chosen:  # tiny pool; fall back to any distinct provider
                 pick = int(rng.integers(len(provider_ids)))
             chosen.append(pick)
-        networks.append(np.asarray(chosen))
+        networks.append(chosen)
 
     # visit-level quotas
     total_visits = int(visit_counts.sum())
@@ -340,55 +352,79 @@ def generate_cohort(
     wd_ords = np.asarray([d.toordinal() for d in all_days if calendar.entries[d]])
     we_ords = np.asarray([d.toordinal() for d in all_days if not calendar.entries[d]])
 
-    columns: dict[str, list] = {name: [] for name in (
-        "patient_ids", "provider_ids", "days", "primaries", "dx_sets", "treatment_sets",
-        "triage", "catastrophic", "emergency")}
-    no_treatment = frozenset()
-    surgery_sets = {code: frozenset({code}) for code in SURGERY_CODES}
-    cursor = 0
-    extra_cursor = 0
-    for i in range(n):
-        pid = f"P{i:06d}"
-        network = networks[i]
-        count = int(visit_counts[i])
-        to_primary = rng.random(count) < spec.loyalty
-        alt_pick = rng.integers(1, network.size, size=count) if network.size > 1 else np.zeros(count, np.int64)
-        lo = max(WINDOW_START, birth_dates[i]).toordinal()
-        lo_wd = int(np.searchsorted(wd_ords, lo))
-        lo_we = int(np.searchsorted(we_ords, lo))
-        for k in range(count):
-            v = cursor + k
-            provider_idx = network[0] if to_primary[k] else network[alt_pick[k]]
-            if workday[v]:
-                ordinal = int(wd_ords[rng.integers(lo_wd, wd_ords.size)])
-            else:
-                ordinal = int(we_ords[rng.integers(lo_we, we_ords.size)])
-            primary = vocab[primary_dx_idx[v]]
-            dx = {primary}
-            for _ in range(extra_counts[v]):
-                dx.add(vocab[extra_idx[extra_cursor]])
-                extra_cursor += 1
-            if er[v]:
-                triage = int(rng.integers(1, 4)) if severe[v] else int(rng.integers(4, 6))
-            else:
-                triage = NO_TRIAGE
-            columns["patient_ids"].append(pid)
-            columns["provider_ids"].append(provider_ids[provider_idx])
-            columns["days"].append(ordinal)
-            columns["primaries"].append(primary)
-            columns["dx_sets"].append(frozenset(dx))
-            columns["treatment_sets"].append(
-                surgery_sets[SURGERY_CODES[rng.integers(len(SURGERY_CODES))]] if surgery[v] else no_treatment
-            )
-            columns["triage"].append(triage)
-            columns["catastrophic"].append(bool(severe[v] and not er[v]))
-            columns["emergency"].append(bool(er[v]))
-        cursor += count
+    # Each patient's visits take one `random` call (loyalty) and one
+    # `integers` call whose bounds list, in order: an alternate pick per
+    # visit (when the network has more than one provider), then per visit
+    # its date, its triage level if it is ER and its surgery code if it is
+    # a surgery. NumPy's Generator draws each bounded integer alike whether
+    # the bounds come one call at a time or as arrays, so these are the
+    # values a per-visit loop would draw. The loyalty draws cannot be
+    # batched across patients: a float takes a whole 64-bit word, while an
+    # integer below 2**32 takes half of one and may leave the other half
+    # buffered for the next integer, so the interleaving must stay.
+    net_sizes = np.array([len(net) for net in networks])
+    patient_of = np.repeat(np.arange(n), visit_counts)
+    alt_counts = np.where(net_sizes > 1, visit_counts, 0)
+    visit_slots = 1 + er.astype(np.int64) + surgery
+    patient_slots = alt_counts + np.add.reduceat(visit_slots, np.cumsum(visit_counts) - visit_counts)
+    slot_end = np.cumsum(patient_slots)
+    alt_slot = _segment_positions(slot_end - patient_slots, alt_counts)
+    date_slot = np.cumsum(visit_slots) - visit_slots + np.cumsum(alt_counts)[patient_of]
+    triage_slot = date_slot[er] + 1
+    surgery_slot = date_slot[surgery] + 1 + er[surgery]
+    earliest = np.array([max(WINDOW_START, b).toordinal() for b in birth_dates])[patient_of]
+    lows = np.zeros(int(slot_end[-1]), np.int64)  # a surgery code's bounds by default
+    highs = np.full(lows.size, len(SURGERY_CODES), np.int64)
+    lows[alt_slot], highs[alt_slot] = 1, np.repeat(net_sizes, alt_counts)
+    lows[date_slot] = np.where(workday, np.searchsorted(wd_ords, earliest),
+                               np.searchsorted(we_ords, earliest))
+    highs[date_slot] = np.where(workday, wd_ords.size, we_ords.size)
+    lows[triage_slot] = np.where(severe[er], 1, 4)
+    highs[triage_slot] = np.where(severe[er], 4, 6)
+
+    loyalty_u = np.empty(total_visits)
+    draws = np.empty(lows.size, np.int64)
+    visit_ends, slot_ends = np.cumsum(visit_counts).tolist(), slot_end.tolist()
+    for v0, v1, s0, s1 in zip([0, *visit_ends], visit_ends, [0, *slot_ends], slot_ends):
+        loyalty_u[v0:v1] = rng.random(v1 - v0)
+        draws[s0:s1] = rng.integers(lows[s0:s1], highs[s0:s1])
+
+    alt_pick = np.zeros(total_visits, np.int64)
+    alt_pick[np.repeat(net_sizes > 1, visit_counts)] = draws[alt_slot]
+    network_pos = (np.cumsum(net_sizes) - net_sizes)[patient_of]
+    network_pos += np.where(loyalty_u < spec.loyalty, 0, alt_pick)
+    days = np.empty(total_visits, np.int64)
+    days[workday] = wd_ords[draws[date_slot[workday]]]
+    days[~workday] = we_ords[draws[date_slot[~workday]]]
+    triage = np.full(total_visits, NO_TRIAGE, np.int64)
+    triage[er] = draws[triage_slot]
+    # codes index vocab, then SURGERY_CODES; a visit's dx row is its primary
+    # code and its extras, and its treatment row its surgery code if any
+    dx = np.full((total_visits, 1 + MAX_EXTRA_DX), -1, np.int64)
+    dx[:, 0] = primary_dx_idx
+    dx[np.repeat(np.arange(total_visits), extra_counts),
+       1 + _segment_positions(np.zeros(total_visits, np.int64), extra_counts)] = extra_idx
+    treatments = np.full((total_visits, 1), -1, np.int64)
+    treatments[surgery, 0] = DX_VOCAB_SIZE + draws[surgery_slot]
+    visits = VisitTable.from_codes(
+        patient_ids=list(patients),
+        provider_ids=provider_ids,
+        codes=vocab + list(SURGERY_CODES),
+        patient=patient_of,
+        provider=np.concatenate(networks)[network_pos],
+        day=days,
+        primary=primary_dx_idx,
+        dx=dx,
+        treatments=treatments,
+        triage=triage,
+        catastrophic=severe & ~er,
+        emergency=er,
+    ).sorted()
 
     dataset = Dataset(
         patients=patients,
         providers=providers,
-        visits=VisitTable.from_columns(**columns).sorted(),
+        visits=visits,
         region_stats={code: float(d) for code, d in zip(region_codes, densities)},
         calendar=calendar,
         code_sets=CodeSets(

@@ -2,6 +2,7 @@
 
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,8 @@ from carechoice.domain import (
     HospitalLevel,
     LEVEL_NAMES,
     N_LEVELS,
+    VISIT_TABLE_COLUMNS,
+    VisitTable,
     apply_exclusions,
     exclusion_masks,
 )
@@ -198,6 +201,72 @@ class TestSortKey:
         keys = [records[i].sort_key() for i in order]
         assert keys == sorted(keys)
         assert sorted(order) == list(range(len(records)))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        make_visit,
+        pid=st.sampled_from(["P1", "P10", "P2"]),
+        when=st.sampled_from([None, date(2010, 1, 1), date(2010, 1, 2)]),
+        dx=st.sampled_from(["D001", "D01"]),
+        triage_level=st.sampled_from([None, 1, 5]),
+        setting=st.sampled_from(["outpatient", "emergency"]),
+    ), min_size=1, max_size=8))
+    def test_sorted_is_the_canonical_take_and_keeps_a_sorted_table(self, records):
+        table = visit_table(records)
+        ordered = table.sorted()
+        assert visit_records(ordered) == [visit_records(table)[i] for i in table.canonical_order()]
+        assert ordered.sorted() is ordered
+
+
+PATIENTS, PROVIDERS, CODES = ["P2", "P10", "P1", "P7"], ["H2", "H1", "H10"], ["T1", "D1", "", "D01", "D001"]
+
+
+class TestFromCodes:
+    """`VisitTable.from_codes` builds the table `from_columns` builds from
+    the strings and sets the integer columns stand for."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, len(PATIENTS) - 1),
+        st.integers(0, len(PROVIDERS) - 1),
+        st.integers(0, 3),
+        st.integers(0, len(CODES) - 1),
+        st.lists(st.integers(0, len(CODES) - 1), max_size=3),
+        st.lists(st.integers(0, len(CODES) - 1), max_size=2),
+        st.sampled_from([-1, 1, 5]),
+        st.booleans(),
+        st.booleans(),
+    ), min_size=1, max_size=12))
+    def test_matches_from_columns(self, visits):
+        patient, provider, day, primary, dx, treatments, triage, catastrophic, emergency = zip(*visits)
+
+        def padded(rows, width):
+            return np.array([list(row) + [-1] * (width - len(row)) for row in rows], np.int64)
+
+        built = VisitTable.from_codes(
+            PATIENTS, PROVIDERS, CODES, np.array(patient), np.array(provider), np.array(day),
+            np.array(primary), padded(dx, 3), padded(treatments, 2), np.array(triage),
+            np.array(catastrophic), np.array(emergency))
+        expected = VisitTable.from_columns(
+            [PATIENTS[i] for i in patient], [PROVIDERS[i] for i in provider], day,
+            [CODES[i] for i in primary], [frozenset(CODES[i] for i in row) for row in dx],
+            [frozenset(CODES[i] for i in row) for row in treatments], triage, catastrophic,
+            emergency)
+        for name in ("patient_ids", "provider_ids", "codes"):
+            assert getattr(built, name) == getattr(expected, name)
+        for name in ("set_offsets", "set_members", *VISIT_TABLE_COLUMNS):
+            a, b = getattr(built, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+    def test_sets_whose_key_would_overflow_are_refused(self):
+        # 56,000 distinct codes in sets of 4: 56,001 ** 4 > 2 ** 63
+        n = 14_000
+        zeros = np.zeros(n, np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            VisitTable.from_codes(["P1"], ["H1"], [f"C{i:05d}" for i in range(4 * n)], zeros, zeros,
+                                  zeros, zeros, np.arange(4 * n).reshape(n, 4),
+                                  np.full((n, 1), -1), zeros, zeros, zeros)
 
 
 class TestWorkdayCalendar:

@@ -1,7 +1,9 @@
 """Synthetic cohort generator: determinism, marginals, and audit accounting."""
 
+import hashlib
 import json
 from collections import Counter
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -25,6 +27,46 @@ def read_tree(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+# files whose bytes do not depend on the spec (the calendar only without a header)
+FIXED_DIGESTS = {
+    "codes_catastrophic_dx.txt": "640ba5781063338f819a869144d0df6a4ee682dd4c23a932bce583e7099bbfd7",
+    "codes_chronic_dx.txt": "bec5fb9b194d8c4dd32dc86315be734ef6d588c484fb73fb952e119f03a8f82f",
+    "codes_er.txt": "97cf43abdef27a074100fb38c676820ddc59028cab829fbca2e414b8c59a9ce7",
+    "codes_surgery.txt": "81f6e317be881fa1a625b78d3d78d628deb7009f338a65657e2a182376893065",
+}
+CALENDAR_DIGEST = "fa8450a4cef5e111060b88e740885b4d08f40403fbd90c6d54688ef2c52cdf88"
+
+# (spec, header comment, sha256 of each other file), recorded from the
+# per-visit generator this one replaced; they move only with the NumPy
+# Generator stream or a deliberate change to the cohort
+PINNED_COHORTS = [
+    (dict(n_patients=40, seed=3, signal_strength=0.0), None, {
+        "calendar.csv": CALENDAR_DIGEST,
+        "density.csv": "6af788cb131bbe5ee0240c6eb24e00cae8280bcaa80ba6bf85b2868cfe898f80",
+        "generator_manifest.json": "25a307788a64a964b9e7e2a9e37e4bfb8701b1b31e3d9e7f89aa1fd3e4a1385c",
+        "patients.csv": "b56d25216b9b45569592f353516ccb89c2d18251068d26b2dbb8dd94db7d6f78",
+        "providers.csv": "829c9956e2bbd3822239c737be03ba4737b467cc51271c5aac921ebe66631ed6",
+        "visits.csv": "ac260acb4dc1b14749f362f0c4500de4494b568bfa61b318c22fc45de7d3b8e4",
+    }),
+    (dict(n_patients=60, seed=8, signal_strength=1.0, dirty_count=2), "config_hash=pinned", {
+        "calendar.csv": "bdafe89888e10711b686a70f9e1e690066ff9fc5b53d9811158663e53fc32e3a",
+        "density.csv": "66a01415bd293f8264259473f6c47de596f8e5e6b6c9cc31040c44bb18b5de59",
+        "generator_manifest.json": "ae166ceee294f319f0f871d7636490aaf0c6cfe0f59b71cc37f582f656ab1bd0",
+        "patients.csv": "904858bf58ab9013ede67ee869d26ab1c97e0023d2d6fb66a4c0eaf22773dbb1",
+        "providers.csv": "fca715e92ca4b3f2c33395d6dac77fb7e92a1fd487609bbcc0d406f34b328aa2",
+        "visits.csv": "c0a1c55cb1f568885cad4ce5afbecc3df4b6b260436138b0b90cab2f69de6600",
+    }),
+    (dict(n_patients=1, seed=5, signal_strength=0.3), None, {
+        "calendar.csv": CALENDAR_DIGEST,
+        "density.csv": "49929f4c2bc9230adf17f4baae76568f50d89da106bc7394dde3f6a4a2d72367",
+        "generator_manifest.json": "6b9841bbdc6b4cae1a1136ce1415258b219d79a1d88398aa637a2b148a10f3e3",
+        "patients.csv": "593935af41fcab67a5305eedc6fd89ed1152585234cc1607e243b379ca77c746",
+        "providers.csv": "ac6aec4392156b4de8f5d321de59ebe590704b0a4bf6fcacadcd9a45f77a63af",
+        "visits.csv": "7826558d9dcb7f602886f78ad3331879f37e9e2b3a49e25c9b1da72f751a92f6",
+    }),
+]
+
+
 class TestCohortSpec:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="n_patients"):
@@ -39,6 +81,14 @@ class TestCohortSpec:
             CohortSpec(dirty_count=-1)
         with pytest.raises(ValueError, match="n_regions"):
             CohortSpec(n_regions=1)
+        # a NaN prior puts every provider at one level, and the search for a
+        # patient's next distinct alternate can then never end
+        for field in fields(CohortSpec):
+            if field.type != "float":
+                continue
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=f"{field.name} must be finite"):
+                    CohortSpec(**{field.name: bad})
 
     def test_priors_normalize_and_follow_level_codes(self):
         spec = CohortSpec()
@@ -97,12 +147,41 @@ class TestDeterminism:
         b = generate_cohort(CohortSpec(n_patients=60, seed=2), tmp_path / "b")
         assert a.paths.visits.read_bytes() != b.paths.visits.read_bytes()
 
+    @pytest.mark.parametrize("spec, comment, digests", PINNED_COHORTS,
+                             ids=["null", "planted-dirty-header", "one-patient"])
+    def test_files_keep_their_pinned_bytes(self, tmp_path, spec, comment, digests):
+        generate_cohort(CohortSpec(**spec), tmp_path, header_comment=comment)
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(tmp_path.iterdir())}
+        assert written == {**FIXED_DIGESTS, **digests}
+
     def test_header_comment_lands_on_every_csv(self, tmp_path):
         cohort = generate_cohort(
             CohortSpec(n_patients=30), tmp_path, header_comment="config_hash=abc123"
         )
         for path in (cohort.paths.patients, cohort.paths.visits, cohort.paths.providers):
             assert path.read_text().splitlines()[0] == "# config_hash=abc123"
+
+
+class TestGeneratorStream:
+    """`generate_cohort` draws each patient's bounded integers in one call
+    with an array of bounds, in place of one call per value; the cohort
+    keeps its bytes only while NumPy's Generator gives both the same values."""
+
+    def test_array_bounds_draw_what_scalar_calls_draw(self):
+        # spans as the generator uses them, a span of one value (which
+        # draws nothing) and an odd count of 32-bit draws, which leaves
+        # half of a 64-bit word buffered for the next integer call
+        lows = np.array([1, 0, 731, 4, 1, 0, 3, 1, 0, 1024])
+        highs = np.array([5, 1, 1461, 6, 4, 10, 4, 2, 2**31, 1045])
+        looped, batched = np.random.default_rng(19), np.random.default_rng(19)
+        assert looped.random(3).tolist() == batched.random(3).tolist()
+        scalar = [int(looped.integers(lo, hi)) for lo, hi in zip(lows.tolist(), highs.tolist())]
+        assert scalar == batched.integers(lows, highs).tolist()
+        # a float draw takes a whole word and leaves the buffered half alone
+        assert looped.random() == batched.random()
+        assert int(looped.integers(0, 1000)) == int(batched.integers(0, 1000))
+        assert looped.random() == batched.random()
 
 
 @pytest.fixture(scope="module")
