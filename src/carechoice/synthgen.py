@@ -162,7 +162,12 @@ def cohort_spec_from_config(config: Mapping[str, str], prefix: str = "synth.") -
         name = key[len(prefix) :]
         if name not in known:
             raise ValueError(f"unknown cohort option {key!r}")
-        kwargs[name] = int(raw) if known[name] == "int" else float(raw)
+        as_int = known[name] == "int"
+        try:
+            kwargs[name] = int(raw) if as_int else float(raw)
+        except ValueError:
+            raise ValueError(f"config key {key} must be {'an integer' if as_int else 'a number'}, "
+                             f"got {raw!r}") from None
     return CohortSpec(**kwargs)
 
 

@@ -1,8 +1,11 @@
 """Independent naive reimplementations used as test oracles.
 
 Everything here is written the slow, obvious way (python loops, itertools
-subsets) and deliberately shares no code with the package. Tests compare
-package output against these.
+subsets) and deliberately shares no code with the package, with one
+exception: `gradient_check` calls the package's `_backprop` on purpose,
+because the backprop that SGD runs is what it checks, against central
+differences of the package's loss. Tests compare package output against
+these.
 """
 
 import csv
@@ -15,6 +18,8 @@ from math import factorial, sqrt
 from statistics import fmean, stdev
 
 import numpy as np
+
+from carechoice import neuralnet
 
 
 @dataclass(frozen=True)
@@ -353,3 +358,50 @@ def naive_load_visits(directory):
         if pid not in with_visits:
             audit["no_visits"] = audit.get("no_visits", 0) + 1
     return sorted(kept), audit
+
+
+GRADIENT_CHECK_STEP = 1e-5
+GRADIENT_CHECK_PARAM_LIMIT = 10_000
+
+
+def n_parameters(model):
+    return sum(layer.weights.size + layer.biases.size for layer in model.layers)
+
+
+def gradient_check(model, x, targets, step=GRADIENT_CHECK_STEP):
+    """Max relative error between the analytic gradients of
+    `neuralnet._backprop` and central differences of `neuralnet._loss`.
+
+    `targets` are integer labels for classifiers and a real matrix for
+    MSE models. Refuses models over 10k parameters, because the numeric
+    sweep costs two loss passes per parameter.
+    """
+    if n_parameters(model) > GRADIENT_CHECK_PARAM_LIMIT:
+        raise ValueError(f"gradient_check is limited to {GRADIENT_CHECK_PARAM_LIMIT} parameters")
+    x = np.asarray(x, dtype=np.float64)
+    layers = [
+        neuralnet.LayerParams(weights=p.weights.copy(), biases=p.biases.copy()) for p in model.layers
+    ]
+    analytic = {}
+
+    def take(i, dz, a):
+        analytic[i] = (dz.T @ a, dz.sum(axis=0))
+
+    neuralnet._backprop(layers, model.activations, x, targets, take)
+
+    worst = 0.0
+    for li, layer in enumerate(layers):
+        for arr, grad in ((layer.weights, analytic[li][0]), (layer.biases, analytic[li][1])):
+            flat = arr.reshape(-1)
+            gflat = grad.reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + step
+                hi = neuralnet._loss(layers, model.activations, x, targets)
+                flat[j] = orig - step
+                lo = neuralnet._loss(layers, model.activations, x, targets)
+                flat[j] = orig
+                numeric = (hi - lo) / (2.0 * step)
+                denom = max(abs(gflat[j]), abs(numeric), 1e-8)
+                worst = max(worst, abs(gflat[j] - numeric) / denom)
+    return worst

@@ -28,11 +28,10 @@ from carechoice.neuralnet import (
     MlpConfig,
     TrainConfig,
     forward,
-    gradient_check,
     train_classifier,
 )
 from carechoice.pipeline import SplitSpec, kfold_indices, split_indices, undersample_indices
-from oracles import naive_auc, naive_class_counts, naive_class_metrics
+from oracles import gradient_check, naive_auc, naive_class_counts, naive_class_metrics
 
 
 @contextmanager

@@ -49,7 +49,7 @@ from carechoice.arrayzip import read_array_zip, write_array_zip
 from carechoice.domain import LEVEL_NAMES, HospitalLevel
 from carechoice.features import FEATURE_NAMES, read_feature_csv
 from carechoice.metrics import TABLE_METRICS
-from carechoice.neuralnet import blas_threads
+from carechoice.neuralnet import blas_corename, blas_threads
 from carechoice.pipeline import kfold_indices
 
 
@@ -307,6 +307,9 @@ class TestParallelTraining:
                 assert cli.main([*stage, *base]) == EXIT_OK
             out = capsys.readouterr().out
             assert f"3 fits on {len(cpus)} worker(s)" in out
+            # the OpenBLAS core whose kernels set the update's last bits, or nothing without one
+            kernel = f" (OpenBLAS {blas_corename()} kernel) each" if blas_corename() else " each"
+            assert re.search(rf"3 fits on {len(cpus)} worker\(s\) with \S+ BLAS thread\(s\){re.escape(kernel)}", out)
             assert re.search(rf"20 visits, [\d,]+ model rows on {len(cpus)} worker\(s\)", out)
             outputs.append({name: (run / name).read_bytes() for name in self.OUTPUTS})
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -323,6 +326,12 @@ class TestParallelTraining:
         before = blas_threads()
         assert cli.main(["train", "--no-ae", *features_ready[1]]) == EXIT_OK
         assert blas_threads() == before
+
+    def test_without_the_bundled_openblas_train_names_no_kernel(self, features_ready, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "blas_corename", lambda: None)
+        assert cli.main(["train", "--no-ae", *features_ready[1]]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "BLAS thread(s) each" in out and "kernel" not in out
 
     def test_divergence_in_a_worker_exits_six(self, features_ready, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

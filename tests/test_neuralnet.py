@@ -28,15 +28,14 @@ from carechoice.neuralnet import (
     encode,
     forward,
     forward_logits,
-    gradient_check,
     load_model,
     model_from_dict,
     model_to_dict,
-    n_parameters,
     predict_batch,
     train_autoencoder,
     train_classifier,
 )
+from oracles import gradient_check, n_parameters
 
 
 def blob_data(n=120, d=6, classes=3, seed=0, spread=4.0):
@@ -246,9 +245,7 @@ class TestForwardMath:
 
     @staticmethod
     def backprop_loss(model, x, targets):
-        grads = [np.empty_like(layer.weights) for layer in model.layers]
-        return neuralnet._backprop(model.layers, model.activations, x, targets, grads,
-                                   lambda i, dw, db: None)
+        return neuralnet._backprop(model.layers, model.activations, x, targets, lambda i, dz, a: None)
 
     def test_encode_is_sigmoid_bounded(self):
         x, _ = blob_data(d=18)
@@ -368,28 +365,48 @@ class TestTraining:
 
     # sha256 of the weights and biases, the loss of the initial layers (the
     # `initial_loss` that model files once held) and the loss trace of the
-    # default-shaped fits below, recorded before the SGD step reused its
-    # gradient buffers and updated each layer as backprop passed it
+    # default-shaped fits below. The lr-0.5 autoencoder was recorded before
+    # one GEMM applied each weight update, and keeps its bytes: at a
+    # power-of-two rate the GEMM's single rounding gives numpy's two. The
+    # lr-0.01 autoencoder was re-recorded then: its 250x500 layers at batch 16
+    # run OpenBLAS's large-matrix kernel, which rounds -lr * dW + W once
+    # (digest before: 121970e14876c95606babf4280e219a9cc48694ac4a04a3e15c1c017992bc4ca).
     DEFAULT_SHAPE_FITS = {
-        "autoencoder": ("121970e14876c95606babf4280e219a9cc48694ac4a04a3e15c1c017992bc4ca",
-                        14.378386242097086, (14.103537542716294,)),
-        "classifier": ("e5b9f4274d7bde4efd446b499ba224f9f51472322b0eefb13007967508b46f01",
-                       1.3269303342963668, (1.3011524818157592, 1.2341701055052086)),
+        ("autoencoder", 0.01): ("7cfb787b7e77987d96d7bbcdebcf4b607bf9d64952be835e88f12c79d672724d",
+                                14.378386242097086, (14.103537542716294,)),
+        ("autoencoder", 0.5): ("c00d37e456a9aa3a550f2bb5bb1e5253e05c381bb27287cb41965d0b0f2c5d66",
+                               14.378386242097086, (58.04014279225042,)),
+        ("classifier", 0.01): ("e5b9f4274d7bde4efd446b499ba224f9f51472322b0eefb13007967508b46f01",
+                               1.3269303342963668, (1.3011524818157592, 1.2341701055052086)),
     }
 
     def test_default_shapes_match_the_recorded_bytes(self):
         x, _ = blob_data(n=150, d=18, classes=4)  # the last batch of 16 has 6 rows
-        cfg = TrainConfig(epochs=1, batch_size=16, seed=5)
-        ae = (train_autoencoder(x, AeConfig(), cfg), initial_loss(train_autoencoder, x, AeConfig(), config=cfg))
+        fits = []
+        for lr in (0.01, 0.5):
+            cfg = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=lr)
+            fits.append((train_autoencoder(x, AeConfig(), cfg), initial_loss(train_autoencoder, x, AeConfig(), config=cfg)))
         x, y = blob_data(n=300, d=18, classes=4, seed=1)  # the last batch of 64 has 44
         cfg = TrainConfig(epochs=2, batch_size=64, seed=6)
-        clf = (train_classifier(x, y, MlpConfig(), cfg), initial_loss(train_classifier, x, y, MlpConfig(), config=cfg))
-        for model, loss in (ae, clf):
+        fits.append((train_classifier(x, y, MlpConfig(), cfg), initial_loss(train_classifier, x, y, MlpConfig(), config=cfg)))
+        for model, loss in fits:
             digest = hashlib.sha256()
             for layer in model.layers:
                 digest.update(layer.weights.tobytes())
                 digest.update(layer.biases.tobytes())
-            assert (digest.hexdigest(), loss, model.loss_trace) == self.DEFAULT_SHAPE_FITS[model.kind]
+            key = (model.kind, model.config.learning_rate)
+            assert (digest.hexdigest(), loss, model.loss_trace) == self.DEFAULT_SHAPE_FITS[key]
+
+    def test_without_the_bundled_openblas_the_fit_keeps_its_bytes(self, monkeypatch):
+        # the lookup also pins the thread count, so the outer block keeps
+        # both fits on one thread while the inner one runs numpy's update
+        x, _ = blob_data(n=150, d=18, classes=4)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=0.5)
+        fused = train_autoencoder(x, AeConfig(), cfg)
+        with neuralnet.single_blas_thread():
+            monkeypatch.setattr(neuralnet, "_openblas", lambda: None)
+            fallback = train_autoencoder(x, AeConfig(), cfg)
+        assert model_to_dict(fallback) == model_to_dict(fused)
 
     def test_divergence_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "classifier")))
@@ -406,6 +423,57 @@ class TestTraining:
         x, _ = blob_data(n=10, d=6)
         with pytest.raises(ValueError, match="labels"):
             train_classifier(x, np.full(10, 7), MlpConfig((6, 5, 3)), TrainConfig(epochs=0))
+
+
+class TestDescend:
+    """`_descend` applies a large layer's SGD step in one GEMM; numpy's form
+    `dw = dz.T @ a; dw *= lr; w -= dw` is the reference."""
+
+    # the nine layer shapes of the default autoencoder and classifier: the
+    # four with 25,000 weights or more take the GEMM, the others numpy's step
+    SHAPES = ((500, 18), (250, 500), (100, 250), (250, 100), (500, 250), (18, 500),
+              (100, 18), (100, 100), (4, 100))
+
+    @staticmethod
+    def steps(lr):
+        rng = np.random.default_rng(int(lr * 100))
+        for out_dim, in_dim in TestDescend.SHAPES:
+            for n in range(1, 130):
+                w = rng.uniform(-1, 1, size=(out_dim, in_dim)) / math.sqrt(in_dim)
+                dz = rng.normal(0, 1e-3, size=(n, out_dim))
+                a = rng.uniform(0, 1, size=(n, in_dim))
+                with neuralnet.single_blas_thread():
+                    dw = dz.T @ a
+                    dw *= lr
+                    reference = w - dw
+                    neuralnet._descend(w, lr, dz, a)
+                yield w, reference, dw
+
+    def test_a_power_of_two_rate_gives_numpys_bits(self):
+        for got, reference, _ in self.steps(0.5):
+            assert np.array_equal(got, reference)
+
+    def test_another_rate_is_within_one_spacing(self):
+        # numpy rounds lr * dw and then w - lr * dw; a large-matrix kernel
+        # rounds once, so the two differ by under one spacing of the larger
+        # of the step and the result
+        for got, reference, dw in self.steps(0.01):
+            assert np.all(np.abs(got - reference) <= np.spacing(np.maximum(np.abs(reference), np.abs(dw))))
+
+    def test_refuses_arrays_the_gemm_cannot_take(self):
+        if neuralnet._openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS is absent")
+        rng = np.random.default_rng(0)
+        w, dz, a = rng.normal(size=(250, 100)), rng.normal(size=(2, 250)), rng.normal(size=(2, 100))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            neuralnet._descend(np.zeros((100, 250)).T, 0.5, dz, a)
+        with pytest.raises(ValueError, match="do not fit"):
+            neuralnet._descend(w, 0.5, dz, np.zeros((2, 101)))
+        # gradients and rows in another layout are copied, not misread
+        got = w.copy()
+        neuralnet._descend(got, 0.5, np.asfortranarray(dz), np.asfortranarray(a))
+        neuralnet._descend(w, 0.5, dz, a)
+        assert np.array_equal(got, w)
 
 
 class TestFiniteBound:

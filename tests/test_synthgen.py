@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import fields
 from datetime import date
@@ -129,6 +130,15 @@ class TestSpecFromConfig:
     def test_unknown_option_is_rejected(self):
         with pytest.raises(ValueError, match="synth.n_patient"):
             cohort_spec_from_config({"synth.n_patient": "10"})
+
+    @pytest.mark.parametrize("key, raw, kind", [
+        ("synth.n_patients", "nan", "an integer"),
+        ("synth.n_patients", "2.5", "an integer"),
+        ("synth.signal_strength", "abc", "a number"),
+    ])
+    def test_a_value_that_is_not_a_number_names_its_key(self, key, raw, kind):
+        with pytest.raises(ValueError, match=re.escape(f"config key {key} must be {kind}, got {raw!r}")):
+            cohort_spec_from_config({key: raw})
 
     def test_non_prefixed_keys_are_ignored(self):
         assert cohort_spec_from_config({"seed": "4"}).seed == 0
