@@ -76,13 +76,6 @@ VISIT_TABLE_COLUMNS = ("patient", "provider", "day", "primary", "dx", "treatment
                        "triage", "catastrophic", "emergency")
 
 
-def _rank(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """(the distinct values in string order, each value's index in them)."""
-    distinct = tuple(sorted(set(values)))
-    index = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, values), np.int32, len(values))
-
-
 def _rank_used(lookup: Sequence[str], index: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """(the values of `lookup` that `index` names, in string order; `index`
     pointed into them). An index of -1 stays -1."""
@@ -123,45 +116,6 @@ class VisitTable:
     emergency: np.ndarray  # bool: setting is "emergency", not "outpatient"
 
     @classmethod
-    def from_columns(cls, patient_ids: Sequence[str], provider_ids: Sequence[str],
-                     days: Sequence[int], primaries: Sequence[str],
-                     dx_sets: Sequence[frozenset[str]], treatment_sets: Sequence[frozenset[str]],
-                     triage: Sequence[int], catastrophic: Sequence[bool],
-                     emergency: Sequence[bool]) -> "VisitTable":
-        """Build the table from one Python value per visit and column.
-
-        Visits that share a code set may share the frozenset object, which
-        keeps the hashing cheap.
-        """
-        n = len(patient_ids)
-        patient_lookup, patient = _rank(patient_ids)
-        provider_lookup, provider = _rank(provider_ids)
-        distinct_sets = set(dx_sets)
-        distinct_sets.update(treatment_sets)
-        codes = tuple(sorted(set(primaries).union(*distinct_sets)))
-        code_index = {c: i for i, c in enumerate(codes)}
-        members = {s: tuple(sorted(map(code_index.__getitem__, s))) for s in distinct_sets}
-        ordered = sorted(distinct_sets, key=members.__getitem__)
-        set_index = {s: i for i, s in enumerate(ordered)}
-        sizes = np.fromiter((len(s) for s in ordered), np.int64, len(ordered))
-        return cls(
-            patient_ids=patient_lookup,
-            provider_ids=provider_lookup,
-            codes=codes,
-            set_offsets=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
-            set_members=np.fromiter((m for s in ordered for m in members[s]), np.int32, int(sizes.sum())),
-            patient=patient,
-            provider=provider,
-            day=np.fromiter(days, np.int32, n),
-            primary=np.fromiter(map(code_index.__getitem__, primaries), np.int32, n),
-            dx=np.fromiter(map(set_index.__getitem__, dx_sets), np.int32, n),
-            treatments=np.fromiter(map(set_index.__getitem__, treatment_sets), np.int32, n),
-            triage=np.fromiter(triage, np.int8, n),
-            catastrophic=np.fromiter(catastrophic, bool, n),
-            emergency=np.fromiter(emergency, bool, n),
-        )
-
-    @classmethod
     def from_codes(cls, patient_ids: Sequence[str], provider_ids: Sequence[str],
                    codes: Sequence[str], patient: np.ndarray, provider: np.ndarray,
                    day: np.ndarray, primary: np.ndarray, dx: np.ndarray, treatments: np.ndarray,
@@ -186,15 +140,16 @@ class VisitTable:
         # as digits (code + 1, padding 0) in base len(codes) + 1, so the keys
         # order the sets as their member tuples compare
         base = len(code_lookup) + 1
-        if base ** width > 2**63:
-            raise ValueError(f"sets of {width} drawn from {base - 1} codes overflow an int64 key")
-        place = base ** np.arange(width - 1, -1, -1)
         digits = np.sort(np.where(rows < 0, base - 1, rows), axis=1)  # padding last
         digits[:, 1:][digits[:, 1:] == digits[:, :-1]] = base - 1  # a repeat is padding
         digits = (np.sort(digits, axis=1) + 1) % base
-        distinct, set_index = np.unique(digits @ place, return_inverse=True)
-        members = distinct[:, np.newaxis] // place % base
-        set_index = set_index.astype(np.int32)
+        if base ** width <= 2**63:
+            place = base ** np.arange(width - 1, -1, -1)
+            distinct, set_index = np.unique(digits @ place, return_inverse=True)
+            members = distinct[:, np.newaxis] // place % base
+        else:  # the keys would overflow an int64: order the digit rows themselves
+            members, set_index = np.unique(digits, axis=0, return_inverse=True)
+        set_index = set_index.reshape(-1).astype(np.int32)
         return cls(
             patient_ids=patient_lookup,
             provider_ids=provider_lookup,

@@ -10,6 +10,7 @@ least-frequent vote.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -253,9 +254,22 @@ class ScalerParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(
-            mins=dict(d["mins"]), maxs=dict(d["maxs"]), scaled_features=tuple(d["scaled_features"])
-        )
+        """The scaler `to_dict` wrote (other keys are ignored); a missing key,
+        an unknown feature or a bound that is not a finite number raises
+        ValueError."""
+        if not isinstance(d, dict) or not {"scaled_features", "mins", "maxs"} <= d.keys():
+            raise ValueError("a scaler is an object with scaled_features, mins and maxs")
+        names = d["scaled_features"]
+        if not isinstance(names, list) or not all(isinstance(n, str) and n in FEATURE_NAMES for n in names):
+            raise ValueError(f"scaled_features must list feature names, not {names!r}")
+        for part in ("mins", "maxs"):
+            bounds = d[part]
+            if not isinstance(bounds, dict) or set(bounds) != set(names):
+                raise ValueError(f"{part} must map exactly the scaled features to numbers")
+            for name, value in bounds.items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                    raise ValueError(f"{part}[{name!r}] is not a finite number: {value!r}")
+        return cls(mins=dict(d["mins"]), maxs=dict(d["maxs"]), scaled_features=tuple(names))
 
 
 def fit_scaler(X: np.ndarray) -> ScalerParams:
@@ -312,8 +326,8 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature file back into (X, y), every value bit-exact.
 
     Leading '#' lines are skipped and the header must name the 18 features
-    and the label. A malformed body raises FeatureFileError naming the file
-    and the first bad line.
+    and the label. A malformed body, a non-finite cell included, raises
+    FeatureFileError naming the file and the first bad line.
     """
     with open(path, encoding="utf-8") as fh:
         line, header_line = fh.readline(), 1
@@ -330,7 +344,8 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
             raise _first_bad_row(path, header_line) or FeatureFileError(f"{path}: {exc}")
     if data.size == 0:
         return np.empty((0, N_FEATURES)), np.empty(0, dtype=np.int64)
-    if data.shape[1] != len(_CSV_COLUMNS) or not np.isin(data[:, -1], _LEVEL_CODES).all():
+    if (data.shape[1] != len(_CSV_COLUMNS) or not np.isfinite(data).all()
+            or not np.isin(data[:, -1], _LEVEL_CODES).all()):
         raise _first_bad_row(path, header_line) or FeatureFileError(f"{path}: malformed rows")
     return np.ascontiguousarray(data[:, :N_FEATURES]), data[:, -1].astype(np.int64)
 
@@ -348,9 +363,11 @@ def _first_bad_row(path, header_line: int) -> FeatureFileError | None:
                 )
             for name, cell in zip(_CSV_COLUMNS, cells):
                 try:
-                    float(cell)
+                    value = float(cell)
                 except ValueError:
                     return FeatureFileError(f"{path}:{lineno}: {name} is not a number: {cell!r}")
+                if not math.isfinite(value):
+                    return FeatureFileError(f"{path}:{lineno}: {name} is not finite: {cell!r}")
             if float(cells[-1]) not in _LEVEL_CODES:
                 return FeatureFileError(
                     f"{path}:{lineno}: label must be a hospital-level code "
@@ -381,8 +398,8 @@ def read_feature_copy(path, csv_path) -> Optional[tuple[np.ndarray, np.ndarray]]
     of the feature file at `csv_path`; otherwise None.
 
     A copy that is missing, written for other bytes, cut short, damaged, or
-    holding other dtypes, shapes or labels is None too: the feature file is
-    the artifact, and the copy only saves parsing it.
+    holding other dtypes, shapes, labels or a non-finite value is None too:
+    the feature file is the artifact, and the copy only saves parsing it.
     """
     try:
         _, arrays = read_array_zip(path, ("X", "y"),
@@ -391,6 +408,7 @@ def read_feature_copy(path, csv_path) -> Optional[tuple[np.ndarray, np.ndarray]]
         return None
     X, y = arrays["X"], arrays["y"]
     if (X.dtype != np.float64 or X.ndim != 2 or X.shape[1] != N_FEATURES
-            or y.dtype != np.int64 or y.shape != (X.shape[0],) or not np.isin(y, _LEVEL_CODES).all()):
+            or y.dtype != np.int64 or y.shape != (X.shape[0],) or not np.isin(y, _LEVEL_CODES).all()
+            or not np.isfinite(X).all()):
         return None
     return np.ascontiguousarray(X), y

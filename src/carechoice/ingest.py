@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
+import math
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Optional
@@ -127,20 +128,6 @@ def _read_rows(path: Path, columns: tuple[str, ...]):
                 )
 
 
-def _read_columns(path: Path, columns: tuple[str, ...]) -> list[list[str]]:
-    """The cells `_read_rows` yields, one list per column, read without a
-    Python step per row; errors are those `_read_rows` raises."""
-    if not path.exists():
-        raise IngestError(f"required file missing: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, _, positions, _ = _open_rows(fh, path, columns)
-        rows = list(filter(None, reader))
-    if rows and min(map(len, rows)) <= max(positions):
-        for _ in _read_rows(path, columns):  # raises at the first short row
-            pass
-    return [list(map(itemgetter(p), rows)) for p in positions]
-
-
 def _parse_date(token: str, path: Path, line: int, field: str) -> Optional[date]:
     token = token.strip()
     if not token:
@@ -158,10 +145,6 @@ def _parse_bool(token: str, path: Path, line: int, field: str) -> bool:
     if t in ("0", "false"):
         return False
     raise IngestError(f"{path.name}:{line}: field '{field}': invalid boolean {token!r}")
-
-
-def _parse_codes(token: str) -> frozenset[str]:
-    return frozenset(filter(None, map(str.strip, token.split("|"))))
 
 
 def load_patients(path: Path) -> dict[str, PatientProfile]:
@@ -248,59 +231,88 @@ def _check_rows(path: Path) -> None:
             parse(cells[j], path, line)
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector. The visit loader allocates a few
-    containers per visit, none of them in a reference cycle, and each
-    collection while they are alive walks them all."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+# Visit rows read and coded per step. A chunk's rows, about 0.7 kB of Python
+# objects each, fit in a 2 MB L2 cache; on a Xeon with that cache, chunks of
+# 8,192 rows made `load_dataset` about 15 % slower.
+_CHUNK_ROWS = 1024
+
+
+class _Memo(dict):
+    """token -> `parse(token)`, calling `parse` once per new token."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, token):
+        value = self[token] = self.parse(token)
+        return value
+
+
+def _numbering() -> _Memo:
+    """A memo that numbers its keys 0, 1, ... in the order they first appear."""
+    memo = _Memo(lambda key: len(memo))
+    return memo
 
 
 def load_visits(path: Path) -> VisitTable:
-    """Visits in file order, as a table. Each distinct token of a column is
-    parsed once; a bad token raises IngestError naming the first line that
-    fails, as a row-by-row parse would."""
-    with _collector_paused():
-        return _load_visits(path)
+    """Visits in file order, as a table.
 
+    The file is read a chunk of rows at a time, and each chunk of a column
+    becomes one array of integer codes: each distinct token is parsed once.
+    A bad token or short row raises IngestError naming the first line that
+    fails, as a row-by-row parse would.
+    """
+    if not path.exists():
+        raise IngestError(f"required file missing: {path}")
+    patient_ids, provider_ids, codes, sets = _numbering(), _numbering(), _numbering(), _numbering()
 
-def _load_visits(path: Path) -> VisitTable:
+    def code_set(token: str) -> int:  # a set is a tuple of its codes in first-seen order
+        return sets[tuple(map(codes.__getitem__, filter(None, map(str.strip, token.split("|")))))]
+
+    set_memo = _Memo(code_set)
+    memos = (  # one per VISIT_COLUMNS entry; dx and treatment tokens share theirs
+        _Memo(lambda t: patient_ids[t.strip()]), _Memo(lambda t: provider_ids[t.strip()]),
+        _Memo(partial(_parse_day, path=path, line=0)), _Memo(lambda t: codes[t.strip()]),
+        set_memo, set_memo, _Memo(partial(_parse_triage, path=path, line=0)),
+        _Memo(partial(_parse_catastrophic, path=path, line=0)),
+        _Memo(partial(_parse_emergency, path=path, line=0)),
+    )
+    parts = [[np.zeros(0, np.int64)] for _ in VISIT_COLUMNS]
+    # a chunk's rows are lists, in no reference cycle, that every collection
+    # of the cyclic garbage collector would walk while they are alive
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        columns = _read_columns(path, VISIT_COLUMNS)
-        parsed = {}
-        for j, parse in _VISIT_PARSERS:
-            values = {token: parse(token, path, 0) for token in dict.fromkeys(columns[j])}
-            parsed[j] = list(map(values.__getitem__, columns[j]))
-    except IngestError:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader, _, positions, _ = _open_rows(fh, path, VISIT_COLUMNS)
+            pick = itemgetter(*positions)
+            for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+                # `pick` raises IndexError on a short row
+                for part, memo, column in zip(parts, memos, zip(*map(pick, filter(None, chunk)))):
+                    part.append(np.fromiter(map(memo.__getitem__, column), np.int64, len(column)))
+    except (IngestError, IndexError):
         _check_rows(path)
         raise
+    finally:
+        if collecting:
+            gc.enable()
+    patient, provider, day, primary, dx, treatments, triage, catastrophic, emergency = map(
+        np.concatenate, parts)
+    del parts  # the chunks' arrays
 
-    def stripped(column):
-        values = {token: token.strip() for token in dict.fromkeys(column)}
-        return list(map(values.__getitem__, column))
-
-    primaries = stripped(columns[3])
-    dx_sets = {}  # the primary code joins the set
-    for key in dict.fromkeys(zip(columns[4], primaries)):
-        dx_token, primary = key
-        dx_sets[key] = _parse_codes(dx_token) | {primary} if primary else _parse_codes(dx_token)
-    treatment_sets = {token: _parse_codes(token) for token in dict.fromkeys(columns[5])}
-    return VisitTable.from_columns(
-        patient_ids=stripped(columns[0]),
-        provider_ids=stripped(columns[1]),
-        days=parsed[2],
-        primaries=primaries,
-        dx_sets=list(map(dx_sets.__getitem__, zip(columns[4], primaries))),
-        treatment_sets=list(map(treatment_sets.__getitem__, columns[5])),
-        triage=parsed[6],
-        catastrophic=parsed[7],
-        emergency=parsed[8],
+    # one row of code indices per set, padded with -1
+    members = list(sets)
+    sizes = np.fromiter(map(len, members), np.int64, len(members))
+    table = np.full((len(members), int(sizes.max(initial=0))), -1, np.int64)
+    table[np.arange(table.shape[1]) < sizes[:, np.newaxis]] = np.fromiter(
+        chain.from_iterable(members), np.int64, int(sizes.sum()))
+    in_dx = np.where(primary == codes.get("", -1), -1, primary)  # an empty primary is no dx code
+    return VisitTable.from_codes(
+        patient_ids=tuple(patient_ids), provider_ids=tuple(provider_ids), codes=tuple(codes),
+        patient=patient, provider=provider, day=day, primary=primary,
+        dx=np.column_stack([table[dx], in_dx]), treatments=table[treatments],
+        triage=triage, catastrophic=catastrophic, emergency=emergency,
     )
 
 
@@ -313,8 +325,9 @@ def load_density(path: Path) -> dict[str, float]:
             raise IngestError(
                 f"{path.name}:{line}: field 'physician_density': invalid number {density_token!r}"
             )
-        if density < 0:
-            raise IngestError(f"{path.name}:{line}: field 'physician_density': negative density {density}")
+        if not 0 <= density < math.inf:
+            raise IngestError(f"{path.name}:{line}: field 'physician_density': "
+                              f"density {density} is negative or not finite")
         stats[region.strip()] = density
     return stats
 

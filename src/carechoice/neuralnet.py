@@ -29,6 +29,7 @@ from .domain import N_LEVELS
 from .features import N_FEATURES
 
 MODEL_FORMAT_VERSION = 4
+_ACTIVATIONS = ("relu", "sigmoid", "linear", "softmax")
 
 # A fit skips its full-set guard pass when `_bounded` proves every forward
 # value, and each output's distance from its target, below this bound in
@@ -261,6 +262,14 @@ class TrainedModel:
             raise ValueError("layer count does not match layer_sizes")
         if len(self.activations) != len(self.layers):
             raise ValueError("one activation per layer required")
+        for name in self.activations:
+            if name not in _ACTIVATIONS:
+                raise ValueError(f"unknown activation {name!r}")
+        k = self.n_encoder_layers
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int)
+                              or not 1 <= k <= len(self.layers)):
+            raise ValueError(f"n_encoder_layers must be None or a layer count 1-{len(self.layers)}, "
+                             f"not {k!r}")
         for i, layer in enumerate(self.layers):
             if (layer.in_dim, layer.out_dim) != (self.layer_sizes[i], self.layer_sizes[i + 1]):
                 raise ValueError(f"layer {i} has shape {layer.weights.shape}, expected "

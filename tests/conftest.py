@@ -16,7 +16,7 @@ from carechoice.domain import (
     VisitTable,
     WorkdayCalendar,
 )
-from oracles import VisitRecord
+from oracles import VisitRecord, visit_table_from_columns
 
 
 def make_calendar(start=date(2008, 1, 1), end=date(2011, 12, 31)):
@@ -49,7 +49,7 @@ def visit_table(records):
     for r in records:
         if r.setting not in SETTINGS:
             raise ValueError(f"visit setting must be one of {SETTINGS}, got {r.setting!r}")
-    return VisitTable.from_columns(
+    return visit_table_from_columns(
         [r.patient_id for r in records],
         [r.provider_id for r in records],
         [NO_DATE if r.visit_date is None else r.visit_date.toordinal() for r in records],

@@ -1,11 +1,11 @@
 """Independent naive reimplementations used as test oracles.
 
 Everything here is written the slow, obvious way (python loops, itertools
-subsets) and deliberately shares no code with the package, with one
-exception: `gradient_check` calls the package's `_backprop` on purpose,
+subsets) and deliberately shares no code with the package, with two
+exceptions: `gradient_check` calls the package's `_backprop` on purpose,
 because the backprop that SGD runs is what it checks, against central
-differences of the package's loss. Tests compare package output against
-these.
+differences of the package's loss; and `visit_table_from_columns` fills the
+package's `VisitTable` record. Tests compare package output against these.
 """
 
 import csv
@@ -20,6 +20,7 @@ from statistics import fmean, stdev
 import numpy as np
 
 from carechoice import neuralnet
+from carechoice.domain import VisitTable
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,45 @@ class VisitRecord:
             self.catastrophic_illness,
             self.setting,
         )
+
+
+def visit_table_from_columns(patient_ids, provider_ids, days, primaries, dx_sets,
+                             treatment_sets, triage, catastrophic, emergency):
+    """A VisitTable built from one Python value per visit and column, the
+    slow way: every lookup, set and column by sorting Python values."""
+
+    def rank(values):
+        distinct = tuple(sorted(set(values)))
+        index = {v: i for i, v in enumerate(distinct)}
+        return distinct, np.array([index[v] for v in values], np.int32)
+
+    patient_lookup, patient = rank(patient_ids)
+    provider_lookup, provider = rank(provider_ids)
+    distinct_sets = set(dx_sets) | set(treatment_sets)
+    codes = tuple(sorted(set(primaries).union(*distinct_sets)))
+    code_index = {c: i for i, c in enumerate(codes)}
+    members = {s: tuple(sorted(code_index[c] for c in s)) for s in distinct_sets}
+    ordered = sorted(distinct_sets, key=members.__getitem__)
+    set_index = {s: i for i, s in enumerate(ordered)}
+    offsets = [0]
+    for s in ordered:
+        offsets.append(offsets[-1] + len(s))
+    return VisitTable(
+        patient_ids=patient_lookup,
+        provider_ids=provider_lookup,
+        codes=codes,
+        set_offsets=np.array(offsets, np.int64),
+        set_members=np.array([m for s in ordered for m in members[s]], np.int32),
+        patient=patient,
+        provider=provider,
+        day=np.array(days, np.int32),
+        primary=np.array([code_index[c] for c in primaries], np.int32),
+        dx=np.array([set_index[s] for s in dx_sets], np.int32),
+        treatments=np.array([set_index[s] for s in treatment_sets], np.int32),
+        triage=np.array(triage, np.int8),
+        catastrophic=np.array(catastrophic, bool),
+        emergency=np.array(emergency, bool),
+    )
 
 
 def visit_records(table):

@@ -602,7 +602,8 @@ class TestFeatureCopy:
         lambda path: _rewrite_copy(path, lambda a: {"X": a["X"], "y": a["y"] + 4}),
         lambda path: _rewrite_copy(path, lambda a: {"X": a["X"].astype(np.float32), "y": a["y"]}),
         lambda path: _rewrite_copy(path, lambda a: {"X": a["X"][:, 1:], "y": a["y"]}),
-    ], ids=["truncated", "garbage", "labels-outside-0-3", "float32", "17-columns"])
+        lambda path: _rewrite_copy(path, lambda a: {"X": a["X"] + np.nan, "y": a["y"]}),
+    ], ids=["truncated", "garbage", "labels-outside-0-3", "float32", "17-columns", "nan"])
     def test_a_broken_copy_falls_back_to_the_feature_file(self, run, monkeypatch, capsys, damage):
         run_dir, base = run
         damage(run_dir / FEATURES_NPZ)
@@ -854,10 +855,19 @@ class TestExitCodes:
     def not_an_object(self, text):
         return "[1, 2]"
 
+    def unknown_activation(self, text):
+        model = json.loads(text)
+        model["activations"][0] = "tanh"
+        return json.dumps(model)
+
+    def encoder_layers_not_a_count(self, text):
+        return json.dumps({**json.loads(text), "n_encoder_layers": "2"})
+
     @pytest.mark.parametrize("damage", [
         "cut_short", "drop_layers", "format_version_1", "format_version_2", "format_version_3",
         "not_an_object",
         "weights_not_base64", "weights_cut_short", "weights_decode_to_nan",
+        "unknown_activation", "encoder_layers_not_a_count",
     ])
     def test_unreadable_model_exits_five(self, trained_run, tmp_path, capsys, damage):
         run = tmp_path / "run"
@@ -870,6 +880,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (")
         assert err.endswith("; run `train --no-ae` again\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda scaler: scaler["mins"].pop("age"),
+        lambda scaler: scaler["mins"].update(age="0"),
+        lambda scaler: scaler["maxs"].update(age=True),
+        lambda scaler: scaler["maxs"].update(age=float("nan")),
+        lambda scaler: scaler.update(scaled_features=["nope"]),
+        lambda scaler: scaler.pop("maxs"),
+    ], ids=["min_missing", "min_a_string", "max_a_bool", "max_nan", "unknown_feature", "no_maxs"])
+    def test_unreadable_scaler_exits_five(self, trained_run, tmp_path, capsys, edit):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        path = run / SCALER_JSON
+        scaler = json.loads(path.read_text())
+        edit(scaler)
+        path.write_text(json.dumps(scaler))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={trained_run / 'data'}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (ValueError: ")
+        assert err.endswith("; run `train` again\n")
 
     @pytest.mark.parametrize("index", [1_000_000, -1, 1.5, True, 2**63])
     def test_split_index_outside_the_feature_rows_exits_five(self, trained_run, tmp_path, capsys, index):
@@ -933,6 +965,19 @@ class TestExitCodes:
         assert cli.main(["train", "--no-ae", *base]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"data error: {path}:3: age is not a number: '4x6'" in err
+
+    def test_non_finite_feature_cell_exits_five(self, tmp_path, capsys):
+        def second_cell_nan(lines):
+            cells = lines[2].split(",")
+            cells[1] = "nan"
+            lines[2] = ",".join(cells)
+        base, path = self.features_then(tmp_path, second_cell_nan)
+        (path.parent / FEATURES_NPZ).unlink()
+        capsys.readouterr()
+        small_fit = ["--set", "train.folds=2", "--set", "train.epochs=1", "--set", "train.batch_size=4"]
+        assert cli.main(["train", "--no-ae", *base, *small_fit]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}:3: {FEATURE_NAMES[1]} is not finite: 'nan'" in err
 
     def test_malformed_feature_header_exits_five(self, tmp_path, capsys):
         def rename_first_column(lines):

@@ -19,7 +19,7 @@ from carechoice.domain import (
     exclusion_masks,
 )
 from conftest import make_calendar, make_dataset, make_patient, make_provider, make_visit, visit_table
-from oracles import visit_records
+from oracles import visit_records, visit_table_from_columns
 
 
 def validate_record(record, patient, providers):
@@ -223,8 +223,8 @@ PATIENTS, PROVIDERS, CODES = ["P2", "P10", "P1", "P7"], ["H2", "H1", "H10"], ["T
 
 
 class TestFromCodes:
-    """`VisitTable.from_codes` builds the table `from_columns` builds from
-    the strings and sets the integer columns stand for."""
+    """`VisitTable.from_codes` builds the table the `visit_table_from_columns`
+    oracle builds from the strings and sets the integer columns stand for."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -248,7 +248,7 @@ class TestFromCodes:
             PATIENTS, PROVIDERS, CODES, np.array(patient), np.array(provider), np.array(day),
             np.array(primary), padded(dx, 3), padded(treatments, 2), np.array(triage),
             np.array(catastrophic), np.array(emergency))
-        expected = VisitTable.from_columns(
+        expected = visit_table_from_columns(
             [PATIENTS[i] for i in patient], [PROVIDERS[i] for i in provider], day,
             [CODES[i] for i in primary], [frozenset(CODES[i] for i in row) for row in dx],
             [frozenset(CODES[i] for i in row) for row in treatments], triage, catastrophic,
@@ -259,14 +259,24 @@ class TestFromCodes:
             a, b = getattr(built, name), getattr(expected, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
-    def test_sets_whose_key_would_overflow_are_refused(self):
-        # 56,000 distinct codes in sets of 4: 56,001 ** 4 > 2 ** 63
+    def test_sets_whose_key_would_overflow_match_the_oracle(self):
+        # 56,000 distinct codes in sets of 4: 56,001 ** 4 > 2 ** 63; the last
+        # rows repeat sets in another order and with a repeated member
         n = 14_000
+        codes = [f"C{i:05d}" for i in range(4 * n)]
+        dx = np.arange(4 * n).reshape(n, 4)
+        dx[-2:] = dx[:2, ::-1]
+        dx[-3, 1] = dx[-3, 0]
         zeros = np.zeros(n, np.int64)
-        with pytest.raises(ValueError, match="overflow"):
-            VisitTable.from_codes(["P1"], ["H1"], [f"C{i:05d}" for i in range(4 * n)], zeros, zeros,
-                                  zeros, zeros, np.arange(4 * n).reshape(n, 4),
-                                  np.full((n, 1), -1), zeros, zeros, zeros)
+        built = VisitTable.from_codes(["P1"], ["H1"], codes, zeros, zeros, zeros, zeros, dx,
+                                      np.full((n, 1), -1), zeros, zeros, zeros)
+        expected = visit_table_from_columns(
+            ["P1"] * n, ["H1"] * n, zeros.tolist(), [codes[0]] * n,
+            [frozenset(codes[i] for i in row) for row in dx.tolist()], [frozenset()] * n,
+            zeros.tolist(), [False] * n, [False] * n)
+        for name in ("set_offsets", "set_members", "dx", "treatments"):
+            a, b = getattr(built, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
 
 class TestWorkdayCalendar:

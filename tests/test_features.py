@@ -373,7 +373,7 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 
 feature_matrices = arrays(
     np.float64,
     st.tuples(st.integers(1, 8), st.just(N_FEATURES)),
-    elements=st.floats(allow_nan=False, width=64) | EDGE_FLOATS,
+    elements=st.floats(allow_nan=False, allow_infinity=False, width=64) | EDGE_FLOATS,
 )
 
 
@@ -447,6 +447,11 @@ class TestFeatureCsv:
     def test_ragged_row_names_its_line(self, tmp_path):
         message = self.body_error(tmp_path, lambda ln: ln.split(",", 1)[1])
         assert ":4: expected 19 columns, found 18" in message
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, cell):
+        message = self.body_error(tmp_path, lambda ln: ",".join([ln.split(",")[0], cell, *ln.split(",")[2:]]))
+        assert message.startswith(f"{tmp_path / 'features.csv'}:4: {FEATURE_NAMES[1]} is not finite: '{cell}'")
 
     def test_label_outside_the_level_codes(self, tmp_path):
         message = self.body_error(tmp_path, lambda ln: ln.rsplit(",", 1)[0] + ",9\n")

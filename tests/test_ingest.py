@@ -1,22 +1,59 @@
 """CSV loaders, writers, and the loader/writer round trip."""
 
+import csv
+import hashlib
 from datetime import date
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carechoice.domain import ExclusionReason, HospitalLevel
+from carechoice import ingest
+from carechoice.domain import NO_DATE, NO_TRIAGE, VISIT_TABLE_COLUMNS, ExclusionReason, HospitalLevel
 from carechoice.synthgen import CohortSpec, generate_cohort
 from carechoice.ingest import (
     DataPaths,
     IngestError,
     STANDARD_FILENAMES,
+    VISIT_COLUMNS,
+    input_digests,
     load_dataset,
     load_patients,
     load_visits,
     write_dataset,
+    write_visit_table,
 )
 from conftest import make_dataset, make_patient, make_provider, make_visit
-from oracles import naive_load_visits, visit_records
+from oracles import naive_load_visits, visit_records, visit_table_from_columns
+
+# sha256 of the visit table written for a small dirty cohort, recorded from
+# the loader that built the table from one Python value per visit; it moves
+# only with the cohort's bytes or a deliberate change to the table format
+DIRTY_TABLE_SHA256 = "b1b32eec3a77a9689c4135f63cc6b7e78ed0d311bf7676523481be364a8b2c13"
+
+
+def padded(values):
+    """Each value, with or without spaces around it."""
+    return st.tuples(st.sampled_from(["", " "]), st.sampled_from(values), st.sampled_from(["", "  "])).map("".join)
+
+
+def code_lists(codes):
+    """A cell of codes joined by '|': empty entries give `A||B`, repeats `A|A`."""
+    return st.lists(padded(codes), max_size=4).map("|".join)
+
+
+# a code holding a comma is written as a quoted cell
+visit_rows = st.lists(st.tuples(
+    padded(["P1", "P2", "P10"]),
+    padded(["H1", "H02"]),
+    st.sampled_from(["2010-06-15", "2009-01-02", "", " 2011-03-04 "]),
+    padded(["", "D1", "D10", "D,4"]),
+    code_lists(["D1", "D2", "", "D,4", "T1"]),
+    code_lists(["T1", "T2", ""]),
+    st.sampled_from(["", "1", " 5", "3"]),
+    st.sampled_from(["0", "1", "true", "False "]),
+    st.sampled_from(["outpatient", "emergency", " Emergency "]),
+), min_size=1, max_size=12)
 
 
 def write_minimal_tree(root, visits_rows=None, patients_rows=None):
@@ -94,6 +131,13 @@ class TestLoaders:
         write_minimal_tree(tmp_path)
         (tmp_path / "providers.csv").write_text("provider_id,level,region_code\nH1,7,R1\n")
         with pytest.raises(IngestError, match="level"):
+            load_dataset(DataPaths.from_dir(tmp_path))
+
+    @pytest.mark.parametrize("density", ["-1", "nan", "inf"])
+    def test_density_must_be_finite_and_not_negative(self, tmp_path, density):
+        write_minimal_tree(tmp_path)
+        (tmp_path / "density.csv").write_text(f"region_code,physician_density\nR1,{density}\n")
+        with pytest.raises(IngestError, match=r"density\.csv:2: field 'physician_density'"):
             load_dataset(DataPaths.from_dir(tmp_path))
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
@@ -224,6 +268,71 @@ class TestParseSemantics:
         assert visits == expected_visits
         assert {reason.value: n for reason, n in audit.items() if n} == expected_audit
         assert expected_audit["no_visits"] == 14
+
+
+class TestChunkedLoader:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=visit_rows, chunk_rows=st.integers(1, 5))
+    def test_matches_a_row_by_row_parse(self, tmp_path_factory, rows, chunk_rows):
+        path = tmp_path_factory.getbasetemp() / "visits.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([VISIT_COLUMNS, *rows])
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            built = load_visits(path)
+
+        def code_set(cell):
+            return frozenset(filter(None, (c.strip() for c in cell.split("|"))))
+
+        pid, provider, day, primary, dx, treatments, triage, catastrophic, setting = zip(*rows)
+        expected = visit_table_from_columns(
+            [p.strip() for p in pid], [p.strip() for p in provider],
+            [date.fromisoformat(d.strip()).toordinal() if d.strip() else NO_DATE for d in day],
+            [p.strip() for p in primary],
+            [code_set(d) | ({p.strip()} if p.strip() else set()) for d, p in zip(dx, primary)],
+            [code_set(t) for t in treatments],
+            [int(t) if t.strip() else NO_TRIAGE for t in triage],
+            [c.strip().lower() in ("1", "true") for c in catastrophic],
+            [s.strip().lower() == "emergency" for s in setting],
+        )
+        for name in ("patient_ids", "provider_ids", "codes"):
+            assert getattr(built, name) == getattr(expected, name)
+        for name in ("set_offsets", "set_members", *VISIT_TABLE_COLUMNS):
+            a, b = getattr(built, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+    def test_bad_token_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        rows = ["P1,H1,2010-06-15,D001,,,,0,outpatient\n"] * 5 + ["P1,H1,2010-06-15,D001,,,7,0,outpatient\n"]
+        paths = write_minimal_tree(tmp_path, rows)
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+        with pytest.raises(IngestError, match=r"visits\.csv:7: field 'triage': level 7 outside 1-5"):
+            load_visits(paths.visits)
+
+    def test_short_row_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        rows = ["P1,H1,2010-06-15,D001,,,,0,outpatient\n"] * 5 + ["P1,H1,2010-06-15\n"]
+        paths = write_minimal_tree(tmp_path, rows)
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+        with pytest.raises(IngestError, match=r"visits\.csv:7: expected 9 fields, found 3"):
+            load_visits(paths.visits)
+
+    def test_sets_too_wide_for_an_int64_key_load(self, tmp_path):
+        # 20 rows of 8 new dx codes each: 161 ** 9 > 2 ** 63 with the primary
+        dx = [[f"D{8 * i + j:03d}" for j in range(8)] for i in range(20)]
+        paths = write_minimal_tree(
+            tmp_path, [f"P1,H1,2010-06-15,D999,{'|'.join(codes)},,,0,outpatient\n" for codes in dx])
+        visits = visit_records(load_visits(paths.visits))
+        assert [v.dx_codes for v in visits] == [frozenset(codes) | {"D999"} for codes in dx]
+
+    def test_a_header_without_rows_loads_no_visits(self, tmp_path):
+        paths = write_minimal_tree(tmp_path, [])
+        visits = load_visits(paths.visits)
+        assert len(visits) == 0 and visits.codes == ()
+
+    def test_dirty_cohort_table_keeps_its_pinned_bytes(self, tmp_path):
+        paths = generate_cohort(CohortSpec(n_patients=150, seed=5, dirty_count=2), tmp_path / "data").paths
+        dataset, _ = load_dataset(paths)
+        write_visit_table(tmp_path / "visit_table.npz", dataset, input_digests(paths), "pinned")
+        digest = hashlib.sha256((tmp_path / "visit_table.npz").read_bytes()).hexdigest()
+        assert digest == DIRTY_TABLE_SHA256
 
 
 class TestRoundTrip:
