@@ -494,6 +494,8 @@ def _read_split(path: Path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     if not all(set(map(type, split[part])) <= {int} for part in ("train", "test")):
         raise ValueError("a row index is not an integer")
     train, test = (np.asarray(split[part], dtype=np.int64) for part in ("train", "test"))
+    if not train.size:  # `train` keeps ceil(fraction * n) >= 1 rows
+        raise ValueError("the train list is empty")
     if any(((idx < 0) | (idx >= n_rows)).any() for idx in (train, test)):
         raise ValueError(f"a row index lies outside [0, {n_rows}), the rows of {FEATURES_CSV}")
     return train, test

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import permutations as all_permutations
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +28,6 @@ from .neuralnet import TrainedModel, encode, forward, forward_logits
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
 EXACT_LIMIT_DEFAULT = 12
-EXHAUSTIVE_LIMIT = 8  # 8! permutations is the most the exhaustive mode will enumerate
 _EVAL_CHUNK = 8192
 
 
@@ -161,7 +159,6 @@ def _attribution(
     base: np.ndarray,
     fx: np.ndarray,
     explained_class: Optional[int],
-    feature_names: Optional[Sequence[str]],
     model_rows: int,
     stderr: Optional[np.ndarray] = None,
     n_permutations: Optional[int] = None,
@@ -177,7 +174,7 @@ def _attribution(
     else:
         raise ValueError(f"explained_class {explained_class} out of range for {n_outputs} outputs")
     return Attribution(
-        feature_names=tuple(feature_names) if feature_names is not None else _default_names(phi.shape[0]),
+        feature_names=_default_names(phi.shape[0]),
         phi=phi[:, col],
         base_value=float(base[col]),
         fx=float(fx[col]),
@@ -220,7 +217,6 @@ def exact_shapley(
     x: np.ndarray,
     background: BackgroundSet,
     explained_class: Optional[int] = None,
-    feature_names: Optional[Sequence[str]] = None,
     exact_limit: int = EXACT_LIMIT_DEFAULT,
 ) -> Attribution:
     """Exact coalition-enumeration Shapley attribution.
@@ -250,7 +246,7 @@ def exact_shapley(
         delta = values[without + (1 << i)] - values[without]
         phi[i] = w @ delta
     model_rows = masks.size * background.substitution_rows.shape[0]
-    return _attribution("exact", phi, values[0], values[-1], explained_class, feature_names, model_rows)
+    return _attribution("exact", phi, values[0], values[-1], explained_class, model_rows)
 
 
 def sampled_shapley(
@@ -260,31 +256,32 @@ def sampled_shapley(
     explained_class: Optional[int] = None,
     n_permutations: int = 200,
     seed: int = 0,
-    exhaustive: bool = False,
-    feature_names: Optional[Sequence[str]] = None,
 ) -> Attribution:
     """Monte-Carlo Shapley attribution with per-feature standard errors.
 
     Each permutation contributes one marginal per feature from its d+1
     prefix coalitions; a coalition that several prefixes share is
     evaluated once. Every model output is attributed at once
-    (`phi_matrix`). `exhaustive` enumerates every permutation instead of
-    sampling, which reproduces the exact values and is only allowed for
-    small d.
+    (`phi_matrix`).
     """
     x = _check_instance(x, background)
-    d = x.shape[0]
-    if exhaustive:
-        if d > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive mode enumerates d! permutations; d={d} exceeds {EXHAUSTIVE_LIMIT}")
-        perms = np.array(list(all_permutations(range(d))), dtype=np.int64)
-    else:
-        if n_permutations < 1:
-            raise ValueError(f"n_permutations must be at least 1, got {n_permutations}")
-        rng = np.random.default_rng(seed)
-        perms = np.array([rng.permutation(d) for _ in range(n_permutations)], dtype=np.int64)
-    n_used = perms.shape[0]
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be at least 1, got {n_permutations}")
+    rng = np.random.default_rng(seed)
+    perms = np.array([rng.permutation(x.shape[0]) for _ in range(n_permutations)], dtype=np.int64)
+    return _permutation_shapley(model_fn, x, background, explained_class, perms)
 
+
+def _permutation_shapley(
+    model_fn: ModelFn,
+    x: np.ndarray,
+    background: BackgroundSet,
+    explained_class: Optional[int],
+    perms: np.ndarray,
+) -> Attribution:
+    """The mean marginal of each feature over the feature orders `perms`,
+    one order per row; x is a checked instance."""
+    n_used, d = perms.shape
     # pos[p, i] = step at which feature i joins the coalition in permutation p
     pos = np.empty_like(perms)
     np.put_along_axis(pos, perms, np.broadcast_to(np.arange(d), perms.shape), axis=1)
@@ -312,7 +309,7 @@ def sampled_shapley(
         stderr = np.full((d, n_outputs), np.nan)
     # the empty and full coalitions are identical across permutations
     return _attribution("sampled", phi, values[0, 0], values[0, -1], explained_class,
-                        feature_names, model_rows, stderr, n_used)
+                        model_rows, stderr, n_used)
 
 
 def global_importance(attributions: Sequence[Attribution]) -> GlobalImportance:

@@ -12,7 +12,7 @@ import gc
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from functools import partial
 from itertools import chain, islice
@@ -354,7 +354,8 @@ def load_code_file(path: Path) -> frozenset[str]:
 
 
 def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
-    """Load all files, sort visits canonically, and run the exclusion pass.
+    """Load all files, run the exclusion pass, and sort the kept visits
+    canonically.
 
     Deterministic given identical file bytes. Returns the clean dataset and
     the per-reason audit counts.
@@ -365,7 +366,7 @@ def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
     dataset = Dataset(
         patients=patients,
         providers=providers,
-        visits=visits.sorted(),
+        visits=visits,
         region_stats=load_density(paths.density),
         calendar=load_calendar(paths.calendar),
         code_sets=CodeSets(
@@ -375,7 +376,10 @@ def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
             catastrophic_dx_codes=load_code_file(paths.catastrophic_dx_codes),
         ),
     )
-    return apply_exclusions(dataset)
+    # excluding first sorts only the kept rows, which are often in order
+    # already; the rows excluded are the same in any order
+    clean, audit = apply_exclusions(dataset)
+    return replace(clean, visits=clean.visits.sorted()), audit
 
 
 def _fmt_date(d: Optional[date]) -> str:

@@ -2,7 +2,7 @@
 
 The generator fabricates patients, providers, and visit lines whose
 marginal statistics (class priors, age, gender, income, visit volume,
-incident flags) land within tolerance of the configured targets, then
+incident flags) land within tolerance of the published targets, then
 writes the standard ingest file set.
 
 Choice signal. With signal_strength 0 every visit's hospital level is an
@@ -27,7 +27,6 @@ audit can be checked exactly.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
@@ -61,6 +60,41 @@ LEVEL_TARGET_SKEW = (0.003, 0.012, 0.05, 0.935)
 # Density tilt per level: dense regions favor tertiary care.
 DENSITY_BETA = (0.9, 0.45, 0.0, -0.25)
 
+# The published cohort every generated one is calibrated to: class shares,
+# age, gender, income, visit volume and incident rates, plus the care
+# network's loyalty and the regions' physician density. The manifest
+# records them beside the spec.
+MARGINALS = {
+    "loyalty": 0.5,  # probability that a visit goes to the patient's primary provider
+    "prior_clinic": 0.7242,
+    "prior_regional": 0.1073,
+    "prior_center": 0.0851,
+    "prior_district": 0.0835,
+    "age_mean": 45.80,
+    "age_sd": 16.33,
+    "male_rate": 0.4791,
+    "low_income_rate": 0.0228,
+    "visits_mean": 16.70,
+    "visits_sd": 15.39,
+    "surgery_rate": 0.0279,
+    "er_rate": 0.0181,
+    "severe_rate": 0.0349,
+    "workday_rate": 0.8373,
+    "density_mean": 24.224,
+    "density_sd": 8.0,
+    "n_regions": 20,
+}
+# visit-level class priors indexed by hospital-level code; the published
+# shares are rounded percentages, so they are renormalized
+_PRIOR_SHARES = np.array(
+    [MARGINALS[f"prior_{level}"] for level in ("center", "regional", "district", "clinic")]
+)
+PRIORS = _PRIOR_SHARES / _PRIOR_SHARES.sum()
+# (mu, sigma) of the log-normal matching the visit-count mean and SD
+_VISITS_SIGMA_SQ = np.log(1.0 + (MARGINALS["visits_sd"] / MARGINALS["visits_mean"]) ** 2)
+VISITS_LOGNORMAL = (float(np.log(MARGINALS["visits_mean"]) - _VISITS_SIGMA_SQ / 2.0),
+                    float(np.sqrt(_VISITS_SIGMA_SQ)))
+
 DX_VOCAB_SIZE = 200
 DX_ZIPF_EXPONENT = 1.1
 CHRONIC_VOCAB_FRACTION = 0.25
@@ -74,92 +108,30 @@ MANIFEST_FILENAME = "generator_manifest.json"
 
 @dataclass(frozen=True)
 class CohortSpec:
-    """Generation targets; defaults reproduce the published cohort shape."""
+    """What varies between cohorts; the marginals are the published ones."""
 
     n_patients: int = 5000
     seed: int = 0
     signal_strength: float = 0.0
-    loyalty: float = 0.5  # probability that a visit goes to the patient's primary provider
-    prior_clinic: float = 0.7242
-    prior_regional: float = 0.1073
-    prior_center: float = 0.0851
-    prior_district: float = 0.0835
-    age_mean: float = 45.80
-    age_sd: float = 16.33
-    male_rate: float = 0.4791
-    low_income_rate: float = 0.0228
-    visits_mean: float = 16.70
-    visits_sd: float = 15.39
-    surgery_rate: float = 0.0279
-    er_rate: float = 0.0181
-    severe_rate: float = 0.0349
-    workday_rate: float = 0.8373
-    density_mean: float = 24.224
-    density_sd: float = 8.0
-    n_regions: int = 20
     dirty_count: int = 0  # violations injected per exclusion type
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_patients < 1:
             raise ValueError(f"n_patients must be positive, got {self.n_patients}")
-        if not 0.0 <= self.signal_strength <= 1.0:
+        if not 0.0 <= self.signal_strength <= 1.0:  # also refuses NaN
             raise ValueError(f"signal_strength must be in [0,1], got {self.signal_strength}")
-        if not 0.0 < self.loyalty <= 1.0:
-            raise ValueError(f"loyalty must be in (0,1], got {self.loyalty}")
-        rates = {
-            "male_rate": self.male_rate,
-            "low_income_rate": self.low_income_rate,
-            "surgery_rate": self.surgery_rate,
-            "er_rate": self.er_rate,
-            "severe_rate": self.severe_rate,
-            "workday_rate": self.workday_rate,
-        }
-        for name, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {rate}")
-        raw = self.prior_center + self.prior_regional + self.prior_district + self.prior_clinic
-        # the published shares are rounded percentages, so allow slack and renormalize
-        if abs(raw - 1.0) > 0.01:
-            raise ValueError(f"class priors sum to {raw}, expected 1")
-        if min(self.prior_center, self.prior_regional, self.prior_district, self.prior_clinic) <= 0:
-            raise ValueError("class priors must be positive")
-        if self.age_sd <= 0 or self.visits_sd <= 0 or self.density_sd <= 0:
-            raise ValueError("spread parameters must be positive")
-        if self.visits_mean <= 0:
-            raise ValueError(f"visits_mean must be positive, got {self.visits_mean}")
-        if self.n_regions < 2:
-            raise ValueError(f"n_regions must be at least 2, got {self.n_regions}")
         if self.dirty_count < 0:
             raise ValueError(f"dirty_count must be nonnegative, got {self.dirty_count}")
 
-    @property
-    def priors(self) -> np.ndarray:
-        """Visit-level class priors indexed by hospital-level code, normalized."""
-        raw = np.array(
-            [self.prior_center, self.prior_regional, self.prior_district, self.prior_clinic]
-        )
-        return raw / raw.sum()
 
-    @property
-    def visits_lognormal(self) -> tuple[float, float]:
-        """(mu, sigma) of the log-normal matching the visit-count mean/SD."""
-        sigma_sq = np.log(1.0 + (self.visits_sd / self.visits_mean) ** 2)
-        mu = np.log(self.visits_mean) - sigma_sq / 2.0
-        return float(mu), float(np.sqrt(sigma_sq))
-
-
-def cohort_spec_from_config(config: Mapping[str, str], prefix: str = "synth.") -> CohortSpec:
-    """Build a CohortSpec from key=value strings, e.g. a parsed config file."""
+def cohort_spec_from_config(config: Mapping[str, str]) -> CohortSpec:
+    """Build a CohortSpec from the `synth.*` key=value strings of a parsed config."""
     kwargs = {}
     known = {f.name: f.type for f in fields(CohortSpec)}
     for key, raw in config.items():
-        if not key.startswith(prefix):
+        if not key.startswith("synth."):
             continue
-        name = key[len(prefix) :]
+        name = key.removeprefix("synth.")
         if name not in known:
             raise ValueError(f"unknown cohort option {key!r}")
         as_int = known[name] == "int"
@@ -223,15 +195,15 @@ def generate_cohort(
     """Generate and write one cohort; same spec, byte-identical files."""
     rng = np.random.default_rng(spec.seed)
     out_dir = Path(out_dir)
-    priors = spec.priors
-    log_priors = np.log(priors)
+    log_priors = np.log(PRIORS)
     beta = np.asarray(DENSITY_BETA)
     s = spec.signal_strength
 
     # regions and standardized density
-    region_codes = [f"R{r:03d}" for r in range(spec.n_regions)]
+    n_regions = MARGINALS["n_regions"]
+    region_codes = [f"R{r:03d}" for r in range(n_regions)]
     densities = np.clip(
-        rng.normal(spec.density_mean, spec.density_sd, size=spec.n_regions), 5.0, 60.0
+        rng.normal(MARGINALS["density_mean"], MARGINALS["density_sd"], size=n_regions), 5.0, 60.0
     )
     dens_sd = densities.std()
     z_region = (densities - densities.mean()) / dens_sd if dens_sd > 0 else np.zeros_like(densities)
@@ -251,7 +223,7 @@ def generate_cohort(
     for level in range(N_LEVELS):
         placement = _softmax(s * beta[level] * z_region)
         for _ in range(level_counts[level]):
-            slots.append((level, int(rng.choice(spec.n_regions, p=placement))))
+            slots.append((level, int(rng.choice(n_regions, p=placement))))
     # ids must not encode the level: vote ties break toward the smallest
     # provider id, so id order aligned with level would leak level into
     # the vote features even with no signal planted
@@ -276,11 +248,11 @@ def generate_cohort(
 
     # patients
     n = spec.n_patients
-    ages = np.clip(rng.normal(spec.age_mean, spec.age_sd, size=n), 0.0, 110.0)
-    male = _quota_flags(n, spec.male_rate, rng)
-    low_income = _quota_flags(n, spec.low_income_rate, rng)
-    home_region = rng.integers(0, spec.n_regions, size=n)
-    mu, sigma = spec.visits_lognormal
+    ages = np.clip(rng.normal(MARGINALS["age_mean"], MARGINALS["age_sd"], size=n), 0.0, 110.0)
+    male = _quota_flags(n, MARGINALS["male_rate"], rng)
+    low_income = _quota_flags(n, MARGINALS["low_income_rate"], rng)
+    home_region = rng.integers(0, n_regions, size=n)
+    mu, sigma = VISITS_LOGNORMAL
     visit_counts = np.maximum(1, np.rint(rng.lognormal(mu, sigma, size=n))).astype(np.int64)
 
     patients: dict[str, PatientProfile] = {}
@@ -333,10 +305,10 @@ def generate_cohort(
 
     # visit-level quotas
     total_visits = int(visit_counts.sum())
-    surgery = _quota_flags(total_visits, spec.surgery_rate, rng)
-    er = _quota_flags(total_visits, spec.er_rate, rng)
-    severe = _quota_flags(total_visits, spec.severe_rate, rng)
-    workday = _quota_flags(total_visits, spec.workday_rate, rng)
+    surgery = _quota_flags(total_visits, MARGINALS["surgery_rate"], rng)
+    er = _quota_flags(total_visits, MARGINALS["er_rate"], rng)
+    severe = _quota_flags(total_visits, MARGINALS["severe_rate"], rng)
+    workday = _quota_flags(total_visits, MARGINALS["workday_rate"], rng)
 
     # diagnosis vocabulary: Zipf-weighted tokens; the most common fraction is chronic
     vocab = [f"D{i:03d}" for i in range(DX_VOCAB_SIZE)]
@@ -397,7 +369,7 @@ def generate_cohort(
     alt_pick = np.zeros(total_visits, np.int64)
     alt_pick[np.repeat(net_sizes > 1, visit_counts)] = draws[alt_slot]
     network_pos = (np.cumsum(net_sizes) - net_sizes)[patient_of]
-    network_pos += np.where(loyalty_u < spec.loyalty, 0, alt_pick)
+    network_pos += np.where(loyalty_u < MARGINALS["loyalty"], 0, alt_pick)
     days = np.empty(total_visits, np.int64)
     days[workday] = wd_ords[draws[date_slot[workday]]]
     days[~workday] = we_ords[draws[date_slot[~workday]]]
@@ -443,11 +415,11 @@ def generate_cohort(
     expected_audit = _append_dirty_rows(paths, spec.dirty_count, provider_ids[0])
 
     manifest = {
-        "spec": asdict(spec),
+        "spec": {**asdict(spec), **MARGINALS},
         "window": [WINDOW_START.isoformat(), WINDOW_END.isoformat()],
         "visits_lognormal": {"mu": mu, "sigma": sigma},
         "level_order": [LEVEL_NAMES[HospitalLevel(c)] for c in range(N_LEVELS)],
-        "priors_normalized": [float(p) for p in priors],
+        "priors_normalized": [float(p) for p in PRIORS],
         "level_target_skew": list(LEVEL_TARGET_SKEW),
         "density_beta": list(DENSITY_BETA),
         "provider_counts_by_level": {

@@ -1,11 +1,14 @@
 """Independent naive reimplementations used as test oracles.
 
 Everything here is written the slow, obvious way (python loops, itertools
-subsets) and deliberately shares no code with the package, with two
+subsets) and deliberately shares no code with the package, with three
 exceptions: `gradient_check` calls the package's `_backprop` on purpose,
 because the backprop that SGD runs is what it checks, against central
-differences of the package's loss; and `visit_table_from_columns` fills the
-package's `VisitTable` record. Tests compare package output against these.
+differences of the package's loss; `exhaustive_shapley` runs the package's
+permutation estimator over every feature order, so that the estimator
+`sampled_shapley` runs is what tests compare with the exact values; and
+`visit_table_from_columns` fills the package's `VisitTable` record. Tests
+compare package output against these.
 """
 
 import csv
@@ -19,7 +22,7 @@ from statistics import fmean, stdev
 
 import numpy as np
 
-from carechoice import neuralnet
+from carechoice import explain, neuralnet
 from carechoice.domain import VisitTable
 
 
@@ -293,6 +296,21 @@ def naive_permutation_shapley(model_fn, x, background_rows):
             prev = cur
         count += 1
     return phi / count
+
+
+EXHAUSTIVE_LIMIT = 8  # 8! orders is the most `exhaustive_shapley` enumerates
+
+
+def exhaustive_shapley(model_fn, x, background, explained_class=None):
+    """The package's permutation estimator over all d! feature orders, which
+    gives the exact Shapley values: an Attribution, as `sampled_shapley`
+    returns one. Only for small d."""
+    x = explain._check_instance(x, background)
+    d = x.shape[0]
+    if d > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive mode enumerates d! permutations; d={d} exceeds {EXHAUSTIVE_LIMIT}")
+    orders = np.array(list(permutations(range(d))), dtype=np.int64)
+    return explain._permutation_shapley(model_fn, x, background, explained_class, orders)
 
 
 def per_prefix_shapley(model_fn, x, background_rows, orders):

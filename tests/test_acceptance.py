@@ -31,7 +31,13 @@ from carechoice.neuralnet import (
     train_classifier,
 )
 from carechoice.pipeline import SplitSpec, kfold_indices, split_indices, undersample_indices
-from oracles import gradient_check, naive_auc, naive_class_counts, naive_class_metrics
+from oracles import (
+    exhaustive_shapley,
+    gradient_check,
+    naive_auc,
+    naive_class_counts,
+    naive_class_metrics,
+)
 
 
 @contextmanager
@@ -128,7 +134,7 @@ def test_criterion_3_shapley_axioms_and_convergence():
         bg3 = BackgroundSet(np.random.default_rng(2).uniform(size=(3, 3)), mode="samples")
         x3 = np.random.default_rng(3).uniform(size=3)
         exact3 = exact_shapley(fn3, x3, bg3, explained_class=0)
-        sampled3 = sampled_shapley(fn3, x3, bg3, explained_class=0, exhaustive=True)
+        sampled3 = exhaustive_shapley(fn3, x3, bg3, explained_class=0)
         assert np.max(np.abs(exact3.phi - sampled3.phi)) <= 1e-12
 
         # sampling converges: d=10, 2000 permutations, MAE under 5% of max |phi|

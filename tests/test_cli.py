@@ -78,8 +78,20 @@ class TestRunConfig:
             RunConfig({"train.epoch": "3"})
 
     def test_cohort_fields_are_allowed_beyond_the_defaults(self):
-        cfg = RunConfig({"synth.loyalty": "0.7"})
-        assert cfg.get_float("synth.loyalty") == 0.7
+        cfg = RunConfig({"synth.seed": "7"})
+        assert cfg.get_int("synth.seed") == 7
+
+    def test_allowed_keys_are_the_defaults_and_the_cohort_spec(self):
+        assert cli._allowed_keys() == {
+            "seed", "run_dir", "data_dir",
+            "train.fraction", "train.folds", "train.learning_rate", "train.batch_size",
+            "train.epochs",
+            "ae.learning_rate", "ae.batch_size", "ae.epochs",
+            "explain.method", "explain.n_permutations", "explain.exact_limit",
+            "explain.background_size", "explain.background_mode", "explain.n_instances",
+            "explain.output",
+            "synth.n_patients", "synth.seed", "synth.signal_strength", "synth.dirty_count",
+        }
 
     def test_set_overrides_beat_the_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -655,10 +667,13 @@ class TestExitCodes:
             cli.main(["train", "--ae", "--no-ae"])
         assert exc.value.code == 2
 
-    def test_bad_config_exits_three(self, tmp_path):
+    def test_bad_config_exits_three(self, tmp_path, capsys):
         assert cli.main(["synth", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
         assert cli.main(["synth", "--set", "no_such_key=1"]) == EXIT_CONFIG
         assert cli.main(["synth", "--set", "garbage"]) == EXIT_CONFIG
+        # the published marginals are constants, not config keys
+        assert cli.main(["synth", "--set", "synth.loyalty=0.7"]) == EXIT_CONFIG
+        assert "unknown config keys: synth.loyalty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, message", [
         pytest.param("method=kernel", "must be exact or sampled, got 'kernel'", id="method=kernel"),
@@ -940,6 +955,21 @@ class TestExitCodes:
         train, test = cli._read_split(path, 3)
         assert train.tolist() == [0, 2]
         assert test.dtype == np.int64 and test.size == 0
+
+    def test_an_empty_train_list_exits_five(self, trained_run, tmp_path, capsys):
+        # `train` never writes one: it keeps ceil(0.8 n) >= 1 rows
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        path = run / SPLIT_JSON
+        split = json.loads(path.read_text())
+        split["train"] = []
+        path.write_text(json.dumps(split))
+        capsys.readouterr()
+        assert cli.main(["explain", "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={trained_run / 'data'}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (ValueError: the train list is empty)")
+        assert err.endswith("; run `train` again\n")
 
     def features_then(self, tmp_path, edit):
         base = [

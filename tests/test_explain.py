@@ -26,7 +26,12 @@ from carechoice.neuralnet import (
     train_autoencoder,
     train_classifier,
 )
-from oracles import naive_permutation_shapley, naive_shapley, per_prefix_shapley
+from oracles import (
+    exhaustive_shapley,
+    naive_permutation_shapley,
+    naive_shapley,
+    per_prefix_shapley,
+)
 
 
 def linear_model(w, b=0.0):
@@ -59,7 +64,7 @@ class TestLinearClosedForm:
         bg = BackgroundSet(np.array([[0.5, 0.5, 0.5]]))
         x = np.array([1.0, 2.0, 3.0])
         exact = exact_shapley(linear_model(w), x, bg)
-        sampled = sampled_shapley(linear_model(w), x, bg, exhaustive=True)
+        sampled = exhaustive_shapley(linear_model(w), x, bg)
         assert sampled.phi == pytest.approx(exact.phi, abs=1e-12)
         assert sampled.n_permutations == math.factorial(3)
 
@@ -120,7 +125,7 @@ class TestAgainstNaiveOracles:
         rows = np.random.default_rng(9).uniform(size=(2, 3))
         x = np.array([0.2, 0.8, 0.5])
         scalar_fn = lambda r: fn(r)[:, 0]
-        att = sampled_shapley(scalar_fn, x, BackgroundSet(rows, mode="samples"), exhaustive=True)
+        att = exhaustive_shapley(scalar_fn, x, BackgroundSet(rows, mode="samples"))
         assert att.phi == pytest.approx(
             naive_permutation_shapley(scalar_fn, x, rows), abs=1e-10
         )
@@ -173,7 +178,7 @@ class TestSampling:
         fn = linear_model(np.ones(9))
         bg = BackgroundSet(np.zeros((1, 9)))
         with pytest.raises(ValueError, match="exhaustive"):
-            sampled_shapley(fn, np.ones(9), bg, exhaustive=True)
+            exhaustive_shapley(fn, np.ones(9), bg)
 
 
 class CountingModel:
@@ -223,7 +228,7 @@ class TestDistinctCoalitions:
         x, bg_row = np.random.default_rng(8).uniform(size=(2, 8))
         bg = BackgroundSet(bg_row[np.newaxis, :])
         model = CountingModel(fn)
-        att = sampled_shapley(model, x, bg, exhaustive=True)
+        att = exhaustive_shapley(model, x, bg)
         assert att.n_permutations == math.factorial(8)
         assert len(set(model.rows)) == len(model.rows) == att.model_rows == 2**8
         assert exact_shapley(fn, x, bg).model_rows == 2**8

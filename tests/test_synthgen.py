@@ -4,7 +4,6 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -15,6 +14,9 @@ from carechoice.ingest import DataPaths, load_dataset
 from carechoice.synthgen import (
     AGE_ANCHOR,
     MANIFEST_FILENAME,
+    MARGINALS,
+    PRIORS,
+    VISITS_LOGNORMAL,
     WINDOW_END,
     WINDOW_START,
     CohortSpec,
@@ -72,42 +74,24 @@ class TestCohortSpec:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="n_patients"):
             CohortSpec(n_patients=0)
-        with pytest.raises(ValueError, match="signal_strength"):
-            CohortSpec(signal_strength=1.5)
-        with pytest.raises(ValueError, match="loyalty"):
-            CohortSpec(loyalty=0.0)
-        with pytest.raises(ValueError, match="priors"):
-            CohortSpec(prior_clinic=0.9)
+        for bad in (1.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="signal_strength must be in"):
+                CohortSpec(signal_strength=bad)
         with pytest.raises(ValueError, match="dirty_count"):
             CohortSpec(dirty_count=-1)
-        with pytest.raises(ValueError, match="n_regions"):
-            CohortSpec(n_regions=1)
-        # a NaN prior puts every provider at one level, and the search for a
-        # patient's next distinct alternate can then never end
-        for field in fields(CohortSpec):
-            if field.type != "float":
-                continue
-            for bad in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(ValueError, match=f"{field.name} must be finite"):
-                    CohortSpec(**{field.name: bad})
 
     def test_priors_normalize_and_follow_level_codes(self):
-        spec = CohortSpec()
-        priors = spec.priors
-        assert priors.sum() == pytest.approx(1.0, abs=1e-12)
-        assert priors[HospitalLevel.CLINIC] == max(priors)
-        assert priors[HospitalLevel.MEDICAL_CENTER] == pytest.approx(
-            spec.prior_center / (spec.prior_center + spec.prior_regional
-                                 + spec.prior_district + spec.prior_clinic)
-        )
+        assert PRIORS.sum() == pytest.approx(1.0, abs=1e-12)
+        assert PRIORS[HospitalLevel.CLINIC] == max(PRIORS)
+        shares = [MARGINALS[f"prior_{level}"] for level in ("center", "regional", "district", "clinic")]
+        assert PRIORS[HospitalLevel.MEDICAL_CENTER] == pytest.approx(shares[0] / sum(shares))
 
     def test_lognormal_parameters_recover_the_target_moments(self):
-        spec = CohortSpec()
-        mu, sigma = spec.visits_lognormal
+        mu, sigma = VISITS_LOGNORMAL
         mean = np.exp(mu + sigma**2 / 2)
         var = (np.exp(sigma**2) - 1) * np.exp(2 * mu + sigma**2)
-        assert mean == pytest.approx(spec.visits_mean, rel=1e-12)
-        assert np.sqrt(var) == pytest.approx(spec.visits_sd, rel=1e-12)
+        assert mean == pytest.approx(MARGINALS["visits_mean"], rel=1e-12)
+        assert np.sqrt(var) == pytest.approx(MARGINALS["visits_sd"], rel=1e-12)
 
 
 class TestSpecFromConfig:
@@ -128,8 +112,10 @@ class TestSpecFromConfig:
         assert spec.dirty_count == 3
 
     def test_unknown_option_is_rejected(self):
-        with pytest.raises(ValueError, match="synth.n_patient"):
-            cohort_spec_from_config({"synth.n_patient": "10"})
+        # a published marginal is a constant, not an option
+        for key in ("synth.n_patient", "synth.loyalty"):
+            with pytest.raises(ValueError, match=key):
+                cohort_spec_from_config({key: "0.7"})
 
     @pytest.mark.parametrize("key, raw, kind", [
         ("synth.n_patients", "nan", "an integer"),
@@ -210,11 +196,10 @@ class TestCleanCohort:
 
     def test_quota_marginals_are_exact(self, cohort):
         ds = cohort.dataset
-        spec = CohortSpec(n_patients=800, seed=11)
         males = sum(p.gender == "male" for p in ds.patients.values())
         poor = sum(p.low_income for p in ds.patients.values())
-        assert males == round(spec.male_rate * 800)
-        assert poor == round(spec.low_income_rate * 800)
+        assert males == round(MARGINALS["male_rate"] * 800)
+        assert poor == round(MARGINALS["low_income_rate"] * 800)
 
         visits = visit_records(ds.visits)
         n_visits = len(visits)
@@ -225,10 +210,10 @@ class TestCleanCohort:
             for v in visits
         )
         workday = sum(ds.calendar.is_workday(v.visit_date) for v in visits)
-        assert surgery == round(spec.surgery_rate * n_visits)
-        assert er == round(spec.er_rate * n_visits)
-        assert severe == round(spec.severe_rate * n_visits)
-        assert workday == round(spec.workday_rate * n_visits)
+        assert surgery == round(MARGINALS["surgery_rate"] * n_visits)
+        assert er == round(MARGINALS["er_rate"] * n_visits)
+        assert severe == round(MARGINALS["severe_rate"] * n_visits)
+        assert workday == round(MARGINALS["workday_rate"] * n_visits)
 
     def test_population_moments_near_targets(self, cohort):
         ds = cohort.dataset
@@ -288,7 +273,7 @@ class TestSignalGeometry:
         )
         total = sum(levels.values())
         clinic_share = levels[HospitalLevel.CLINIC] / total
-        assert abs(clinic_share - spec.priors[HospitalLevel.CLINIC]) < 0.06
+        assert abs(clinic_share - PRIORS[HospitalLevel.CLINIC]) < 0.06
 
     def test_signal_skews_supply_toward_clinics_but_not_demand(self, tmp_path):
         spec = CohortSpec(n_patients=600, seed=7, signal_strength=0.9)
