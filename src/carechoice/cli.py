@@ -34,7 +34,6 @@ from .domain import (
     N_LEVELS,
 )
 from .explain import (
-    BackgroundSet,
     classifier_model_fn,
     global_importance,
     local_report,
@@ -45,7 +44,6 @@ from .explain import (
 from .features import (
     FeatureFileError,
     MissingRegionError,
-    N_FEATURES,
     ScalerParams,
     build_feature_vectors,
     fit_scaler,
@@ -131,11 +129,8 @@ DEFAULT_CONFIG: dict[str, str] = {
     "ae.epochs": "12",
     "explain.method": "sampled",
     "explain.n_permutations": "200",
-    "explain.exact_limit": "12",
     "explain.background_size": "100",
-    "explain.background_mode": "mean",
     "explain.n_instances": "20",
-    "explain.output": "probability",
     "synth.n_patients": "5000",
     "synth.signal_strength": "0.0",
     "synth.dirty_count": "0",
@@ -358,6 +353,9 @@ def _prepare_training(cfg: RunConfig):
         folds=cfg.get_int("train.folds"),
     )
     train_idx, test_idx = split_indices(x_raw.shape[0], spec)
+    if not test_idx.size:  # evaluate and explain would have nothing to score
+        raise ConfigError(f"train.fraction {spec.train_fraction} puts all {x_raw.shape[0]} "
+                          "feature rows in training and leaves no test rows")
     scaler = fit_scaler(x_raw[train_idx])
     balanced_rel = undersample_indices(
         y[train_idx],
@@ -494,8 +492,9 @@ def _read_split(path: Path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     if not all(set(map(type, split[part])) <= {int} for part in ("train", "test")):
         raise ValueError("a row index is not an integer")
     train, test = (np.asarray(split[part], dtype=np.int64) for part in ("train", "test"))
-    if not train.size:  # `train` keeps ceil(fraction * n) >= 1 rows
-        raise ValueError("the train list is empty")
+    for part, idx in (("train", train), ("test", test)):
+        if not idx.size:  # `train` never writes an empty part
+            raise ValueError(f"the {part} list is empty")
     if any(((idx < 0) | (idx >= n_rows)).any() for idx in (train, test)):
         raise ValueError(f"a row index lies outside [0, {n_rows}), the rows of {FEATURES_CSV}")
     return train, test
@@ -525,43 +524,34 @@ def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
 def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     # checked before any artifact is read, and each by its key: a bad value
     # would otherwise fail deep inside, some only in a pool worker
-    for key, allowed in (("explain.method", ("exact", "sampled")),
-                         ("explain.background_mode", ("mean", "samples")),
-                         ("explain.output", ("probability", "logit"))):
-        if cfg.get_str(key) not in allowed:
-            raise ConfigError(f"config key {key} must be {' or '.join(allowed)}, got {cfg.get_str(key)!r}")
+    method = cfg.get_str("explain.method")
+    if method not in ("exact", "sampled"):
+        raise ConfigError(f"config key explain.method must be exact or sampled, got {method!r}")
     for key in ("explain.n_permutations", "explain.n_instances", "explain.background_size"):
         if cfg.get_int(key) < 1:
             raise ConfigError(f"config key {key} must be at least 1, got {cfg.get_int(key)}")
-    method = cfg.get_str("explain.method")
-    exact_limit = cfg.get_int("explain.exact_limit")
-    if method == "exact" and N_FEATURES > exact_limit:
-        raise ConfigError(f"explain.method=exact enumerates 2^{N_FEATURES} coalitions, over "
-                          f"explain.exact_limit {exact_limit}; raise explain.exact_limit to "
-                          f"{N_FEATURES} or use explain.method=sampled")
     x_raw, _, train_idx, test_idx, scaler = _load_eval_inputs(cfg)
     model, ae_model = _load_variant_models(cfg, with_ae)
 
     bg_rng = np.random.default_rng(derive_seed(cfg.get_int("seed"), "background"))
     bg_size = min(cfg.get_int("explain.background_size"), train_idx.size)
     bg_rows = scaler.transform(x_raw[train_idx[bg_rng.choice(train_idx.size, bg_size, replace=False)]])
-    background = BackgroundSet(bg_rows, mode=cfg.get_str("explain.background_mode"))
+    baseline = bg_rows.mean(axis=0)  # an absent feature takes its background mean
 
     inst_rng = np.random.default_rng(derive_seed(cfg.get_int("seed"), "explain"))
     n_instances = min(cfg.get_int("explain.n_instances"), test_idx.size)
     chosen = np.sort(inst_rng.choice(test_idx.size, n_instances, replace=False))
     instances = scaler.transform(x_raw[test_idx[chosen]])
 
-    model_fn = classifier_model_fn(model, ae=ae_model, output=cfg.get_str("explain.output"))
+    model_fn = classifier_model_fn(model, ae=ae_model)
     predicted, _ = predict_batch(model, instances, ae=ae_model)
 
     def attribute(row_no: int):
         cls = int(predicted[row_no])
         if method == "exact":
-            return exact_shapley(model_fn, instances[row_no], background, explained_class=cls,
-                                 exact_limit=exact_limit)
+            return exact_shapley(model_fn, instances[row_no], baseline, explained_class=cls)
         return sampled_shapley(
-            model_fn, instances[row_no], background, explained_class=cls,
+            model_fn, instances[row_no], baseline, explained_class=cls,
             n_permutations=cfg.get_int("explain.n_permutations"),
             seed=derive_seed(cfg.get_int("seed"), f"explain:{row_no}"),
         )

@@ -1,10 +1,10 @@
 """Shapley-value attributions for visit-level predictions.
 
-Feature absence is represented by substituting values from a background
-set. The exact method enumerates every coalition; the sampled method
-averages marginal contributions over random feature permutations. Both
-satisfy efficiency: contributions plus the base value reconstruct the
-model output.
+An absent feature takes its value from a baseline vector, in the pipeline
+the mean of a background sample. The exact method enumerates every
+coalition; the sampled method averages marginal contributions over random
+feature permutations. Both satisfy efficiency: contributions plus the
+base value reconstruct the model output.
 """
 
 from __future__ import annotations
@@ -19,50 +19,15 @@ import numpy as np
 
 from .atomic import open_atomic
 from .domain import LEVEL_NAMES, N_LEVELS, HospitalLevel
-from .features import FEATURE_NAMES
-from .neuralnet import TrainedModel, encode, forward, forward_logits
+from .features import FEATURE_NAMES, N_FEATURES
+from .neuralnet import TrainedModel, encode, forward
 
 # A model function maps a (n, d) matrix to (n,) scores or (n, n_classes)
 # per-class scores; all classes of a multi-output model are computed in
 # one pass over the coalition matrix.
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
-EXACT_LIMIT_DEFAULT = 12
 _EVAL_CHUNK = 8192
-
-
-class ExactLimitError(ValueError):
-    """Raised when exact enumeration would exceed the coalition budget."""
-
-
-@dataclass(frozen=True)
-class BackgroundSet:
-    """Scaled rows that stand in for absent features.
-
-    mode "mean" substitutes the per-feature mean (one synthetic row);
-    mode "samples" averages the model over every background row.
-    """
-
-    rows: np.ndarray
-    mode: str = "mean"
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] == 0:
-            raise ValueError("background must be a nonempty (n, d) matrix")
-        if self.mode not in ("mean", "samples"):
-            raise ValueError(f"unknown background mode {self.mode!r}")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def width(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def substitution_rows(self) -> np.ndarray:
-        if self.mode == "mean":
-            return self.rows.mean(axis=0, keepdims=True)
-        return self.rows
 
 
 @dataclass(frozen=True)
@@ -140,13 +105,14 @@ def _eval_outputs(model_fn: ModelFn, x: np.ndarray) -> np.ndarray:
     return np.concatenate(outs, axis=0)
 
 
-def _check_instance(x: np.ndarray, background: BackgroundSet) -> np.ndarray:
+def _check_instance(x: np.ndarray, baseline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("explain one instance at a time; x must be a vector")
-    if x.shape[0] != background.width:
-        raise ValueError(f"instance width {x.shape[0]} does not match background width {background.width}")
-    return x
+    baseline = np.asarray(baseline, dtype=np.float64)
+    if x.ndim != 1 or baseline.ndim != 1:
+        raise ValueError("explain one instance at a time against one baseline; both must be vectors")
+    if x.shape != baseline.shape:
+        raise ValueError(f"instance width {x.shape[0]} does not match baseline width {baseline.shape[0]}")
+    return x, baseline
 
 
 def _default_names(d: int) -> tuple[str, ...]:
@@ -188,19 +154,14 @@ def _attribution(
 
 
 def _coalition_values(
-    model_fn: ModelFn, x: np.ndarray, background: BackgroundSet, present: np.ndarray
+    model_fn: ModelFn, x: np.ndarray, baseline: np.ndarray, present: np.ndarray
 ) -> np.ndarray:
     """v(S) for each coalition, shape (n_coalitions, n_outputs).
 
     `present[k, i]` is True when feature i is in coalition k; absent
-    features take the background's values, averaged over its rows.
+    features take the baseline's values.
     """
-    total: Optional[np.ndarray] = None
-    subs = background.substitution_rows
-    for b in subs:
-        out = _eval_outputs(model_fn, np.where(present, x, b))
-        total = out if total is None else total + out
-    return total / subs.shape[0]
+    return _eval_outputs(model_fn, np.where(present, x, baseline))
 
 
 def _shapley_weights(d: int) -> np.ndarray:
@@ -215,28 +176,24 @@ def _shapley_weights(d: int) -> np.ndarray:
 def exact_shapley(
     model_fn: ModelFn,
     x: np.ndarray,
-    background: BackgroundSet,
+    baseline: np.ndarray,
     explained_class: Optional[int] = None,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
 ) -> Attribution:
     """Exact coalition-enumeration Shapley attribution.
 
     Every model output is attributed at once (`phi_matrix`); `phi` is the
-    explained column. The coalition count is 2^d, so d is capped at
-    `exact_limit`; callers that can afford the full 18-feature enumeration
-    raise the cap explicitly.
+    explained column. The coalition count is 2^d, so d is capped at the
+    pipeline's feature count.
     """
-    x = _check_instance(x, background)
+    x, baseline = _check_instance(x, baseline)
     d = x.shape[0]
-    if d > exact_limit:
-        raise ExactLimitError(
-            f"{d} features need 2^{d} coalitions, over the exact limit {exact_limit}; "
-            "raise exact_limit explicitly or use sampled_shapley"
-        )
+    if d > N_FEATURES:
+        raise ValueError(f"{d} features need 2^{d} coalitions; exact enumeration "
+                         f"takes at most {N_FEATURES} features, so use sampled_shapley")
     masks = np.arange(1 << d, dtype=np.int64)
     # membership[m, i] is True when feature i is present in coalition bitmask m
     membership = ((masks[:, np.newaxis] >> np.arange(d)) & 1).astype(bool)
-    values = _coalition_values(model_fn, x, background, membership)
+    values = _coalition_values(model_fn, x, baseline, membership)
     sizes = np.bitwise_count(masks)
     weights = _shapley_weights(d)
     phi = np.empty((d, values.shape[1]), dtype=np.float64)
@@ -245,14 +202,13 @@ def exact_shapley(
         w = weights[sizes[without]]
         delta = values[without + (1 << i)] - values[without]
         phi[i] = w @ delta
-    model_rows = masks.size * background.substitution_rows.shape[0]
-    return _attribution("exact", phi, values[0], values[-1], explained_class, model_rows)
+    return _attribution("exact", phi, values[0], values[-1], explained_class, masks.size)
 
 
 def sampled_shapley(
     model_fn: ModelFn,
     x: np.ndarray,
-    background: BackgroundSet,
+    baseline: np.ndarray,
     explained_class: Optional[int] = None,
     n_permutations: int = 200,
     seed: int = 0,
@@ -264,23 +220,23 @@ def sampled_shapley(
     evaluated once. Every model output is attributed at once
     (`phi_matrix`).
     """
-    x = _check_instance(x, background)
+    x, baseline = _check_instance(x, baseline)
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be at least 1, got {n_permutations}")
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(x.shape[0]) for _ in range(n_permutations)], dtype=np.int64)
-    return _permutation_shapley(model_fn, x, background, explained_class, perms)
+    return _permutation_shapley(model_fn, x, baseline, explained_class, perms)
 
 
 def _permutation_shapley(
     model_fn: ModelFn,
     x: np.ndarray,
-    background: BackgroundSet,
+    baseline: np.ndarray,
     explained_class: Optional[int],
     perms: np.ndarray,
 ) -> Attribution:
     """The mean marginal of each feature over the feature orders `perms`,
-    one order per row; x is a checked instance."""
+    one order per row; x and baseline are checked."""
     n_used, d = perms.shape
     # pos[p, i] = step at which feature i joins the coalition in permutation p
     pos = np.empty_like(perms)
@@ -295,8 +251,7 @@ def _permutation_shapley(
     packed = np.packbits(present, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    values = _coalition_values(model_fn, x, background, present[first])
-    model_rows = first.size * background.substitution_rows.shape[0]
+    values = _coalition_values(model_fn, x, baseline, present[first])
     n_outputs = values.shape[1]
     values = values[inverse].reshape(n_used, d + 1, n_outputs)
 
@@ -309,7 +264,7 @@ def _permutation_shapley(
         stderr = np.full((d, n_outputs), np.nan)
     # the empty and full coalitions are identical across permutations
     return _attribution("sampled", phi, values[0, 0], values[0, -1], explained_class,
-                        model_rows, stderr, n_used)
+                        first.size, stderr, n_used)
 
 
 def global_importance(attributions: Sequence[Attribution]) -> GlobalImportance:
@@ -354,25 +309,19 @@ def local_report(attribution: Attribution) -> dict:
     }
 
 
-def classifier_model_fn(
-    classifier: TrainedModel,
-    ae: Optional[TrainedModel] = None,
-    output: str = "probability",
-) -> ModelFn:
-    """Adapt trained networks to a (n, d) -> (n, classes) model function.
+def classifier_model_fn(classifier: TrainedModel, ae: Optional[TrainedModel] = None) -> ModelFn:
+    """Adapt trained networks to a (n, d) -> (n, classes) probability function.
 
     With an autoencoder the value function composes the encoder, so
     attributions stay over the original input features even though the
     classifier consumes latent codes.
     """
-    if output not in ("probability", "logit"):
-        raise ValueError(f"unknown output mode {output!r}")
 
     def fn(x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
         if ae is not None:
             h = encode(ae, h)
-        return forward(classifier, h) if output == "probability" else forward_logits(classifier, h)
+        return forward(classifier, h)
 
     return fn
 

@@ -352,13 +352,11 @@ def _layer_outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray):
         yield z, a
 
 
-def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, expected_dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[np.newaxis, :] if single else x
-    if batch.ndim != 2 or batch.shape[1] != expected_dim:
-        raise ValueError(f"{what} expects width {expected_dim}, got shape {x.shape}")
-    return batch, single
+    if x.ndim != 2 or x.shape[1] != expected_dim:
+        raise ValueError(f"{what} expects a batch of rows of width {expected_dim}, got shape {x.shape}")
+    return x
 
 
 def _outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,33 +370,24 @@ def _outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray) -> tup
 
 
 def forward(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """Run the network on one vector or a batch.
+    """Run the network on a batch of rows.
 
     Classifier output is a probability vector per row; autoencoder output
-    is the reconstruction. A 1-D input yields a 1-D output.
+    is the reconstruction.
     """
-    batch, single = _as_batch(x, model.input_dim, f"{model.kind} input")
+    batch = _as_batch(x, model.input_dim, f"{model.kind} input")
     _, out = _outputs(model.layers, model.activations, batch)
-    return out[0] if single else out
-
-
-def forward_logits(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """Pre-softmax scores of a classifier; shape mirrors forward()."""
-    if model.activations[-1] != "softmax":
-        raise ValueError("forward_logits requires a softmax classifier")
-    batch, single = _as_batch(x, model.input_dim, "classifier input")
-    out, _ = _outputs(model.layers, model.activations, batch)
-    return out[0] if single else out
+    return out
 
 
 def encode(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Map input rows to the sigmoid latent code."""
     if model.kind != "autoencoder":
         raise ValueError("encode requires an autoencoder model")
-    batch, single = _as_batch(x, model.input_dim, "encoder input")
+    batch = _as_batch(x, model.input_dim, "encoder input")
     k = model.n_encoder_layers
     _, z = _outputs(model.layers[:k], model.activations[:k], batch)
-    return z[0] if single else z
+    return z
 
 
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -669,7 +658,7 @@ def predict_batch(
     """
     if classifier.kind != "classifier":
         raise ValueError("predict requires a classifier model")
-    batch, _ = _as_batch(x, ae.input_dim if ae is not None else classifier.input_dim, "input")
+    batch = _as_batch(x, ae.input_dim if ae is not None else classifier.input_dim, "input")
     if ae is not None:
         batch = encode(ae, batch)
     if batch.shape[1] != classifier.input_dim:

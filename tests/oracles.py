@@ -252,20 +252,15 @@ def naive_auc(scores, positive):
     return wins / (len(pos) * len(neg))
 
 
-def naive_value(model_fn, x, background_rows, subset):
-    """Coalition value: subset features from x, the rest from each
-    background row, averaged over rows."""
-    rows = np.array(background_rows, dtype=np.float64, ndmin=2)
-    total = 0.0
-    for row in rows:
-        mixed = row.copy()
-        for i in subset:
-            mixed[i] = x[i]
-        total += float(model_fn(mixed[np.newaxis, :])[0])
-    return total / rows.shape[0]
+def naive_value(model_fn, x, baseline, subset):
+    """Coalition value: subset features from x, the rest from the baseline."""
+    mixed = np.array(baseline, dtype=np.float64)
+    for i in subset:
+        mixed[i] = x[i]
+    return float(model_fn(mixed[np.newaxis, :])[0])
 
 
-def naive_shapley(model_fn, x, background_rows):
+def naive_shapley(model_fn, x, baseline):
     """Weighted-marginal Shapley sum over all coalitions (scalar model)."""
     d = len(x)
     phi = np.zeros(d)
@@ -275,23 +270,23 @@ def naive_shapley(model_fn, x, background_rows):
         for size in range(d):
             w = factorial(size) * factorial(d - size - 1) / factorial(d)
             for subset in combinations(rest, size):
-                with_i = naive_value(model_fn, x, background_rows, subset + (i,))
-                without_i = naive_value(model_fn, x, background_rows, subset)
+                with_i = naive_value(model_fn, x, baseline, subset + (i,))
+                without_i = naive_value(model_fn, x, baseline, subset)
                 phi[i] += w * (with_i - without_i)
     return phi
 
 
-def naive_permutation_shapley(model_fn, x, background_rows):
+def naive_permutation_shapley(model_fn, x, baseline):
     """Average marginal contribution over every permutation of features."""
     d = len(x)
     phi = np.zeros(d)
     count = 0
     for order in permutations(range(d)):
         prefix = []
-        prev = naive_value(model_fn, x, background_rows, ())
+        prev = naive_value(model_fn, x, baseline, ())
         for i in order:
             prefix.append(i)
-            cur = naive_value(model_fn, x, background_rows, tuple(prefix))
+            cur = naive_value(model_fn, x, baseline, tuple(prefix))
             phi[i] += cur - prev
             prev = cur
         count += 1
@@ -301,19 +296,19 @@ def naive_permutation_shapley(model_fn, x, background_rows):
 EXHAUSTIVE_LIMIT = 8  # 8! orders is the most `exhaustive_shapley` enumerates
 
 
-def exhaustive_shapley(model_fn, x, background, explained_class=None):
+def exhaustive_shapley(model_fn, x, baseline, explained_class=None):
     """The package's permutation estimator over all d! feature orders, which
     gives the exact Shapley values: an Attribution, as `sampled_shapley`
     returns one. Only for small d."""
-    x = explain._check_instance(x, background)
+    x, baseline = explain._check_instance(x, baseline)
     d = x.shape[0]
     if d > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive mode enumerates d! permutations; d={d} exceeds {EXHAUSTIVE_LIMIT}")
     orders = np.array(list(permutations(range(d))), dtype=np.int64)
-    return explain._permutation_shapley(model_fn, x, background, explained_class, orders)
+    return explain._permutation_shapley(model_fn, x, baseline, explained_class, orders)
 
 
-def per_prefix_shapley(model_fn, x, background_rows, orders):
+def per_prefix_shapley(model_fn, x, baseline, orders):
     """Permutation-sampling Shapley estimate over the given feature orders
     (scalar model) that evaluates every prefix of every order, repeats
     included: (phi, stderr, base value, fx), where stderr is the sample
@@ -322,16 +317,16 @@ def per_prefix_shapley(model_fn, x, background_rows, orders):
     marginals = [[] for _ in range(d)]
     for order in orders:
         prefix = []
-        prev = naive_value(model_fn, x, background_rows, ())
+        prev = naive_value(model_fn, x, baseline, ())
         for i in order:
             prefix.append(i)
-            cur = naive_value(model_fn, x, background_rows, tuple(prefix))
+            cur = naive_value(model_fn, x, baseline, tuple(prefix))
             marginals[i].append(cur - prev)
             prev = cur
     phi = np.array([fmean(m) for m in marginals])
     stderr = np.array([stdev(m) / sqrt(len(orders)) for m in marginals])
-    base = naive_value(model_fn, x, background_rows, ())
-    fx = naive_value(model_fn, x, background_rows, tuple(range(d)))
+    base = naive_value(model_fn, x, baseline, ())
+    fx = naive_value(model_fn, x, baseline, tuple(range(d)))
     return phi, stderr, base, fx
 
 

@@ -16,11 +16,7 @@ import pytest
 
 from carechoice import cli
 from carechoice.domain import ExclusionReason
-from carechoice.explain import (
-    BackgroundSet,
-    exact_shapley,
-    sampled_shapley,
-)
+from carechoice.explain import exact_shapley, sampled_shapley
 from carechoice.features import continuity_indices
 from carechoice.metrics import binary_auc, confusion_counts, per_class_metrics
 from carechoice.neuralnet import (
@@ -112,7 +108,7 @@ def test_criterion_3_shapley_axioms_and_convergence():
             d = int(rng.integers(3, 13))
             if d not in fns:
                 fns[d] = tiny_classifier_fn(d, seed=d)
-            bg = BackgroundSet(rng.uniform(size=(3, d)), mode="samples")
+            bg = rng.uniform(size=(3, d)).mean(axis=0)
             att = exact_shapley(
                 fns[d], rng.uniform(size=d), bg, explained_class=int(rng.integers(3))
             )
@@ -120,18 +116,18 @@ def test_criterion_3_shapley_axioms_and_convergence():
 
         # dummy: a never-read feature gets exactly zero credit
         ignore_last = lambda rows: rows[:, 0] * 2.0 + rows[:, 1] * rows[:, 2]
-        bg = BackgroundSet(np.random.default_rng(1).normal(size=(4, 4)), mode="samples")
+        bg = np.random.default_rng(1).normal(size=(4, 4)).mean(axis=0)
         att = exact_shapley(ignore_last, np.array([1.0, 2.0, 3.0, 9.0]), bg)
         assert att.phi[3] == 0.0
 
         # symmetry: interchangeable features get identical credit
         symmetric = lambda rows: (rows[:, 0] + rows[:, 1]) ** 3
-        att = exact_shapley(symmetric, np.array([1.5, 1.5]), BackgroundSet(np.zeros((1, 2))))
+        att = exact_shapley(symmetric, np.array([1.5, 1.5]), np.zeros(2))
         assert att.phi[0] == att.phi[1]
 
         # exhaustive permutation enumeration reproduces the exact values
         fn3 = tiny_classifier_fn(3, seed=7)
-        bg3 = BackgroundSet(np.random.default_rng(2).uniform(size=(3, 3)), mode="samples")
+        bg3 = np.random.default_rng(2).uniform(size=(3, 3)).mean(axis=0)
         x3 = np.random.default_rng(3).uniform(size=3)
         exact3 = exact_shapley(fn3, x3, bg3, explained_class=0)
         sampled3 = exhaustive_shapley(fn3, x3, bg3, explained_class=0)
@@ -139,7 +135,7 @@ def test_criterion_3_shapley_axioms_and_convergence():
 
         # sampling converges: d=10, 2000 permutations, MAE under 5% of max |phi|
         fn10 = tiny_classifier_fn(10, seed=11)
-        bg10 = BackgroundSet(np.random.default_rng(4).uniform(size=(5, 10)))
+        bg10 = np.random.default_rng(4).uniform(size=(5, 10)).mean(axis=0)
         x10 = np.random.default_rng(5).uniform(size=10)
         exact10 = exact_shapley(fn10, x10, bg10, explained_class=1)
         sampled10 = sampled_shapley(

@@ -87,9 +87,8 @@ class TestRunConfig:
             "train.fraction", "train.folds", "train.learning_rate", "train.batch_size",
             "train.epochs",
             "ae.learning_rate", "ae.batch_size", "ae.epochs",
-            "explain.method", "explain.n_permutations", "explain.exact_limit",
-            "explain.background_size", "explain.background_mode", "explain.n_instances",
-            "explain.output",
+            "explain.method", "explain.n_permutations", "explain.background_size",
+            "explain.n_instances",
             "synth.n_patients", "synth.seed", "synth.signal_strength", "synth.dirty_count",
         }
 
@@ -435,10 +434,11 @@ class TestSinglePass:
 
 
 class TestFeatureFileBytes:
-    # sha256 of features.csv for this config, recorded with the per-visit
-    # object implementation the columnar build replaced; the relative
-    # default run_dir keeps the config_hash comment line path-free
-    GOLDEN_SHA256 = "6a28939e8c31647d557ecb1c858985d8beeb20fddd79cabadbb6563be03b7d29"
+    # sha256 of features.csv for this config. Its rows are those the per-visit
+    # object implementation (which the columnar build replaced) wrote; its
+    # comment line holds the config_hash, which changes with the set of
+    # config keys. The relative default run_dir keeps that line path-free
+    GOLDEN_SHA256 = "f50ff85827183dd87ead6c1437c7f3ec6f1c11a49ed656e8fa185c8a8f3c7323"
 
     def test_dirty_cohort_features_match_the_recorded_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -677,8 +677,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting, message", [
         pytest.param("method=kernel", "must be exact or sampled, got 'kernel'", id="method=kernel"),
-        pytest.param("background_mode=foo", "must be mean or samples, got 'foo'", id="background_mode=foo"),
-        pytest.param("output=odds", "must be probability or logit, got 'odds'", id="output=odds"),
         pytest.param("n_instances=0", "must be at least 1, got 0", id="n_instances=0"),
         pytest.param("n_instances=-1", "must be at least 1, got -1", id="n_instances=-1"),
         pytest.param("n_permutations=0", "must be at least 1, got 0", id="n_permutations=0"),
@@ -690,19 +688,15 @@ class TestExitCodes:
         key = setting.split("=")[0]
         assert f"config key explain.{key} {message}" in capsys.readouterr().err
 
-    def test_exact_method_over_the_limit_exits_three_before_reading_artifacts(
-            self, tmp_path, capsys, monkeypatch):
-        base = ["--set", f"run_dir={tmp_path/'run'}", "--set", f"data_dir={tmp_path/'data'}",
-                "--set", "explain.method=exact"]
+    @pytest.mark.parametrize("setting", ["exact_limit=18", "background_mode=samples", "output=logit"])
+    def test_removed_explain_keys_are_unknown(self, tmp_path, capsys, monkeypatch, setting):
+        # one value function: class probabilities against the background mean
+        base = ["--set", f"run_dir={tmp_path/'run'}", "--set", f"data_dir={tmp_path/'data'}"]
         monkeypatch.setattr(cli, "_load_eval_inputs", lambda cfg: pytest.fail("an artifact was read"))
         capsys.readouterr()
-        assert cli.main(["explain", "--no-ae", *base]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "config error: explain.method=exact enumerates 2^18 coalitions, over "
-            "explain.exact_limit 12; raise explain.exact_limit to 18 or use explain.method=sampled\n")
-        monkeypatch.undo()
-        # at the limit the check passes, and the missing artifacts are reported
-        assert cli.main(["explain", "--no-ae", *base, "--set", "explain.exact_limit=18"]) == EXIT_MISSING_ARTIFACT
+        assert cli.main(["explain", "--no-ae", *base, "--set", f"explain.{setting}"]) == EXIT_CONFIG
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err == f"config error: unknown config keys: explain.{key}\n"
 
     def test_invalid_cohort_parameters_exit_three(self, tmp_path):
         base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path/'d'}"]
@@ -949,13 +943,6 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(f"data error: cannot read {path} (ValueError: macro {metric} is not a number")
 
-    def test_split_with_an_empty_part_loads(self, tmp_path):
-        path = tmp_path / SPLIT_JSON
-        path.write_text(json.dumps({"train": [0, 2], "test": []}))
-        train, test = cli._read_split(path, 3)
-        assert train.tolist() == [0, 2]
-        assert test.dtype == np.int64 and test.size == 0
-
     def test_an_empty_train_list_exits_five(self, trained_run, tmp_path, capsys):
         # `train` never writes one: it keeps ceil(0.8 n) >= 1 rows
         run = tmp_path / "run"
@@ -970,6 +957,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (ValueError: the train list is empty)")
         assert err.endswith("; run `train` again\n")
+
+    def test_an_empty_test_list_exits_five(self, trained_run, tmp_path, capsys):
+        # `train` never writes one: it refuses a fraction that leaves no test rows
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        path = run / SPLIT_JSON
+        split = json.loads(path.read_text())
+        split["test"] = []
+        path.write_text(json.dumps(split))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={trained_run / 'data'}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (ValueError: the test list is empty)")
+        assert err.endswith("; run `train` again\n")
+
+    def test_a_fraction_that_leaves_no_test_rows_exits_three_before_any_write(
+            self, trained_run, tmp_path, capsys, monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        split = json.loads((run / SPLIT_JSON).read_text())
+        n_rows = len(split["train"]) + len(split["test"])
+        for name in (SPLIT_JSON, SCALER_JSON, BALANCED_JSON):
+            (run / name).unlink()
+        monkeypatch.setattr(cli, "_in_pool", lambda *args: pytest.fail("a fit started"))
+        capsys.readouterr()
+        # ceil(0.9999 n) == n for any n below 10,000
+        rc = cli.main(["train", "--no-ae", "--set", f"run_dir={run}",
+                       "--set", f"data_dir={trained_run / 'data'}",
+                       "--set", "train.folds=2", "--set", "train.fraction=0.9999"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: train.fraction 0.9999 puts all {n_rows} feature rows in training "
+            "and leaves no test rows\n")
+        assert not any((run / name).exists() for name in (SPLIT_JSON, SCALER_JSON, BALANCED_JSON))
+
+    def test_exact_method_runs_at_the_defaults(self, trained_run, tmp_path):
+        # 2^18 coalitions of the 18 features for one visit
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        assert cli.main(["explain", "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={trained_run / 'data'}",
+                         "--set", "explain.method=exact", "--set", "explain.n_instances=1"]) == EXIT_OK
+        instances = json.loads((run / EXPLAIN_FILES[False]).read_text())["instances"]
+        assert len(instances) == 1
+        for entry in instances:
+            att = entry["attribution"]
+            assert att["method"] == "exact"
+            assert abs(sum(att["phi"]) + att["base_value"] - att["fx"]) < 1e-9
 
     def features_then(self, tmp_path, edit):
         base = [

@@ -27,7 +27,6 @@ from carechoice.neuralnet import (
     blas_threads,
     encode,
     forward,
-    forward_logits,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -171,11 +170,8 @@ class TestForwardMath:
     def test_softmax_probabilities_golden(self):
         # identity weights turn x into logits; check softmax by hand
         model = manual_model([([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])], ("softmax",))
-        probs = forward(model, np.array([math.log(2.0), 0.0]))
-        assert probs == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
-        assert forward_logits(model, np.array([math.log(2.0), 0.0])) == pytest.approx(
-            [math.log(2.0), 0.0]
-        )
+        probs = forward(model, np.array([[math.log(2.0), 0.0]]))
+        assert probs[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
 
     def test_relu_hidden_layer_golden(self):
         # first unit fires, second is clipped at zero
@@ -186,10 +182,10 @@ class TestForwardMath:
             ],
             ("relu", "softmax"),
         )
-        x = np.array([2.0, 7.0])
+        x = np.array([[2.0, 7.0]])
         # hidden = relu([2, -2]) = [2, 0]; logits = [2, 0]
         expected = np.exp([2.0, 0.0]) / np.exp([2.0, 0.0]).sum()
-        assert forward(model, x) == pytest.approx(expected, abs=1e-15)
+        assert forward(model, x)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_probability_rows_sum_to_one(self):
         x, y = blob_data(d=18, classes=4)
@@ -219,7 +215,7 @@ class TestForwardMath:
         )
 
     def test_loss_and_outputs_match_the_forward_pass_bit_for_bit(self):
-        # _loss, forward, forward_logits and encode keep one layer's arrays at
+        # _loss, forward and encode keep one layer's arrays at
         # a time; their values must be those read off the arrays of every
         # layer that backprop keeps, and backprop's loss must be _loss
         x, y = blob_data(n=300, d=18, classes=4)
@@ -232,7 +228,6 @@ class TestForwardMath:
         assert loss == float(-log_probs[np.arange(y.size), y].mean())
         assert loss == self.backprop_loss(clf, x, y)
         assert np.array_equal(forward(clf, x), probs)
-        assert np.array_equal(forward_logits(clf, x), logits)
 
         ae = train_autoencoder(x, AeConfig((18, 24, 8), (8, 24, 18)),
                                TrainConfig(epochs=2, batch_size=16, seed=3))
@@ -254,12 +249,6 @@ class TestForwardMath:
         z = encode(ae, x)
         assert z.shape == (len(x), 3)
         assert np.all((z > 0.0) & (z < 1.0))
-
-    def test_single_vector_in_single_vector_out(self):
-        x, y = blob_data(d=18, classes=4)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)), TrainConfig(epochs=1, batch_size=16))
-        out = forward(model, x[0])
-        assert out.shape == (4,)
 
 
 class TestGradients:
