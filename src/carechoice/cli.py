@@ -8,7 +8,7 @@ to fixed per-stage seeds so stages stay individually reproducible.
 
 Exit codes: 0 success, 2 usage, 3 bad config, 4 missing artifact,
 5 data error (a bad input row or an unreadable artifact), 6 training
-divergence, 7 missing optional dependency.
+divergence.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .ingest import (
 from .metrics import TABLE_METRICS, build_report, comparison_rows
 from .neuralnet import (
     AeConfig,
-    MissingDependencyError,
     MlpConfig,
     TrainConfig,
     TrainingDivergedError,
@@ -92,7 +91,6 @@ EXIT_CONFIG = 3
 EXIT_MISSING_ARTIFACT = 4
 EXIT_DATA = 5
 EXIT_DIVERGED = 6
-EXIT_MISSING_DEPENDENCY = 7
 
 CONFIG_SNAPSHOT = "config_snapshot.txt"
 AUDIT_JSON = "audit.json"
@@ -346,12 +344,13 @@ def _prepare_training(cfg: RunConfig):
 
     Writes nothing: `_cmd_train` writes them once the batch sizes are checked.
     """
+    fraction, folds = cfg.get_float("train.fraction"), cfg.get_int("train.folds")
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"train.fraction must be in (0, 1), got {fraction}")
+    if folds < 2:
+        raise ConfigError(f"train.folds must be at least 2, got {folds}")
     x_raw, y = _read_features(cfg)
-    spec = SplitSpec(
-        seed=derive_seed(cfg.get_int("seed"), "split"),
-        train_fraction=cfg.get_float("train.fraction"),
-        folds=cfg.get_int("train.folds"),
-    )
+    spec = SplitSpec(seed=derive_seed(cfg.get_int("seed"), "split"), train_fraction=fraction, folds=folds)
     train_idx, test_idx = split_indices(x_raw.shape[0], spec)
     if not test_idx.size:  # evaluate and explain would have nothing to score
         raise ConfigError(f"train.fraction {spec.train_fraction} puts all {x_raw.shape[0]} "
@@ -675,9 +674,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except MissingDependencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DEPENDENCY
     except (IngestError, EmptyDatasetError, MissingRegionError, FeatureFileError,
             CalendarCoverageError, SamplingError, UnreadableArtifactError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -39,10 +39,6 @@ _ACTIVATIONS = ("relu", "sigmoid", "linear", "softmax")
 _FINITE_BOUND = 1e100
 
 
-class MissingDependencyError(Exception):
-    """An optional package the requested model needs is not installed."""
-
-
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite.
 
@@ -303,16 +299,13 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
-        # SciPy's expit, not 1 / (1 + np.exp(-z)): numpy's vectorised exp can
-        # differ from it in the last bit, which would change trained models;
-        # imported here so that only the autoencoder needs SciPy
-        try:
-            from scipy.special import expit
-        except ImportError as exc:
-            raise MissingDependencyError(
-                "the autoencoder's sigmoid layer needs SciPy; install carechoice[ae]"
-            ) from exc
-        return expit(z, out=z)
+        # 1 / (1 + exp(-z)) in place, on numpy's SIMD exp as the softmax is;
+        # exp(-z) overflows to inf below z = -709, which gives exactly 0
+        np.negative(z, out=z)
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
+        z += 1.0
+        return np.reciprocal(z, out=z)
     if name == "linear":
         return z
     if name == "softmax":

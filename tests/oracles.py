@@ -15,9 +15,10 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from fractions import Fraction
 from typing import Optional
 from itertools import combinations, permutations
-from math import factorial, sqrt
+from math import exp, factorial, isnan, sqrt
 from statistics import fmean, stdev
 
 import numpy as np
@@ -415,6 +416,18 @@ def naive_load_visits(directory):
 
 GRADIENT_CHECK_STEP = 1e-5
 GRADIENT_CHECK_PARAM_LIMIT = 10_000
+
+
+def naive_sigmoid(z):
+    """1 / (1 + e^-z) of one float: `math.exp`'s e^-z, then the sum and the
+    quotient exactly and rounded once; 0 once e^-z overflows."""
+    if isnan(z):
+        return z
+    try:
+        e = exp(-z)
+    except OverflowError:
+        return 0.0
+    return float(1 / (1 + Fraction(e)))
 
 
 def n_parameters(model):

@@ -29,7 +29,6 @@ from carechoice.cli import (
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_MISSING_ARTIFACT,
-    EXIT_MISSING_DEPENDENCY,
     EXIT_OK,
     EXPLAIN_FILES,
     FEATURES_CSV,
@@ -637,25 +636,19 @@ class TestFeatureCopy:
         assert np.array_equal(y, y_csv) and y.dtype == y_csv.dtype
 
 
-def test_importing_the_cli_loads_no_scipy():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys; from carechoice import cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
-
-
-def test_ae_without_scipy_exits_seven(features_ready):
+def test_ae_stages_run_without_scipy(features_ready, tmp_path):
     # None in sys.modules makes every `import scipy...` raise ImportError
+    run = tmp_path / "run"
+    shutil.copytree(features_ready[0], run)
+    base = [*features_ready[1], "--set", f"run_dir={run}",
+            "--set", "explain.n_instances=2", "--set", "explain.n_permutations=10"]
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys; sys.modules['scipy'] = None; from carechoice import cli; "
-            f"sys.exit(cli.main(['train', '--ae', *{features_ready[1]!r}]))")
-    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == EXIT_MISSING_DEPENDENCY
-    assert result.stderr == ("error: the autoencoder's sigmoid layer needs SciPy; "
-                             "install carechoice[ae]\n")
+    for command in ("train", "evaluate", "explain"):
+        code = ("import sys; sys.modules['scipy'] = None; from carechoice import cli; "
+                f"sys.exit(cli.main([{command!r}, '--ae', *{base!r}]))")
+        result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == EXIT_OK, (command, result.stderr)
 
 
 class TestExitCodes:
@@ -674,6 +667,18 @@ class TestExitCodes:
         # the published marginals are constants, not config keys
         assert cli.main(["synth", "--set", "synth.loyalty=0.7"]) == EXIT_CONFIG
         assert "unknown config keys: synth.loyalty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param("train.fraction=1", "train.fraction must be in (0, 1), got 1.0", id="fraction=1"),
+        pytest.param("train.fraction=0", "train.fraction must be in (0, 1), got 0.0", id="fraction=0"),
+        pytest.param("train.folds=1", "train.folds must be at least 2, got 1", id="folds=1"),
+    ])
+    def test_bad_split_value_exits_three_naming_its_key(self, features_ready, capsys, monkeypatch,
+                                                        setting, message):
+        monkeypatch.setattr(cli, "_read_features", lambda cfg: pytest.fail("the features were read"))
+        capsys.readouterr()
+        assert cli.main(["train", "--no-ae", *features_ready[1], "--set", setting]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("setting, message", [
         pytest.param("method=kernel", "must be exact or sampled, got 'kernel'", id="method=kernel"),

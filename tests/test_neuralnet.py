@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from carechoice.neuralnet import (
     train_autoencoder,
     train_classifier,
 )
-from oracles import gradient_check, n_parameters
+from oracles import gradient_check, n_parameters, naive_sigmoid
 
 
 def blob_data(n=120, d=6, classes=3, seed=0, spread=4.0):
@@ -251,6 +252,37 @@ class TestForwardMath:
         assert np.all((z > 0.0) & (z < 1.0))
 
 
+class TestSigmoid:
+    @staticmethod
+    def sigmoid(z):
+        return neuralnet._activate("sigmoid", np.array(z, dtype=np.float64))
+
+    def test_within_two_ulp_of_the_math_exp_reference(self):
+        rng = np.random.default_rng(7)
+        z = np.concatenate([np.linspace(-750.0, 750.0, 100_001), rng.normal(0.0, 5.0, 20_000),
+                            rng.normal(0.0, 300.0, 20_000), [-709.79, -709.78, -708.4, 36.8, 37.5]])
+        want = np.array([naive_sigmoid(v) for v in z.tolist()])
+        got = self.sigmoid(z)
+        # both are non-negative, so their bit patterns count ulps
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+
+    def test_saturates_exactly_and_keeps_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.sigmoid([-800.0, 0.0, 800.0, np.nan])
+        assert out[:3].tolist() == [0.0, 0.5, 1.0]
+        assert np.isnan(out[3])
+
+    def test_encode_of_a_deeply_negative_latent_raises_no_warning(self):
+        # the latent pre-activation is -1000, so exp(1000) overflows to inf
+        ae = manual_model([(np.full((1, 2), -500.0), np.zeros(1)), (np.ones((2, 1)), np.zeros(2))],
+                          ("sigmoid", "linear"), kind="autoencoder", n_enc=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = encode(ae, np.ones((1, 2)))
+        assert z.tolist() == [[0.0]]
+
+
 class TestGradients:
     def test_classifier_backprop_matches_finite_differences(self):
         x, y = blob_data(n=20, d=6, classes=3, seed=1)
@@ -337,8 +369,9 @@ class TestTraining:
             initial_loss(train_classifier, x, y, MlpConfig((18, 8, 4)), config=cfg), abs=1e-12)
 
     # sha256 of the weights and biases of the two fits below, recorded before
-    # the trace came from batch losses: tracing must not move a weight bit
-    WEIGHTS_SHA256 = "6fec45881cc8e6dee0bb404c8f92761e81c6d4726891590b06899e809afae9fb"
+    # the trace came from batch losses: tracing must not move a weight bit.
+    # Re-recorded once when the sigmoid moved from SciPy's expit to numpy's exp.
+    WEIGHTS_SHA256 = "6b61be91b1fe9c652cbdd4833c60beb49c55476b58aa4c3f019069ac3e56ab1d"
 
     def test_weights_match_the_recorded_bytes(self):
         x, y = blob_data(d=18, classes=4)  # 120 rows: the last batch of 16 has 8
@@ -360,10 +393,12 @@ class TestTraining:
     # lr-0.01 autoencoder was re-recorded then: its 250x500 layers at batch 16
     # run OpenBLAS's large-matrix kernel, which rounds -lr * dW + W once
     # (digest before: 121970e14876c95606babf4280e219a9cc48694ac4a04a3e15c1c017992bc4ca).
+    # Both autoencoders were re-recorded once when the sigmoid moved from
+    # SciPy's expit to numpy's exp; their losses kept every digit.
     DEFAULT_SHAPE_FITS = {
-        ("autoencoder", 0.01): ("7cfb787b7e77987d96d7bbcdebcf4b607bf9d64952be835e88f12c79d672724d",
+        ("autoencoder", 0.01): ("b32850d977884aa7ea75d00399e52bab27aaaa3877aca053c45f019bdb7805bf",
                                 14.378386242097086, (14.103537542716294,)),
-        ("autoencoder", 0.5): ("c00d37e456a9aa3a550f2bb5bb1e5253e05c381bb27287cb41965d0b0f2c5d66",
+        ("autoencoder", 0.5): ("cc51ff68c0e2c8241eb9e4755144eba5c8fc25aed9f160db3335dcf6c2d82d59",
                                14.378386242097086, (58.04014279225042,)),
         ("classifier", 0.01): ("e5b9f4274d7bde4efd446b499ba224f9f51472322b0eefb13007967508b46f01",
                                1.3269303342963668, (1.3011524818157592, 1.2341701055052086)),
@@ -662,8 +697,9 @@ class TestSerialization:
     # sha256 of the model_to_dict JSON of the two fits of
     # test_weights_match_the_recorded_bytes: pins the byte order, the base64
     # alphabet and the key order of the model files; re-recorded for format 4,
-    # whose JSON is format 3's with `initial_loss` deleted
-    MODEL_JSON_SHA256 = "1a11780fbdd823520a84253c2ef854be3537ce8f1231f30a47e10f613250d315"
+    # whose JSON is format 3's with `initial_loss` deleted, and again when the
+    # sigmoid moved from SciPy's expit to numpy's exp
+    MODEL_JSON_SHA256 = "353f3cea80a83d0bc25606e6a9ee905989abc2fc34ac90880d311f5ab15e8437"
 
     def test_model_json_matches_the_recorded_bytes(self):
         x, y = blob_data(d=18, classes=4)
