@@ -83,7 +83,7 @@ from .pipeline import (
     split_indices,
     undersample_indices,
 )
-from .synthgen import CohortSpec, cohort_spec_from_config, generate_cohort
+from .synthgen import CohortSpec, generate_cohort
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -226,6 +226,16 @@ class RunConfig:
             fh.write(self.snapshot_text())
 
 
+def _spec(section: str, cls, **fields):
+    """`cls(**fields)`, a spec whose fields are the suffixes of the
+    `section.*` keys; its ValueError starts with a field's name, so it is
+    re-raised as a ConfigError that names the key."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"config key {section}.{exc}") from None
+
+
 def derive_seed(global_seed: int, stage: str) -> int:
     """Fixed per-stage 64-bit seed from the global seed."""
     digest = hashlib.sha256(f"{global_seed}:{stage}".encode()).digest()
@@ -268,10 +278,14 @@ def _load_artifact(cfg: RunConfig, name: str, producer: str, load=_read_json):
 
 
 def _cmd_synth(cfg: RunConfig) -> int:
-    synth_map = dict(cfg.mapping)
-    if "synth.seed" not in synth_map:
-        synth_map["synth.seed"] = str(derive_seed(cfg.get_int("seed"), "synth"))
-    spec = cohort_spec_from_config(synth_map)
+    seed = cfg.get_int("synth.seed") if "synth.seed" in cfg.mapping else derive_seed(cfg.get_int("seed"), "synth")
+    spec = _spec(
+        "synth", CohortSpec,
+        n_patients=cfg.get_int("synth.n_patients"),
+        seed=seed,
+        signal_strength=cfg.get_float("synth.signal_strength"),
+        dirty_count=cfg.get_int("synth.dirty_count"),
+    )
     cohort = generate_cohort(spec, cfg.data_dir, header_comment=f"config_hash={cfg.config_hash}")
     cfg.write_snapshot()
     n_visits = cohort.manifest["n_visits"]
@@ -366,7 +380,8 @@ def _prepare_training(cfg: RunConfig):
 
 
 def _train_config(cfg: RunConfig, section: str, stage: str) -> TrainConfig:
-    return TrainConfig(
+    return _spec(
+        section, TrainConfig,
         learning_rate=cfg.get_float(f"{section}.learning_rate"),
         batch_size=cfg.get_int(f"{section}.batch_size"),
         epochs=cfg.get_int(f"{section}.epochs"),
@@ -441,7 +456,7 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
         _write_json(cfg, AE_MODEL_JSON, model_to_dict(ae_model))
         print(f"autoencoder: final reconstruction loss {ae_model.final_loss:.6f} -> {ae_path}")
         inputs = encode(ae_model, x_balanced)
-        mlp = MlpConfig(layer_sizes=(ae_model.latent_dim, 100, 100, 100, N_LEVELS))
+        mlp = MlpConfig(layer_sizes=(ae_model.layer_sizes[-1], 100, 100, 100, N_LEVELS))
     else:
         inputs = x_balanced
         mlp = MlpConfig()

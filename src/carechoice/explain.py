@@ -312,7 +312,7 @@ def local_report(attribution: Attribution) -> dict:
 def classifier_model_fn(classifier: TrainedModel, ae: Optional[TrainedModel] = None) -> ModelFn:
     """Adapt trained networks to a (n, d) -> (n, classes) probability function.
 
-    With an autoencoder the value function composes the encoder, so
+    With an autoencoder's encoder the value function composes it, so
     attributions stay over the original input features even though the
     classifier consumes latent codes.
     """

@@ -1,8 +1,9 @@
 """From-scratch feed-forward networks trained by mini-batch SGD.
 
 Two architectures: a softmax classifier over the four hospital levels and
-an autoencoder with a sigmoid latent layer. Both run on float64 numpy,
-share one backpropagation core, and are deterministic given a seed.
+an autoencoder with a sigmoid latent layer, of which a fit keeps only the
+encoder. Both run on float64 numpy, share one backpropagation core, and
+are deterministic given a seed.
 
 OpenBLAS splits a matrix product differently at different thread counts,
 which changes the last bits of the result, so every fit runs on one BLAS
@@ -28,7 +29,7 @@ import numpy as np
 from .domain import N_LEVELS
 from .features import N_FEATURES
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 _ACTIVATIONS = ("relu", "sigmoid", "linear", "softmax")
 
 # A fit skips its full-set guard pass when `_bounded` proves every forward
@@ -208,10 +209,6 @@ class AeConfig:
         return len(self.encoder_sizes) - 1
 
     @property
-    def latent_dim(self) -> int:
-        return self.encoder_sizes[-1]
-
-    @property
     def activations(self) -> tuple[str, ...]:
         enc = ("relu",) * (len(self.encoder_sizes) - 2) + ("sigmoid",)
         dec = ("relu",) * (len(self.decoder_sizes) - 2) + ("linear",)
@@ -236,23 +233,24 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """An immutable trained (or merely initialized) network.
+    """An immutable trained (or merely initialized) network: a classifier,
+    or the encoder half of an autoencoder.
 
     `loss_trace[e]` is the row-weighted mean of the batch losses of epoch
     e+1, each taken on the weights before that batch's update, so the
-    trace always has exactly `config.epochs` entries.
+    trace always has exactly `config.epochs` entries. An encoder's trace
+    is the loss of the whole autoencoder it was fitted in.
     """
 
-    kind: str  # "classifier" | "autoencoder"
+    kind: str  # "classifier" | "encoder"
     layer_sizes: tuple[int, ...]
     activations: tuple[str, ...]
     layers: tuple[LayerParams, ...]
     config: TrainConfig
     loss_trace: tuple[float, ...]
-    n_encoder_layers: Optional[int] = None  # autoencoder only
 
     def __post_init__(self):
-        if self.kind not in ("classifier", "autoencoder"):
+        if self.kind not in ("classifier", "encoder"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.layers) != len(self.layer_sizes) - 1:
             raise ValueError("layer count does not match layer_sizes")
@@ -261,27 +259,14 @@ class TrainedModel:
         for name in self.activations:
             if name not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
-        k = self.n_encoder_layers
-        if k is not None and (isinstance(k, bool) or not isinstance(k, int)
-                              or not 1 <= k <= len(self.layers)):
-            raise ValueError(f"n_encoder_layers must be None or a layer count 1-{len(self.layers)}, "
-                             f"not {k!r}")
         for i, layer in enumerate(self.layers):
             if (layer.in_dim, layer.out_dim) != (self.layer_sizes[i], self.layer_sizes[i + 1]):
                 raise ValueError(f"layer {i} has shape {layer.weights.shape}, expected "
                                  f"({self.layer_sizes[i + 1]}, {self.layer_sizes[i]})")
-        if self.kind == "autoencoder" and self.n_encoder_layers is None:
-            raise ValueError("autoencoder model needs n_encoder_layers")
 
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
-
-    @property
-    def latent_dim(self) -> int:
-        if self.kind != "autoencoder":
-            raise ValueError("latent_dim is only defined for autoencoders")
-        return self.layer_sizes[self.n_encoder_layers]
 
     @property
     def final_loss(self) -> float:
@@ -365,8 +350,8 @@ def _outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray) -> tup
 def forward(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Run the network on a batch of rows.
 
-    Classifier output is a probability vector per row; autoencoder output
-    is the reconstruction.
+    Classifier output is a probability vector per row; encoder output is
+    the latent code.
     """
     batch = _as_batch(x, model.input_dim, f"{model.kind} input")
     _, out = _outputs(model.layers, model.activations, batch)
@@ -375,12 +360,9 @@ def forward(model: TrainedModel, x: np.ndarray) -> np.ndarray:
 
 def encode(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Map input rows to the sigmoid latent code."""
-    if model.kind != "autoencoder":
-        raise ValueError("encode requires an autoencoder model")
-    batch = _as_batch(x, model.input_dim, "encoder input")
-    k = model.n_encoder_layers
-    _, z = _outputs(model.layers[:k], model.activations[:k], batch)
-    return z
+    if model.kind != "encoder":
+        raise ValueError("encode requires an encoder model")
+    return forward(model, x)
 
 
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -539,8 +521,9 @@ def _run_sgd(
     x: np.ndarray,
     targets: np.ndarray,
     config: TrainConfig,
-    n_encoder_layers: Optional[int] = None,
-) -> TrainedModel:
+) -> tuple[tuple[LayerParams, ...], tuple[float, ...]]:
+    """The fitted layers and the loss trace of an SGD fit from a seeded
+    initialization; `kind` names the network in a divergence error."""
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on zero rows")
@@ -580,15 +563,7 @@ def _run_sgd(
                 and not np.isfinite(_loss(layers, activations, x, targets))):
             raise TrainingDivergedError(config.epochs, kind)
 
-    return TrainedModel(
-        kind=kind,
-        layer_sizes=layer_sizes,
-        activations=activations,
-        layers=tuple(LayerParams(weights=l.weights, biases=l.biases) for l in layers),
-        config=config,
-        loss_trace=tuple(trace),
-        n_encoder_layers=n_encoder_layers,
-    )
+    return tuple(LayerParams(weights=l.weights, biases=l.biases) for l in layers), tuple(trace)
 
 
 def train_classifier(
@@ -612,7 +587,8 @@ def train_classifier(
     n_classes = mlp.layer_sizes[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    return _run_sgd("classifier", mlp.layer_sizes, mlp.activations, x, labels, config)
+    layers, trace = _run_sgd("classifier", mlp.layer_sizes, mlp.activations, x, labels, config)
+    return TrainedModel("classifier", mlp.layer_sizes, mlp.activations, layers, config, trace)
 
 
 def train_autoencoder(
@@ -620,19 +596,15 @@ def train_autoencoder(
     ae: AeConfig = AeConfig(),
     config: TrainConfig = TrainConfig(),
 ) -> TrainedModel:
-    """Fit the autoencoder to reconstruct its input under MSE."""
+    """Fit the autoencoder to reconstruct its input under MSE, and return its
+    encoder: no stage reads the decoder, and the same config refits it bit
+    for bit."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != ae.encoder_sizes[0]:
         raise ValueError(f"training matrix must be (n, {ae.encoder_sizes[0]}), got {x.shape}")
-    return _run_sgd(
-        "autoencoder",
-        ae.layer_sizes,
-        ae.activations,
-        x,
-        x,
-        config,
-        n_encoder_layers=ae.n_encoder_layers,
-    )
+    layers, trace = _run_sgd("autoencoder", ae.layer_sizes, ae.activations, x, x, config)
+    k = ae.n_encoder_layers
+    return TrainedModel("encoder", ae.encoder_sizes, ae.activations[:k], layers[:k], config, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +618,7 @@ def predict_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class labels and probability rows for a feature matrix.
 
-    With an autoencoder the classifier consumes the latent code. Ties in
+    With an encoder the classifier consumes the latent code. Ties in
     the probabilities resolve to the smallest class index.
     """
     if classifier.kind != "classifier":
@@ -685,7 +657,6 @@ def model_to_dict(model: TrainedModel) -> dict:
         "kind": model.kind,
         "layer_sizes": list(model.layer_sizes),
         "activations": list(model.activations),
-        "n_encoder_layers": model.n_encoder_layers,
         "config": asdict(model.config),
         "loss_trace": list(model.loss_trace),
         "layers": [
@@ -715,7 +686,6 @@ def model_from_dict(d: dict) -> TrainedModel:
         ),
         config=TrainConfig(**d["config"]),
         loss_trace=tuple(d["loss_trace"]),
-        n_encoder_layers=d["n_encoder_layers"],
     )
 
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,25 +122,6 @@ class CohortSpec:
             raise ValueError(f"signal_strength must be in [0,1], got {self.signal_strength}")
         if self.dirty_count < 0:
             raise ValueError(f"dirty_count must be nonnegative, got {self.dirty_count}")
-
-
-def cohort_spec_from_config(config: Mapping[str, str]) -> CohortSpec:
-    """Build a CohortSpec from the `synth.*` key=value strings of a parsed config."""
-    kwargs = {}
-    known = {f.name: f.type for f in fields(CohortSpec)}
-    for key, raw in config.items():
-        if not key.startswith("synth."):
-            continue
-        name = key.removeprefix("synth.")
-        if name not in known:
-            raise ValueError(f"unknown cohort option {key!r}")
-        as_int = known[name] == "int"
-        try:
-            kwargs[name] = int(raw) if as_int else float(raw)
-        except ValueError:
-            raise ValueError(f"config key {key} must be {'an integer' if as_int else 'a number'}, "
-                             f"got {raw!r}") from None
-    return CohortSpec(**kwargs)
 
 
 @dataclass(frozen=True)

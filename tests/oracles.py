@@ -1,14 +1,15 @@
 """Independent naive reimplementations used as test oracles.
 
 Everything here is written the slow, obvious way (python loops, itertools
-subsets) and deliberately shares no code with the package, with three
+subsets) and deliberately shares no code with the package, with four
 exceptions: `gradient_check` calls the package's `_backprop` on purpose,
 because the backprop that SGD runs is what it checks, against central
-differences of the package's loss; `exhaustive_shapley` runs the package's
-permutation estimator over every feature order, so that the estimator
-`sampled_shapley` runs is what tests compare with the exact values; and
-`visit_table_from_columns` fills the package's `VisitTable` record. Tests
-compare package output against these.
+differences of the package's loss; `whole_autoencoder` returns the decoder
+that `train_autoencoder` fits and drops, from the package's `_run_sgd`;
+`exhaustive_shapley` runs the package's permutation estimator over every
+feature order, so that the estimator `sampled_shapley` runs is what tests
+compare with the exact values; and `visit_table_from_columns` fills the
+package's `VisitTable` record. Tests compare package output against these.
 """
 
 import csv
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 from itertools import combinations, permutations
 from math import exp, factorial, isnan, sqrt
 from statistics import fmean, stdev
@@ -428,6 +429,21 @@ def naive_sigmoid(z):
     except OverflowError:
         return 0.0
     return float(1 / (1 + Fraction(e)))
+
+
+class Network(NamedTuple):
+    """Layers and activations, as `_loss`, `_backprop` and `gradient_check` read them."""
+
+    layers: tuple
+    activations: tuple
+    loss_trace: tuple
+
+
+def whole_autoencoder(x, ae, config):
+    """The encoder and decoder of the fit that `train_autoencoder(x, ae,
+    config)` runs, of which it returns only the encoder."""
+    layers, trace = neuralnet._run_sgd("autoencoder", ae.layer_sizes, ae.activations, x, x, config)
+    return Network(layers, ae.activations, trace)
 
 
 def n_parameters(model):

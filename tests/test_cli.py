@@ -127,6 +127,21 @@ class TestRunConfig:
         assert lines == sorted(lines)
         assert all(" = " in line for line in lines)
 
+    def test_cohort_keys_parse_by_field_type(self, tmp_path):
+        base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path / 'd'}"]
+        assert cli.main(["synth", *base, "--set", "synth.n_patients=250", "--set", "synth.seed=9",
+                         "--set", "synth.signal_strength=0.8", "--set", "synth.dirty_count=3"]) == EXIT_OK
+        spec = json.loads((tmp_path / "d" / "generator_manifest.json").read_text())["spec"]
+        fields = ("n_patients", "seed", "signal_strength", "dirty_count")
+        assert [(spec[f], type(spec[f])) for f in fields] == [(250, int), (9, int), (0.8, float), (3, int)]
+
+    def test_without_synth_seed_the_cohort_seed_derives_from_seed(self, tmp_path):
+        base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path / 'd'}",
+                "--set", "synth.n_patients=20", "--set", "seed=4"]
+        assert cli.main(["synth", *base]) == EXIT_OK
+        spec = json.loads((tmp_path / "d" / "generator_manifest.json").read_text())["spec"]
+        assert spec["seed"] == derive_seed(4, "synth")
+
 
 class TestDeriveSeed:
     def test_deterministic_and_stage_separated(self):
@@ -193,6 +208,14 @@ class TestPipelineChain:
         ]
         missing = [n for n in names if not (run / n).exists()]
         assert missing == []
+
+    def test_autoencoder_file_holds_the_encoder_alone(self, pipeline_run):
+        model = json.loads((pipeline_run["run"] / AE_MODEL_JSON).read_text())
+        assert (model["format_version"], model["kind"]) == (5, "encoder")
+        assert model["layer_sizes"] == [18, 500, 250, 100]
+        assert model["activations"] == ["relu", "relu", "sigmoid"]
+        assert len(model["layers"]) == 3
+        assert "n_encoder_layers" not in model
 
     def test_snapshot_matches_effective_config(self, pipeline_run):
         text = (pipeline_run["run"] / CONFIG_SNAPSHOT).read_text()
@@ -680,6 +703,21 @@ class TestExitCodes:
         assert cli.main(["train", "--no-ae", *features_ready[1], "--set", setting]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("variant, setting, message", [
+        pytest.param("--no-ae", "train.learning_rate=0", "train.learning_rate must be positive, got 0.0",
+                     id="train.learning_rate=0"),
+        pytest.param("--ae", "ae.learning_rate=0", "ae.learning_rate must be positive, got 0.0",
+                     id="ae.learning_rate=0"),
+    ])
+    def test_bad_fit_value_exits_three_naming_its_key(self, features_ready, tmp_path, capsys,
+                                                      variant, setting, message):
+        run = tmp_path / "run"
+        shutil.copytree(features_ready[0], run)
+        capsys.readouterr()
+        assert cli.main(["train", variant, *features_ready[1], "--set", f"run_dir={run}",
+                         "--set", setting]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config key {message}\n"
+
     @pytest.mark.parametrize("setting, message", [
         pytest.param("method=kernel", "must be exact or sampled, got 'kernel'", id="method=kernel"),
         pytest.param("n_instances=0", "must be at least 1, got 0", id="n_instances=0"),
@@ -702,6 +740,28 @@ class TestExitCodes:
         assert cli.main(["explain", "--no-ae", *base, "--set", f"explain.{setting}"]) == EXIT_CONFIG
         key = setting.split("=")[0]
         assert capsys.readouterr().err == f"config error: unknown config keys: explain.{key}\n"
+
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param(setting, message, id=setting) for setting, message in (
+            ("n_patients=0", "n_patients must be positive, got 0"),
+            ("n_patients=nan", "n_patients must be an integer, got 'nan'"),
+            ("n_patients=2.5", "n_patients must be an integer, got '2.5'"),
+            ("signal_strength=abc", "signal_strength must be a number, got 'abc'"),
+            ("dirty_count=-1", "dirty_count must be nonnegative, got -1"),
+        )
+    ])
+    def test_bad_cohort_value_exits_three_naming_its_key(self, tmp_path, capsys, setting, message):
+        base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path / 'd'}"]
+        capsys.readouterr()
+        assert cli.main(["synth", *base, "--set", f"synth.{setting}"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config key synth.{message}\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_a_cohort_key_that_is_no_field_is_unknown(self, tmp_path, capsys):
+        # a misspelt field; test_bad_config_exits_three refuses a published marginal
+        capsys.readouterr()
+        assert cli.main(["synth", "--set", f"run_dir={tmp_path}", "--set", "synth.n_patient=7"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown config keys: synth.n_patient\n"
 
     def test_invalid_cohort_parameters_exit_three(self, tmp_path):
         base = ["--set", f"run_dir={tmp_path}", "--set", f"data_dir={tmp_path/'d'}"]
@@ -847,6 +907,10 @@ class TestExitCodes:
     def format_version_3(self, text):
         return json.dumps({**json.loads(text), "format_version": 3})
 
+    def format_version_4(self, text):
+        # format 4's version and its `n_encoder_layers` key, null in a classifier file
+        return json.dumps({**json.loads(text), "format_version": 4, "n_encoder_layers": None})
+
     def edit_first_weights(self, text, edit):
         model = json.loads(text)
         layer = model["layers"][0]
@@ -874,14 +938,14 @@ class TestExitCodes:
         model["activations"][0] = "tanh"
         return json.dumps(model)
 
-    def encoder_layers_not_a_count(self, text):
-        return json.dumps({**json.loads(text), "n_encoder_layers": "2"})
+    def unknown_kind(self, text):
+        return json.dumps({**json.loads(text), "kind": "autoencoder"})
 
     @pytest.mark.parametrize("damage", [
         "cut_short", "drop_layers", "format_version_1", "format_version_2", "format_version_3",
-        "not_an_object",
+        "format_version_4", "not_an_object",
         "weights_not_base64", "weights_cut_short", "weights_decode_to_nan",
-        "unknown_activation", "encoder_layers_not_a_count",
+        "unknown_activation", "unknown_kind",
     ])
     def test_unreadable_model_exits_five(self, trained_run, tmp_path, capsys, damage):
         run = tmp_path / "run"
@@ -894,6 +958,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (")
         assert err.endswith("; run `train --no-ae` again\n")
+
+    @pytest.fixture(scope="class")
+    def ae_trained_run(self, trained_run, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ae_trained")
+        shutil.copytree(trained_run / "run", root / "run")
+        assert cli.main(["train", "--ae", "--set", f"run_dir={root / 'run'}",
+                         "--set", f"data_dir={trained_run / 'data'}", "--set", "train.folds=2",
+                         "--set", "train.epochs=2", "--set", "ae.epochs=1"]) == EXIT_OK
+        return root / "run", trained_run / "data"
+
+    @pytest.mark.parametrize("damage", ["cut_short", "format_version_4"])
+    def test_unreadable_autoencoder_exits_five(self, ae_trained_run, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(ae_trained_run[0], run)
+        path = run / AE_MODEL_JSON
+        path.write_text(getattr(self, damage)(path.read_text()))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={ae_trained_run[1]}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (")
+        assert err.endswith("; run `train --ae` again\n")
 
     @pytest.mark.parametrize("edit", [
         lambda scaler: scaler["mins"].pop("age"),

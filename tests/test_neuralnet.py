@@ -35,7 +35,7 @@ from carechoice.neuralnet import (
     train_autoencoder,
     train_classifier,
 )
-from oracles import gradient_check, n_parameters, naive_sigmoid
+from oracles import gradient_check, n_parameters, naive_sigmoid, whole_autoencoder
 
 
 def blob_data(n=120, d=6, classes=3, seed=0, spread=4.0):
@@ -47,7 +47,7 @@ def blob_data(n=120, d=6, classes=3, seed=0, spread=4.0):
     return x, labels
 
 
-def manual_model(weights_list, activations, kind="classifier", n_enc=None):
+def manual_model(weights_list, activations, kind="classifier"):
     layers = tuple(
         LayerParams(weights=np.asarray(w, dtype=np.float64), biases=np.asarray(b, dtype=np.float64))
         for w, b in weights_list
@@ -56,7 +56,6 @@ def manual_model(weights_list, activations, kind="classifier", n_enc=None):
     return TrainedModel(
         kind=kind, layer_sizes=sizes, activations=activations, layers=layers,
         config=TrainConfig(), loss_trace=(),
-        n_encoder_layers=n_enc,
     )
 
 
@@ -69,7 +68,7 @@ class TestConfigs:
         assert MlpConfig().layer_sizes == (18, 100, 100, 100, 4)
         ae = AeConfig()
         assert ae.layer_sizes == (18, 500, 250, 100, 250, 500, 18)
-        assert ae.latent_dim == 100
+        assert (ae.encoder_sizes[-1], ae.n_encoder_layers) == (100, 3)
 
     def test_autoencoder_activations(self):
         ae = AeConfig((18, 20, 8), (8, 20, 18))
@@ -158,13 +157,14 @@ class TestInitialization:
 
     def test_zero_epoch_autoencoder_matches_too(self, monkeypatch):
         x, _ = blob_data(d=18)
-        ae = AeConfig((18, 6, 3), (3, 6, 18))
-        model = train_autoencoder(x, ae, TrainConfig(epochs=0, seed=4, batch_size=16))
+        ae, cfg = AeConfig((18, 6, 3), (3, 6, 18)), TrainConfig(epochs=0, seed=4, batch_size=16)
+        model = train_autoencoder(x, ae, cfg)
         assert model.loss_trace == ()
         assert math.isnan(model.final_loss)
+        initial = whole_autoencoder(x, ae, cfg)
         batch = first_batch(monkeypatch)
-        train_autoencoder(x, ae, TrainConfig(epochs=1, seed=4, batch_size=16))
-        assert starts_from(model, batch)
+        train_autoencoder(x, ae, dataclasses.replace(cfg, epochs=1))
+        assert starts_from(initial, batch)
 
 
 class TestForwardMath:
@@ -207,8 +207,7 @@ class TestForwardMath:
         model = manual_model(
             [(np.zeros((2, 2)), np.zeros(2)), (np.zeros((2, 2)), np.zeros(2))],
             ("sigmoid", "linear"),
-            kind="autoencoder",
-            n_enc=1,
+            kind="encoder",
         )
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert neuralnet._loss(model.layers, model.activations, x, x) == pytest.approx(
@@ -218,7 +217,8 @@ class TestForwardMath:
     def test_loss_and_outputs_match_the_forward_pass_bit_for_bit(self):
         # _loss, forward and encode keep one layer's arrays at
         # a time; their values must be those read off the arrays of every
-        # layer that backprop keeps, and backprop's loss must be _loss
+        # layer that backprop keeps, and backprop's loss must be _loss;
+        # encode's are those of the whole autoencoder's latent layer
         x, y = blob_data(n=300, d=18, classes=4)
         clf = train_classifier(x, y, MlpConfig((18, 32, 16, 4)),
                                TrainConfig(epochs=2, batch_size=16, seed=3))
@@ -230,14 +230,15 @@ class TestForwardMath:
         assert loss == self.backprop_loss(clf, x, y)
         assert np.array_equal(forward(clf, x), probs)
 
-        ae = train_autoencoder(x, AeConfig((18, 24, 8), (8, 24, 18)),
-                               TrainConfig(epochs=2, batch_size=16, seed=3))
+        ae_cfg, cfg = AeConfig((18, 24, 8), (8, 24, 18)), TrainConfig(epochs=2, batch_size=16, seed=3)
+        ae = whole_autoencoder(x, ae_cfg, cfg)
         acts = [a for _, a in neuralnet._layer_outputs(ae.layers, ae.activations, x)]
         loss = neuralnet._loss(ae.layers, ae.activations, x, x)
         assert loss == float(np.mean((acts[-1] - x) ** 2))
         assert loss == self.backprop_loss(ae, x, x)
-        assert np.array_equal(forward(ae, x), acts[-1])
-        assert np.array_equal(encode(ae, x), acts[ae.n_encoder_layers - 1])
+        encoder = train_autoencoder(x, ae_cfg, cfg)
+        assert np.array_equal(forward(encoder, x), acts[ae_cfg.n_encoder_layers - 1])
+        assert np.array_equal(encode(encoder, x), acts[ae_cfg.n_encoder_layers - 1])
 
     @staticmethod
     def backprop_loss(model, x, targets):
@@ -275,8 +276,7 @@ class TestSigmoid:
 
     def test_encode_of_a_deeply_negative_latent_raises_no_warning(self):
         # the latent pre-activation is -1000, so exp(1000) overflows to inf
-        ae = manual_model([(np.full((1, 2), -500.0), np.zeros(1)), (np.ones((2, 1)), np.zeros(2))],
-                          ("sigmoid", "linear"), kind="autoencoder", n_enc=1)
+        ae = manual_model([(np.full((1, 2), -500.0), np.zeros(1))], ("sigmoid",), kind="encoder")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             z = encode(ae, np.ones((1, 2)))
@@ -292,7 +292,7 @@ class TestGradients:
     def test_autoencoder_backprop_matches_finite_differences(self):
         x, _ = blob_data(n=15, d=6, seed=2)
         ae = AeConfig((6, 4, 2), (2, 4, 6))
-        model = train_autoencoder(x, ae, TrainConfig(epochs=1, batch_size=5))
+        model = whole_autoencoder(x, ae, TrainConfig(epochs=1, batch_size=5))
         assert gradient_check(model, x, x) < 1e-4
 
     def test_checks_the_backprop_that_sgd_runs(self, monkeypatch):
@@ -332,7 +332,7 @@ class TestTraining:
         x = rng.uniform(0, 1, size=(150, 6))
         ae, cfg = AeConfig((6, 8, 4), (4, 8, 6)), TrainConfig(epochs=30, batch_size=10, learning_rate=0.3)
         model = train_autoencoder(x, ae, cfg)
-        assert model.final_loss < initial_loss(train_autoencoder, x, ae, config=cfg)
+        assert model.final_loss < initial_loss(whole_autoencoder, x, ae, config=cfg)
 
     def test_same_seed_reproduces_bit_exactly(self):
         x, y = blob_data(d=18, classes=4)
@@ -370,8 +370,12 @@ class TestTraining:
 
     # sha256 of the weights and biases of the two fits below, recorded before
     # the trace came from batch losses: tracing must not move a weight bit.
-    # Re-recorded once when the sigmoid moved from SciPy's expit to numpy's exp.
-    WEIGHTS_SHA256 = "6b61be91b1fe9c652cbdd4833c60beb49c55476b58aa4c3f019069ac3e56ab1d"
+    # Re-recorded once when the sigmoid moved from SciPy's expit to numpy's exp,
+    # and once when an autoencoder fit began to return its encoder alone, to
+    # the digest of the classifier and the first two autoencoder layers of a
+    # fit that still returned the decoder: no weight bit moved
+    # (digest with the decoder: 6b61be91b1fe9c652cbdd4833c60beb49c55476b58aa4c3f019069ac3e56ab1d).
+    WEIGHTS_SHA256 = "9527349e815d0b0433c38cb6af3f2b05026b26ca12383e1f969da86ce4db9f1a"
 
     def test_weights_match_the_recorded_bytes(self):
         x, y = blob_data(d=18, classes=4)  # 120 rows: the last batch of 16 has 8
@@ -394,12 +398,16 @@ class TestTraining:
     # run OpenBLAS's large-matrix kernel, which rounds -lr * dW + W once
     # (digest before: 121970e14876c95606babf4280e219a9cc48694ac4a04a3e15c1c017992bc4ca).
     # Both autoencoders were re-recorded once when the sigmoid moved from
-    # SciPy's expit to numpy's exp; their losses kept every digit.
+    # SciPy's expit to numpy's exp; their losses kept every digit. They were
+    # re-recorded again when the fit began to return its encoder alone, each
+    # to the digest of the first three layers of a fit that still returned
+    # the decoder (with it: b32850d9... at lr 0.01, cc51ff68... at lr 0.5);
+    # the initial loss is still that of the whole network.
     DEFAULT_SHAPE_FITS = {
-        ("autoencoder", 0.01): ("b32850d977884aa7ea75d00399e52bab27aaaa3877aca053c45f019bdb7805bf",
-                                14.378386242097086, (14.103537542716294,)),
-        ("autoencoder", 0.5): ("cc51ff68c0e2c8241eb9e4755144eba5c8fc25aed9f160db3335dcf6c2d82d59",
-                               14.378386242097086, (58.04014279225042,)),
+        ("encoder", 0.01): ("2718bcee281771795bc466ea0555190bd212dc34739b5b4ac3afcf61f9fc1f1e",
+                            14.378386242097086, (14.103537542716294,)),
+        ("encoder", 0.5): ("3b626d45219f18a7c40291af21b097bcd47253196db6657e9a7acb78d6a95948",
+                           14.378386242097086, (58.04014279225042,)),
         ("classifier", 0.01): ("e5b9f4274d7bde4efd446b499ba224f9f51472322b0eefb13007967508b46f01",
                                1.3269303342963668, (1.3011524818157592, 1.2341701055052086)),
     }
@@ -409,7 +417,7 @@ class TestTraining:
         fits = []
         for lr in (0.01, 0.5):
             cfg = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=lr)
-            fits.append((train_autoencoder(x, AeConfig(), cfg), initial_loss(train_autoencoder, x, AeConfig(), config=cfg)))
+            fits.append((train_autoencoder(x, AeConfig(), cfg), initial_loss(whole_autoencoder, x, AeConfig(), config=cfg)))
         x, y = blob_data(n=300, d=18, classes=4, seed=1)  # the last batch of 64 has 44
         cfg = TrainConfig(epochs=2, batch_size=64, seed=6)
         fits.append((train_classifier(x, y, MlpConfig(), cfg), initial_loss(train_classifier, x, y, MlpConfig(), config=cfg)))
@@ -426,11 +434,23 @@ class TestTraining:
         # both fits on one thread while the inner one runs numpy's update
         x, _ = blob_data(n=150, d=18, classes=4)
         cfg = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=0.5)
-        fused = train_autoencoder(x, AeConfig(), cfg)
+        fused = whole_autoencoder(x, AeConfig(), cfg)
         with neuralnet.single_blas_thread():
             monkeypatch.setattr(neuralnet, "_openblas", lambda: None)
-            fallback = train_autoencoder(x, AeConfig(), cfg)
-        assert model_to_dict(fallback) == model_to_dict(fused)
+            fallback = whole_autoencoder(x, AeConfig(), cfg)
+        assert fallback.loss_trace == fused.loss_trace
+        for a, b in zip(fallback.layers, fused.layers, strict=True):
+            assert (a.weights.tobytes(), a.biases.tobytes()) == (b.weights.tobytes(), b.biases.tobytes())
+
+    def test_the_encoder_is_the_first_layers_of_the_whole_fit(self):
+        x, _ = blob_data(n=150, d=18, classes=4)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=5, learning_rate=0.5)
+        encoder, whole = train_autoencoder(x, AeConfig(), cfg), whole_autoencoder(x, AeConfig(), cfg)
+        assert (encoder.kind, encoder.layer_sizes) == ("encoder", (18, 500, 250, 100))
+        assert encoder.activations == whole.activations[:3] == ("relu", "relu", "sigmoid")
+        assert (encoder.config, encoder.loss_trace) == (cfg, whole.loss_trace)
+        for a, b in zip(encoder.layers, whole.layers[:3], strict=True):
+            assert (a.weights.tobytes(), a.biases.tobytes()) == (b.weights.tobytes(), b.biases.tobytes())
 
     def test_divergence_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "classifier")))
@@ -670,7 +690,13 @@ class TestSerialization:
         (tmp_path / "ae.json").write_text(json.dumps(model_to_dict(model)))
         loaded = load_model(tmp_path / "ae.json")
         assert model_to_dict(loaded) == model_to_dict(model)
-        assert loaded.latent_dim == 3
+        assert (loaded.kind, loaded.layer_sizes) == ("encoder", (18, 6, 3))
+
+    def test_encode_gives_the_same_bits_on_the_loaded_file(self, tmp_path):
+        x, _ = blob_data(d=18)
+        model = train_autoencoder(x, AeConfig(), TrainConfig(epochs=1, batch_size=16, learning_rate=0.5))
+        (tmp_path / "ae.json").write_text(json.dumps(model_to_dict(model)))
+        assert encode(load_model(tmp_path / "ae.json"), x).tobytes() == encode(model, x).tobytes()
 
     # -0.0, the smallest subnormal, a larger subnormal, the largest finite
     # magnitudes and a double with no short decimal form
@@ -697,9 +723,11 @@ class TestSerialization:
     # sha256 of the model_to_dict JSON of the two fits of
     # test_weights_match_the_recorded_bytes: pins the byte order, the base64
     # alphabet and the key order of the model files; re-recorded for format 4,
-    # whose JSON is format 3's with `initial_loss` deleted, and again when the
-    # sigmoid moved from SciPy's expit to numpy's exp
-    MODEL_JSON_SHA256 = "353f3cea80a83d0bc25606e6a9ee905989abc2fc34ac90880d311f5ab15e8437"
+    # whose JSON is format 3's with `initial_loss` deleted, again when the
+    # sigmoid moved from SciPy's expit to numpy's exp, and for format 5, which
+    # drops `n_encoder_layers` and keeps only an autoencoder's encoder
+    # (format 4: 353f3cea80a83d0bc25606e6a9ee905989abc2fc34ac90880d311f5ab15e8437)
+    MODEL_JSON_SHA256 = "61ef6fbc15bb6e44f7dfd2169acdea0628475728e2e4b2e3bd0824349e772093"
 
     def test_model_json_matches_the_recorded_bytes(self):
         x, y = blob_data(d=18, classes=4)

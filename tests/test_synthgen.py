@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import re
 from collections import Counter
 from datetime import date
 
@@ -20,7 +19,6 @@ from carechoice.synthgen import (
     WINDOW_END,
     WINDOW_START,
     CohortSpec,
-    cohort_spec_from_config,
     generate_cohort,
 )
 from oracles import visit_records
@@ -92,42 +90,6 @@ class TestCohortSpec:
         var = (np.exp(sigma**2) - 1) * np.exp(2 * mu + sigma**2)
         assert mean == pytest.approx(MARGINALS["visits_mean"], rel=1e-12)
         assert np.sqrt(var) == pytest.approx(MARGINALS["visits_sd"], rel=1e-12)
-
-
-class TestSpecFromConfig:
-    def test_parses_ints_and_floats_by_field_type(self):
-        spec = cohort_spec_from_config(
-            {
-                "synth.n_patients": "250",
-                "synth.signal_strength": "0.8",
-                "synth.seed": "9",
-                "synth.dirty_count": "3",
-                "train.epochs": "50",
-            }
-        )
-        assert spec.n_patients == 250
-        assert isinstance(spec.n_patients, int)
-        assert spec.signal_strength == 0.8
-        assert spec.seed == 9
-        assert spec.dirty_count == 3
-
-    def test_unknown_option_is_rejected(self):
-        # a published marginal is a constant, not an option
-        for key in ("synth.n_patient", "synth.loyalty"):
-            with pytest.raises(ValueError, match=key):
-                cohort_spec_from_config({key: "0.7"})
-
-    @pytest.mark.parametrize("key, raw, kind", [
-        ("synth.n_patients", "nan", "an integer"),
-        ("synth.n_patients", "2.5", "an integer"),
-        ("synth.signal_strength", "abc", "a number"),
-    ])
-    def test_a_value_that_is_not_a_number_names_its_key(self, key, raw, kind):
-        with pytest.raises(ValueError, match=re.escape(f"config key {key} must be {kind}, got {raw!r}")):
-            cohort_spec_from_config({key: raw})
-
-    def test_non_prefixed_keys_are_ignored(self):
-        assert cohort_spec_from_config({"seed": "4"}).seed == 0
 
 
 class TestDeterminism:
