@@ -62,8 +62,7 @@ from .ingest import (
 )
 from .metrics import TABLE_METRICS, build_report, comparison_rows
 from .neuralnet import (
-    AeConfig,
-    MlpConfig,
+    CLASSIFIER_SIZES,
     TrainConfig,
     TrainingDivergedError,
     blas_corename,
@@ -423,10 +422,12 @@ def _in_pool(job, n_jobs: int) -> tuple[list, int]:
 
 
 def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
+    # the SGD values are checked before any artifact is read
+    train_cfg = _train_config(cfg, "train", "train")
+    ae_cfg = _train_config(cfg, "ae", "ae") if with_ae else None
     x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec = _prepare_training(cfg)
     x_balanced = scaler.transform(x_raw[balanced_idx])
     y_balanced = y[balanced_idx]
-    train_cfg = _train_config(cfg, "train", "train")
     folds = kfold_indices(x_balanced.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
     # each fit checks its own batch size, but only once the split files are
     # written and the fits before it have run, so both batch sizes are
@@ -435,11 +436,9 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     if train_cfg.batch_size > fit_rows:
         raise ConfigError(f"train.batch_size {train_cfg.batch_size} exceeds the {fit_rows} rows "
                           f"that fold {fold_no} of {spec.folds} fits on")
-    if with_ae:
-        ae_cfg = _train_config(cfg, "ae", "ae")
-        if ae_cfg.batch_size > train_idx.size:
-            raise ConfigError(f"ae.batch_size {ae_cfg.batch_size} exceeds the {train_idx.size} "
-                              "training rows the autoencoder fits on")
+    if with_ae and ae_cfg.batch_size > train_idx.size:
+        raise ConfigError(f"ae.batch_size {ae_cfg.batch_size} exceeds the {train_idx.size} "
+                          "training rows the autoencoder fits on")
 
     _write_json(cfg, SPLIT_JSON, {
         "train": [int(i) for i in train_idx],
@@ -449,22 +448,20 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     _write_json(cfg, SCALER_JSON, scaler.to_dict())
     _write_json(cfg, BALANCED_JSON, {"indices": [int(i) for i in balanced_idx]})
 
-    ae_model = None
     if with_ae:
-        ae_model = train_autoencoder(scaler.transform(x_raw[train_idx]), AeConfig(), ae_cfg)
-        ae_path = cfg.run_dir / AE_MODEL_JSON
-        _write_json(cfg, AE_MODEL_JSON, model_to_dict(ae_model))
+        ae_model = train_autoencoder(scaler.transform(x_raw[train_idx]), config=ae_cfg)
+        ae_path = _write_json(cfg, AE_MODEL_JSON, model_to_dict(ae_model))
         print(f"autoencoder: final reconstruction loss {ae_model.final_loss:.6f} -> {ae_path}")
         inputs = encode(ae_model, x_balanced)
-        mlp = MlpConfig(layer_sizes=(ae_model.layer_sizes[-1], 100, 100, 100, N_LEVELS))
+        sizes = (ae_model.layer_sizes[-1], *CLASSIFIER_SIZES[1:])
     else:
         inputs = x_balanced
-        mlp = MlpConfig()
+        sizes = CLASSIFIER_SIZES
 
     # the final fit on the whole balanced pool is the longest job, so it goes first
     row_sets = [slice(None), *(fit_idx for fit_idx, _ in folds)]
     (final, *fold_models), workers = _in_pool(
-        lambda i: train_classifier(inputs[row_sets[i]], y_balanced[row_sets[i]], mlp, train_cfg),
+        lambda i: train_classifier(inputs[row_sets[i]], y_balanced[row_sets[i]], sizes, train_cfg),
         len(row_sets),
     )
 
@@ -511,6 +508,9 @@ def _read_split(path: Path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"the {part} list is empty")
     if any(((idx < 0) | (idx >= n_rows)).any() for idx in (train, test)):
         raise ValueError(f"a row index lies outside [0, {n_rows}), the rows of {FEATURES_CSV}")
+    # `train` writes a partition: a row on both sides would be scored as held out
+    if not (np.bincount(np.concatenate([train, test]), minlength=n_rows) == 1).all():
+        raise ValueError(f"train and test do not hold each of the {n_rows} rows of {FEATURES_CSV} exactly once")
     return train, test
 
 

@@ -318,10 +318,9 @@ def classifier_model_fn(classifier: TrainedModel, ae: Optional[TrainedModel] = N
     """
 
     def fn(x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
         if ae is not None:
-            h = encode(ae, h)
-        return forward(classifier, h)
+            x = encode(ae, x)
+        return forward(classifier, x)
 
     return fn
 

@@ -226,17 +226,16 @@ def build_feature_vectors(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ScalerParams:
-    """Per-feature (min, max) fitted on training rows for the count-like features."""
+    """Per-feature (min, max) of each of SCALED_FEATURES, fitted on training rows."""
 
     mins: Mapping[str, float]
     maxs: Mapping[str, float]
-    scaled_features: tuple[str, ...] = SCALED_FEATURES
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Min-max scale the fitted columns, clamped to [0,1]; degenerate
         columns (min == max) map to 0."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64)).copy()
-        for name in self.scaled_features:
+        for name in SCALED_FEATURES:
             j = FEATURE_NAMES.index(name)
             lo, hi = self.mins[name], self.maxs[name]
             if hi > lo:
@@ -247,29 +246,28 @@ class ScalerParams:
 
     def to_dict(self) -> dict:
         return {
-            "scaled_features": list(self.scaled_features),
-            "mins": {k: self.mins[k] for k in self.scaled_features},
-            "maxs": {k: self.maxs[k] for k in self.scaled_features},
+            "scaled_features": list(SCALED_FEATURES),
+            "mins": {k: self.mins[k] for k in SCALED_FEATURES},
+            "maxs": {k: self.maxs[k] for k in SCALED_FEATURES},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerParams":
         """The scaler `to_dict` wrote (other keys are ignored); a missing key,
-        an unknown feature or a bound that is not a finite number raises
-        ValueError."""
+        a `scaled_features` list other than SCALED_FEATURES or a bound that
+        is not a finite number raises ValueError."""
         if not isinstance(d, dict) or not {"scaled_features", "mins", "maxs"} <= d.keys():
             raise ValueError("a scaler is an object with scaled_features, mins and maxs")
-        names = d["scaled_features"]
-        if not isinstance(names, list) or not all(isinstance(n, str) and n in FEATURE_NAMES for n in names):
-            raise ValueError(f"scaled_features must list feature names, not {names!r}")
+        if d["scaled_features"] != list(SCALED_FEATURES):
+            raise ValueError(f"scaled_features must be {list(SCALED_FEATURES)}, not {d['scaled_features']!r}")
         for part in ("mins", "maxs"):
             bounds = d[part]
-            if not isinstance(bounds, dict) or set(bounds) != set(names):
+            if not isinstance(bounds, dict) or set(bounds) != set(SCALED_FEATURES):
                 raise ValueError(f"{part} must map exactly the scaled features to numbers")
             for name, value in bounds.items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                     raise ValueError(f"{part}[{name!r}] is not a finite number: {value!r}")
-        return cls(mins=dict(d["mins"]), maxs=dict(d["maxs"]), scaled_features=tuple(names))
+        return cls(mins=dict(d["mins"]), maxs=dict(d["maxs"]))
 
 
 def fit_scaler(X: np.ndarray) -> ScalerParams:

@@ -133,86 +133,25 @@ def single_blas_thread():
         api.set_threads(previous)
 
 
-@dataclass(frozen=True)
-class LayerParams:
-    """One affine layer: z = x @ weights.T + biases."""
-
-    weights: np.ndarray  # (out_dim, in_dim)
-    biases: np.ndarray  # (out_dim,)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.biases, dtype=np.float64)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise ValueError(f"inconsistent layer shapes {w.shape} / {b.shape}")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError("layer parameters must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
+# the paper's shapes: a classifier of three 100-wide ReLU layers, and an
+# autoencoder whose encoder narrows to a 100-wide code and whose decoder
+# mirrors it
+CLASSIFIER_SIZES = (N_FEATURES, 100, 100, 100, N_LEVELS)
+ENCODER_SIZES = (N_FEATURES, 500, 250, 100)
 
 
-@dataclass(frozen=True)
-class MlpConfig:
-    """Classifier shape: ReLU hidden layers, softmax output."""
-
-    layer_sizes: tuple[int, ...] = (N_FEATURES, 100, 100, 100, N_LEVELS)
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"bad layer sizes {sizes}")
-        object.__setattr__(self, "layer_sizes", sizes)
-
-    @property
-    def activations(self) -> tuple[str, ...]:
-        return ("relu",) * (len(self.layer_sizes) - 2) + ("softmax",)
-
-
-@dataclass(frozen=True)
-class AeConfig:
-    """Autoencoder shape.
-
-    Encoder hidden layers are ReLU and the final encoder layer (the
-    latent code) is sigmoid; decoder hidden layers are ReLU and the
-    reconstruction layer is linear.
-    """
-
-    encoder_sizes: tuple[int, ...] = (N_FEATURES, 500, 250, 100)
-    decoder_sizes: tuple[int, ...] = (100, 250, 500, N_FEATURES)
-
-    def __post_init__(self):
-        enc = tuple(int(s) for s in self.encoder_sizes)
-        dec = tuple(int(s) for s in self.decoder_sizes)
-        if len(enc) < 2 or len(dec) < 2 or any(s < 1 for s in enc + dec):
-            raise ValueError(f"bad autoencoder sizes {enc} / {dec}")
-        if enc[-1] != dec[0]:
-            raise ValueError(f"latent width mismatch: encoder ends at {enc[-1]}, decoder starts at {dec[0]}")
-        if dec[-1] != enc[0]:
-            raise ValueError(f"reconstruction width {dec[-1]} differs from input width {enc[0]}")
-        object.__setattr__(self, "encoder_sizes", enc)
-        object.__setattr__(self, "decoder_sizes", dec)
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return self.encoder_sizes + self.decoder_sizes[1:]
-
-    @property
-    def n_encoder_layers(self) -> int:
-        return len(self.encoder_sizes) - 1
-
-    @property
-    def activations(self) -> tuple[str, ...]:
-        enc = ("relu",) * (len(self.encoder_sizes) - 2) + ("sigmoid",)
-        dec = ("relu",) * (len(self.decoder_sizes) - 2) + ("linear",)
-        return enc + dec
+def _network(kind: str, sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The layer sizes and activations of a network: ReLU hidden layers,
+    then a softmax for a "classifier"; for an "autoencoder", `sizes` is the
+    encoder, whose code is sigmoid, and the decoder mirrors it up to a
+    linear reconstruction."""
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError(f"bad layer sizes {sizes}")
+    hidden = ("relu",) * (len(sizes) - 2)
+    if kind == "classifier":
+        return sizes, hidden + ("softmax",)
+    return sizes + sizes[-2::-1], hidden + ("sigmoid",) + hidden + ("linear",)
 
 
 @dataclass(frozen=True)
@@ -233,8 +172,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """An immutable trained (or merely initialized) network: a classifier,
-    or the encoder half of an autoencoder.
+    """A trained (or merely initialized) network: a classifier, or the
+    encoder half of an autoencoder. Layer i is the pair (weights, biases)
+    of shapes (layer_sizes[i+1], layer_sizes[i]) and (layer_sizes[i+1],),
+    and computes z = x @ weights.T + biases.
 
     `loss_trace[e]` is the row-weighted mean of the batch losses of epoch
     e+1, each taken on the weights before that batch's update, so the
@@ -245,7 +186,7 @@ class TrainedModel:
     kind: str  # "classifier" | "encoder"
     layer_sizes: tuple[int, ...]
     activations: tuple[str, ...]
-    layers: tuple[LayerParams, ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     config: TrainConfig
     loss_trace: tuple[float, ...]
 
@@ -259,14 +200,16 @@ class TrainedModel:
         for name in self.activations:
             if name not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {name!r}")
-        for i, layer in enumerate(self.layers):
-            if (layer.in_dim, layer.out_dim) != (self.layer_sizes[i], self.layer_sizes[i + 1]):
-                raise ValueError(f"layer {i} has shape {layer.weights.shape}, expected "
-                                 f"({self.layer_sizes[i + 1]}, {self.layer_sizes[i]})")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
+        layers = tuple((np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                       for w, b in self.layers)
+        for i, (w, b) in enumerate(layers):
+            fan_in, fan_out = self.layer_sizes[i], self.layer_sizes[i + 1]
+            if (w.shape, b.shape) != ((fan_out, fan_in), (fan_out,)):
+                raise ValueError(f"layer {i} has shapes {w.shape} / {b.shape}, expected "
+                                 f"({fan_out}, {fan_in}) / ({fan_out},)")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i} has a non-finite parameter")
+        object.__setattr__(self, "layers", layers)
 
     @property
     def final_loss(self) -> float:
@@ -315,17 +258,16 @@ def _times_activation_grad(name: str, da: np.ndarray, a: np.ndarray) -> np.ndarr
 
 
 def _layer_outputs(layers: Sequence, activations: Sequence[str], x: np.ndarray):
-    """Yield each layer's (pre-activation, activation) for the rows `x`.
+    """Yield each (weights, biases) layer's (pre-activation, activation) for
+    the rows `x`.
 
-    Accepts anything with .weights/.biases so the SGD scratch layers and
-    the immutable LayerParams both work. The activation overwrites the
-    pre-activation (see `_activate`), so only a softmax layer's
-    pre-activation survives as its own array.
+    The activation overwrites the pre-activation (see `_activate`), so only
+    a softmax layer's pre-activation survives as its own array.
     """
     a = x
-    for layer, name in zip(layers, activations):
-        z = a @ layer.weights.T
-        z += layer.biases
+    for (w, b), name in zip(layers, activations):
+        z = a @ w.T
+        z += b
         a = _activate(name, z)
         yield z, a
 
@@ -353,7 +295,7 @@ def forward(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     Classifier output is a probability vector per row; encoder output is
     the latent code.
     """
-    batch = _as_batch(x, model.input_dim, f"{model.kind} input")
+    batch = _as_batch(x, model.layer_sizes[0], f"{model.kind} input")
     _, out = _outputs(model.layers, model.activations, batch)
     return out
 
@@ -393,8 +335,8 @@ def _bounded(layers: Sequence, activations: Sequence[str], x: np.ndarray, target
     infinite weight fails the comparison, so False only means "not proven".
     """
     bound = np.abs(x).max()
-    for layer, name in zip(layers, activations):
-        bound = np.abs(layer.weights).sum(axis=1).max() * bound + np.abs(layer.biases).max()
+    for (w, b), name in zip(layers, activations):
+        bound = np.abs(w).sum(axis=1).max() * bound + np.abs(b).max()
         if not bound < _FINITE_BOUND:
             return False
         if name == "sigmoid":
@@ -440,7 +382,7 @@ def _backprop(
         dz = _times_activation_grad(activations[-1], diff, out)
     for i in reversed(range(len(layers))):
         if i > 0:
-            da = dz @ layers[i].weights
+            da = dz @ layers[i][0]
         take(i, dz, acts[i])
         if i > 0:
             dz = _times_activation_grad(activations[i - 1], da, acts[i])
@@ -451,14 +393,13 @@ def _backprop(
 # training
 
 
-def _init_layers(sizes: Sequence[int], rng: np.random.Generator) -> tuple[LayerParams, ...]:
+def _init_layers(sizes: Sequence[int], rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
     # Scaled-uniform fan-in init: U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases.
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        layers.append(LayerParams(weights=weights, biases=np.zeros(fan_out)))
-    return tuple(layers)
+        layers.append((rng.uniform(-bound, bound, size=(fan_out, fan_in)), np.zeros(fan_out)))
+    return layers
 
 
 # A layer with fewer weights takes numpy's step: on a matrix this small the
@@ -499,20 +440,6 @@ def _descend(weights: np.ndarray, lr: float, dz: np.ndarray, a: np.ndarray) -> N
                dz.ctypes.data, out_dim, a.ctypes.data, in_dim, 1.0, weights.ctypes.data, in_dim)
 
 
-class _ScratchLayer:
-    """Mutable (weights, biases) pair for the SGD inner loop.
-
-    Skips LayerParams validation, which would otherwise scan every
-    parameter for finiteness after each batch update.
-    """
-
-    __slots__ = ("weights", "biases")
-
-    def __init__(self, weights: np.ndarray, biases: np.ndarray):
-        self.weights = weights
-        self.biases = biases
-
-
 @single_blas_thread()
 def _run_sgd(
     kind: str,
@@ -521,27 +448,25 @@ def _run_sgd(
     x: np.ndarray,
     targets: np.ndarray,
     config: TrainConfig,
-) -> tuple[tuple[LayerParams, ...], tuple[float, ...]]:
-    """The fitted layers and the loss trace of an SGD fit from a seeded
-    initialization; `kind` names the network in a divergence error."""
+) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[float, ...]]:
+    """The fitted (weights, biases) layers and the loss trace of an SGD fit
+    from a seeded initialization, whose arrays each batch updates in place;
+    `kind` names the network in a divergence error."""
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on zero rows")
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds {n} training rows")
     rng = np.random.default_rng(config.seed)
-    layers = [
-        _ScratchLayer(p.weights.copy(), p.biases.copy())
-        for p in _init_layers(layer_sizes, rng)
-    ]
-
+    layers = _init_layers(layer_sizes, rng)
     lr = config.learning_rate
 
     def update(i: int, dz: np.ndarray, a: np.ndarray) -> None:
-        _descend(layers[i].weights, lr, dz, a)
+        w, b = layers[i]
+        _descend(w, lr, dz, a)
         db = dz.sum(axis=0)
         db *= lr
-        layers[i].biases -= db
+        b -= db
 
     trace: list[float] = []
     # divergence is detected by the finiteness checks below, so the overflow
@@ -563,48 +488,45 @@ def _run_sgd(
                 and not np.isfinite(_loss(layers, activations, x, targets))):
             raise TrainingDivergedError(config.epochs, kind)
 
-    return tuple(LayerParams(weights=l.weights, biases=l.biases) for l in layers), tuple(trace)
+    return tuple(layers), tuple(trace)
 
 
 def train_classifier(
     x: np.ndarray,
     labels: np.ndarray,
-    mlp: MlpConfig = MlpConfig(),
+    layer_sizes: Sequence[int] = CLASSIFIER_SIZES,
     config: TrainConfig = TrainConfig(),
 ) -> TrainedModel:
-    """Fit the softmax classifier with mini-batch SGD.
+    """Fit the softmax classifier of `layer_sizes` with mini-batch SGD.
 
     `x` is a scaled (n, input) matrix and `labels` an integer class
     vector. Raises TrainingDivergedError when the loss leaves the finite
     range; the fix is a smaller learning rate.
     """
-    x = np.asarray(x, dtype=np.float64)
+    sizes, activations = _network("classifier", layer_sizes)
+    x = _as_batch(x, sizes[0], "training")
     labels = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != mlp.layer_sizes[0]:
-        raise ValueError(f"training matrix must be (n, {mlp.layer_sizes[0]}), got {x.shape}")
     if labels.shape != (x.shape[0],):
         raise ValueError("one label per training row required")
-    n_classes = mlp.layer_sizes[-1]
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"labels must lie in [0, {n_classes})")
-    layers, trace = _run_sgd("classifier", mlp.layer_sizes, mlp.activations, x, labels, config)
-    return TrainedModel("classifier", mlp.layer_sizes, mlp.activations, layers, config, trace)
+    if labels.size and (labels.min() < 0 or labels.max() >= sizes[-1]):
+        raise ValueError(f"labels must lie in [0, {sizes[-1]})")
+    layers, trace = _run_sgd("classifier", sizes, activations, x, labels, config)
+    return TrainedModel("classifier", sizes, activations, layers, config, trace)
 
 
 def train_autoencoder(
     x: np.ndarray,
-    ae: AeConfig = AeConfig(),
+    encoder_sizes: Sequence[int] = ENCODER_SIZES,
     config: TrainConfig = TrainConfig(),
 ) -> TrainedModel:
-    """Fit the autoencoder to reconstruct its input under MSE, and return its
-    encoder: no stage reads the decoder, and the same config refits it bit
-    for bit."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != ae.encoder_sizes[0]:
-        raise ValueError(f"training matrix must be (n, {ae.encoder_sizes[0]}), got {x.shape}")
-    layers, trace = _run_sgd("autoencoder", ae.layer_sizes, ae.activations, x, x, config)
-    k = ae.n_encoder_layers
-    return TrainedModel("encoder", ae.encoder_sizes, ae.activations[:k], layers[:k], config, trace)
+    """Fit the autoencoder of `encoder_sizes` and its mirrored decoder to
+    reconstruct its input under MSE, and return its encoder: no stage reads
+    the decoder, and the same config refits it bit for bit."""
+    sizes, activations = _network("autoencoder", encoder_sizes)
+    x = _as_batch(x, sizes[0], "training")
+    layers, trace = _run_sgd("autoencoder", sizes, activations, x, x, config)
+    k = len(sizes) // 2  # the encoder's layers
+    return TrainedModel("encoder", sizes[: k + 1], activations[:k], layers[:k], config, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +545,7 @@ def predict_batch(
     """
     if classifier.kind != "classifier":
         raise ValueError("predict requires a classifier model")
-    batch = _as_batch(x, ae.input_dim if ae is not None else classifier.input_dim, "input")
-    if ae is not None:
-        batch = encode(ae, batch)
-    if batch.shape[1] != classifier.input_dim:
-        raise ValueError(
-            f"classifier expects width {classifier.input_dim}, "
-            f"but this path produces width {batch.shape[1]}"
-        )
-    probs = forward(classifier, batch)
+    probs = forward(classifier, x if ae is None else encode(ae, x))
     labels = np.argmax(probs, axis=1)  # first maximum, so ties pick the smallest index
     return labels, probs
 
@@ -660,8 +574,8 @@ def model_to_dict(model: TrainedModel) -> dict:
         "config": asdict(model.config),
         "loss_trace": list(model.loss_trace),
         "layers": [
-            {"weights": _encode(layer.weights), "biases": _encode(layer.biases)}
-            for layer in model.layers
+            {"weights": _encode(w), "biases": _encode(b)}
+            for w, b in model.layers
         ],
     }
 
@@ -678,10 +592,7 @@ def model_from_dict(d: dict) -> TrainedModel:
         layer_sizes=sizes,
         activations=tuple(d["activations"]),
         layers=tuple(
-            LayerParams(
-                weights=_decode(layer["weights"], (fan_out, fan_in)),
-                biases=_decode(layer["biases"], (fan_out,)),
-            )
+            (_decode(layer["weights"], (fan_out, fan_in)), _decode(layer["biases"], (fan_out,)))
             for layer, fan_in, fan_out in zip(d["layers"], sizes[:-1], sizes[1:], strict=True)
         ),
         config=TrainConfig(**d["config"]),

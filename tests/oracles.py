@@ -432,22 +432,29 @@ def naive_sigmoid(z):
 
 
 class Network(NamedTuple):
-    """Layers and activations, as `_loss`, `_backprop` and `gradient_check` read them."""
+    """Sizes, (weights, biases) layers and activations, as `_loss`,
+    `_backprop` and `gradient_check` read them."""
 
+    layer_sizes: tuple
     layers: tuple
     activations: tuple
     loss_trace: tuple
 
 
-def whole_autoencoder(x, ae, config):
-    """The encoder and decoder of the fit that `train_autoencoder(x, ae,
-    config)` runs, of which it returns only the encoder."""
-    layers, trace = neuralnet._run_sgd("autoencoder", ae.layer_sizes, ae.activations, x, x, config)
-    return Network(layers, ae.activations, trace)
+def whole_autoencoder(x, encoder_sizes, config):
+    """The encoder and decoder of the fit that `train_autoencoder(x,
+    encoder_sizes, config)` runs, of which it returns only the encoder: the
+    decoder mirrors the encoder, the code is sigmoid, the reconstruction
+    linear and every other layer ReLU."""
+    hidden = ("relu",) * (len(encoder_sizes) - 2)
+    sizes = (*encoder_sizes, *encoder_sizes[-2::-1])
+    activations = (*hidden, "sigmoid", *hidden, "linear")
+    layers, trace = neuralnet._run_sgd("autoencoder", sizes, activations, x, x, config)
+    return Network(sizes, layers, activations, trace)
 
 
 def n_parameters(model):
-    return sum(layer.weights.size + layer.biases.size for layer in model.layers)
+    return sum(w.size + b.size for w, b in model.layers)
 
 
 def gradient_check(model, x, targets, step=GRADIENT_CHECK_STEP):
@@ -461,9 +468,7 @@ def gradient_check(model, x, targets, step=GRADIENT_CHECK_STEP):
     if n_parameters(model) > GRADIENT_CHECK_PARAM_LIMIT:
         raise ValueError(f"gradient_check is limited to {GRADIENT_CHECK_PARAM_LIMIT} parameters")
     x = np.asarray(x, dtype=np.float64)
-    layers = [
-        neuralnet.LayerParams(weights=p.weights.copy(), biases=p.biases.copy()) for p in model.layers
-    ]
+    layers = [(w.copy(), b.copy()) for w, b in model.layers]
     analytic = {}
 
     def take(i, dz, a):
@@ -472,8 +477,8 @@ def gradient_check(model, x, targets, step=GRADIENT_CHECK_STEP):
     neuralnet._backprop(layers, model.activations, x, targets, take)
 
     worst = 0.0
-    for li, layer in enumerate(layers):
-        for arr, grad in ((layer.weights, analytic[li][0]), (layer.biases, analytic[li][1])):
+    for li, (w, b) in enumerate(layers):
+        for arr, grad in ((w, analytic[li][0]), (b, analytic[li][1])):
             flat = arr.reshape(-1)
             gflat = grad.reshape(-1)
             for j in range(flat.size):

@@ -9,6 +9,7 @@ a few minutes; everything else is fast.
 import json
 import math
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,10 +19,8 @@ from carechoice import cli
 from carechoice.domain import ExclusionReason
 from carechoice.explain import exact_shapley, sampled_shapley
 from carechoice.features import continuity_indices
-from carechoice.metrics import binary_auc, confusion_counts, per_class_metrics
+from carechoice.metrics import build_report
 from carechoice.neuralnet import (
-    AeConfig,
-    MlpConfig,
     TrainConfig,
     forward,
     train_classifier,
@@ -31,7 +30,6 @@ from oracles import (
     exhaustive_shapley,
     gradient_check,
     naive_auc,
-    naive_class_counts,
     naive_class_metrics,
     whole_autoencoder,
 )
@@ -52,7 +50,7 @@ def tiny_classifier_fn(d, seed, classes=3):
     x = rng.normal(size=(40, d))
     y = rng.integers(0, classes, size=40)
     model = train_classifier(
-        x, y, MlpConfig((d, 6, classes)), TrainConfig(epochs=3, batch_size=8, seed=seed)
+        x, y, (d, 6, classes), TrainConfig(epochs=3, batch_size=8, seed=seed)
     )
     return lambda rows: forward(model, rows)
 
@@ -92,9 +90,9 @@ def test_criterion_2_analytic_gradients_match_numeric():
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(6, 18))
             setup = TrainConfig(epochs=0, batch_size=6, seed=seed)
-            clf = train_classifier(x, rng.integers(0, 4, size=6), MlpConfig((18, 8, 4)), setup)
+            clf = train_classifier(x, rng.integers(0, 4, size=6), (18, 8, 4), setup)
             assert gradient_check(clf, x, rng.integers(0, 4, size=6)) < 1e-4
-            ae = whole_autoencoder(x, AeConfig((18, 20, 8), (8, 20, 18)), setup)
+            ae = whole_autoencoder(x, (18, 20, 8), setup)
             assert gradient_check(ae, x, x) < 1e-4
         assert time.perf_counter() - start < 30.0
 
@@ -151,30 +149,39 @@ def test_criterion_4_metrics_match_naive_reimplementations():
             n = int(rng.integers(1, 60))
             labels = rng.integers(0, 4, size=n)
             preds = rng.integers(0, 4, size=n)
-            counts = confusion_counts(labels, preds)
-            for c in range(4):
-                cc = counts[c]
-                assert cc == naive_class_counts(labels, preds, c)
-                m = per_class_metrics(*cc)
-                acc, sen, spe, pre, f1 = naive_class_metrics(labels, preds, c)
-                assert (m["accuracy"], m["sensitivity"], m["specificity"], m["precision"], m["f1"]) == (
-                    acc, sen, spe, pre, f1,
-                )
             # tied scores included deliberately; both sides count ties as half
-            scores = rng.integers(0, 6, size=n) / 5.0
-            positive = labels == 0
-            expected = naive_auc(scores, positive)
-            if not math.isnan(expected):
-                assert abs(binary_auc(scores, positive) - expected) <= 1e-12
+            scores = rng.integers(0, 6, size=(n, 4)) / 5.0
+            if np.unique(labels).size == 1:  # no class has both positives and negatives
+                with pytest.raises(ValueError):
+                    quiet_report(labels, preds, scores)
+                continue
+            report = quiet_report(labels, preds, scores)
+            for c in range(4):
+                m = report["per_class"][str(c)]
+                assert (m["accuracy"], m["sensitivity"], m["specificity"], m["precision"], m["f1"]) == (
+                    naive_class_metrics(labels, preds, c)
+                )
+                expected = naive_auc(scores[:, c], labels == c)
+                if math.isnan(expected):
+                    assert math.isnan(m["auc"])
+                else:
+                    assert abs(m["auc"] - expected) <= 1e-12
 
         labels = np.array([1] * 50 + [0] * 30 + [0] * 10 + [1] * 10)
         preds = np.array([1] * 50 + [0] * 30 + [1] * 10 + [0] * 10)
-        m = per_class_metrics(*confusion_counts(labels, preds, n_classes=2)[1])
+        m = quiet_report(labels, preds, np.eye(2)[preds], n_classes=2)["per_class"]["1"]
         assert round(m["accuracy"], 4) == 0.8000
         assert round(m["sensitivity"], 4) == 0.8333
         assert round(m["specificity"], 4) == 0.7500
         assert round(m["precision"], 4) == 0.8333
         assert round(m["f1"], 4) == 0.8333
+
+
+def quiet_report(labels, preds, probabilities, n_classes=4):
+    """`build_report` with its warnings about absent classes silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_report(labels, preds, probabilities, "withoutAE", n_classes)
 
 
 def test_criterion_5_sampling_utilities_partition_and_reproduce():

@@ -718,6 +718,20 @@ class TestExitCodes:
                          "--set", setting]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: config key {message}\n"
 
+    @pytest.mark.parametrize("variant, setting", [
+        ("--no-ae", "train.learning_rate=0"),
+        ("--no-ae", "train.epochs=-1"),
+        ("--ae", "ae.learning_rate=0"),
+        ("--ae", "ae.batch_size=0"),
+    ])
+    def test_bad_fit_value_exits_three_before_reading_artifacts(self, tmp_path, capsys, variant, setting):
+        # the run dir is empty: a stage that read an artifact first would exit 4
+        base = ["--set", f"run_dir={tmp_path/'run'}", "--set", f"data_dir={tmp_path/'data'}"]
+        capsys.readouterr()
+        assert cli.main(["train", variant, *base, "--set", setting]) == EXIT_CONFIG
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"config error: config key {key} ")
+
     @pytest.mark.parametrize("setting, message", [
         pytest.param("method=kernel", "must be exact or sampled, got 'kernel'", id="method=kernel"),
         pytest.param("n_instances=0", "must be at least 1, got 0", id="n_instances=0"),
@@ -988,7 +1002,12 @@ class TestExitCodes:
         lambda scaler: scaler["maxs"].update(age=float("nan")),
         lambda scaler: scaler.update(scaled_features=["nope"]),
         lambda scaler: scaler.pop("maxs"),
-    ], ids=["min_missing", "min_a_string", "max_a_bool", "max_nan", "unknown_feature", "no_maxs"])
+        # a scaler scales exactly the scaled features, not fewer
+        lambda scaler: scaler.update(scaled_features=[], mins={}, maxs={}),
+        lambda scaler: scaler.update(scaled_features=["age"], mins={"age": scaler["mins"]["age"]},
+                                     maxs={"age": scaler["maxs"]["age"]}),
+    ], ids=["min_missing", "min_a_string", "max_a_bool", "max_nan", "unknown_feature", "no_maxs",
+            "no_features", "age_alone"])
     def test_unreadable_scaler_exits_five(self, trained_run, tmp_path, capsys, edit):
         run = tmp_path / "run"
         shutil.copytree(trained_run / "run", run)
@@ -1016,6 +1035,27 @@ class TestExitCodes:
                          "--set", f"data_dir={trained_run / 'data'}"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (")
+        assert err.endswith("; run `train` again\n")
+
+    @pytest.mark.parametrize("stage", ["evaluate", "explain"])
+    @pytest.mark.parametrize("edit", [
+        lambda split: split.update(test=list(split["train"])),
+        lambda split: split["train"].append(split["train"][0]),
+        lambda split: split["test"].pop(),
+    ], ids=["test_copied_from_train", "a_train_row_twice", "a_test_row_dropped"])
+    def test_a_split_that_does_not_partition_the_rows_exits_five(self, trained_run, tmp_path, capsys,
+                                                                 edit, stage):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "run", run)
+        path = run / SPLIT_JSON
+        split = json.loads(path.read_text())
+        edit(split)
+        path.write_text(json.dumps(split))
+        capsys.readouterr()
+        assert cli.main([stage, "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={trained_run / 'data'}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (ValueError: train and test do not hold each")
         assert err.endswith("; run `train` again\n")
 
     @pytest.mark.parametrize("metric, value, expected", [

@@ -16,8 +16,6 @@ from carechoice.explain import (
     write_importance_csv,
 )
 from carechoice.neuralnet import (
-    AeConfig,
-    MlpConfig,
     TrainConfig,
     forward,
     train_autoencoder,
@@ -40,7 +38,7 @@ def small_mlp_fn(d, classes=3, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(60, d))
     y = rng.integers(0, classes, size=60)
-    model = train_classifier(x, y, MlpConfig((d, 7, classes)),
+    model = train_classifier(x, y, (d, 7, classes),
                              TrainConfig(epochs=4, batch_size=10, seed=seed))
     return lambda rows: forward(model, rows)
 
@@ -352,7 +350,7 @@ class TestClassifierModelFn:
         rng = np.random.default_rng(80)
         x = rng.uniform(size=(50, 6))
         y = rng.integers(0, 3, size=50)
-        model = train_classifier(x, y, MlpConfig((6, 5, 3)),
+        model = train_classifier(x, y, (6, 5, 3),
                                  TrainConfig(epochs=2, batch_size=10))
         fn = classifier_model_fn(model)
         out = fn(x[:4])
@@ -364,10 +362,10 @@ class TestClassifierModelFn:
         rng = np.random.default_rng(82)
         x = rng.uniform(size=(60, 6))
         y = rng.integers(0, 3, size=60)
-        ae = train_autoencoder(x, AeConfig((6, 5, 2), (2, 5, 6)),
+        ae = train_autoencoder(x, (6, 5, 2),
                                TrainConfig(epochs=2, batch_size=10))
         from carechoice.neuralnet import encode
-        clf = train_classifier(encode(ae, x), y, MlpConfig((2, 5, 3)),
+        clf = train_classifier(encode(ae, x), y, (2, 5, 3),
                                TrainConfig(epochs=2, batch_size=10))
         fn = classifier_model_fn(clf, ae=ae)
         out = fn(x[:5])

@@ -359,7 +359,7 @@ class TestScaler:
         again = ScalerParams.from_dict(scaler.to_dict())
         assert again.mins == scaler.mins
         assert again.maxs == scaler.maxs
-        assert again.scaled_features == scaler.scaled_features
+        assert again.to_dict() == scaler.to_dict()
 
     def test_transform_does_not_mutate_input(self):
         X = self.matrix()

@@ -19,9 +19,8 @@ from hypothesis.extra.numpy import arrays
 from carechoice import neuralnet
 from carechoice.domain import HospitalLevel
 from carechoice.neuralnet import (
-    AeConfig,
-    LayerParams,
-    MlpConfig,
+    CLASSIFIER_SIZES,
+    ENCODER_SIZES,
     TrainConfig,
     TrainedModel,
     TrainingDivergedError,
@@ -48,39 +47,65 @@ def blob_data(n=120, d=6, classes=3, seed=0, spread=4.0):
 
 
 def manual_model(weights_list, activations, kind="classifier"):
-    layers = tuple(
-        LayerParams(weights=np.asarray(w, dtype=np.float64), biases=np.asarray(b, dtype=np.float64))
-        for w, b in weights_list
-    )
-    sizes = (layers[0].in_dim,) + tuple(l.out_dim for l in layers)
+    layers = tuple((np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in weights_list)
+    sizes = (layers[0][0].shape[1],) + tuple(w.shape[0] for w, _ in layers)
     return TrainedModel(
         kind=kind, layer_sizes=sizes, activations=activations, layers=layers,
         config=TrainConfig(), loss_trace=(),
     )
 
 
+def fitted_networks(monkeypatch):
+    """A list that receives the (kind, layer sizes, activations) of each SGD fit."""
+    seen = []
+    run_sgd = neuralnet._run_sgd
+
+    def recording(kind, sizes, activations, *args):
+        seen.append((kind, sizes, activations))
+        return run_sgd(kind, sizes, activations, *args)
+
+    monkeypatch.setattr(neuralnet, "_run_sgd", recording)
+    return seen
+
+
 class TestConfigs:
+    ZERO_EPOCHS = TrainConfig(epochs=0, batch_size=1)
+
     def test_classifier_activations(self):
-        assert MlpConfig((18, 8, 4)).activations == ("relu", "softmax")
-        assert MlpConfig((18, 4)).activations == ("softmax",)
+        x, y = blob_data(d=18, classes=4)
+        assert train_classifier(x, y, (18, 8, 4), self.ZERO_EPOCHS).activations == ("relu", "softmax")
+        assert train_classifier(x, y, (18, 4), self.ZERO_EPOCHS).activations == ("softmax",)
 
-    def test_default_shapes(self):
-        assert MlpConfig().layer_sizes == (18, 100, 100, 100, 4)
-        ae = AeConfig()
-        assert ae.layer_sizes == (18, 500, 250, 100, 250, 500, 18)
-        assert (ae.encoder_sizes[-1], ae.n_encoder_layers) == (100, 3)
+    def test_default_shapes(self, monkeypatch):
+        # the paper's shapes, and an autoencoder fit that runs the whole
+        # 18-500-250-100-250-500-18 network, as `whole_autoencoder` does
+        assert CLASSIFIER_SIZES == (18, 100, 100, 100, 4)
+        assert ENCODER_SIZES == (18, 500, 250, 100)
+        fits = fitted_networks(monkeypatch)
+        x, y = blob_data(d=18, classes=4)
+        assert train_classifier(x, y, config=self.ZERO_EPOCHS).layer_sizes == CLASSIFIER_SIZES
+        assert train_autoencoder(x, config=self.ZERO_EPOCHS).layer_sizes == ENCODER_SIZES
+        whole = whole_autoencoder(x, ENCODER_SIZES, self.ZERO_EPOCHS)
+        assert [sizes for _, sizes, _ in fits] == [CLASSIFIER_SIZES, (18, 500, 250, 100, 250, 500, 18),
+                                                   whole.layer_sizes]
+        assert fits[1] == fits[2]
+        assert [w.shape for w, _ in whole.layers] == [(500, 18), (250, 500), (100, 250),
+                                                      (250, 100), (500, 250), (18, 500)]
 
-    def test_autoencoder_activations(self):
-        ae = AeConfig((18, 20, 8), (8, 20, 18))
-        assert ae.activations == ("relu", "sigmoid", "relu", "linear")
+    def test_autoencoder_activations(self, monkeypatch):
+        fits = fitted_networks(monkeypatch)
+        x, _ = blob_data(d=18)
+        encoder = train_autoencoder(x, (18, 20, 8), self.ZERO_EPOCHS)
+        assert fits == [("autoencoder", (18, 20, 8, 20, 18), ("relu", "sigmoid", "relu", "linear"))]
+        assert (encoder.layer_sizes, encoder.activations) == ((18, 20, 8), ("relu", "sigmoid"))
 
-    def test_latent_junction_must_match(self):
-        with pytest.raises(ValueError, match="latent"):
-            AeConfig((18, 10), (12, 18))
-
-    def test_reconstruction_width_must_match(self):
-        with pytest.raises(ValueError, match="econstruction"):
-            AeConfig((18, 10), (10, 17))
+    @pytest.mark.parametrize("sizes", [(), (18,), (18, 0, 4), (18, -3)])
+    def test_bad_sizes_rejected(self, sizes):
+        x, y = blob_data(d=18, classes=4)
+        with pytest.raises(ValueError, match="bad layer sizes"):
+            train_classifier(x, y, sizes, self.ZERO_EPOCHS)
+        with pytest.raises(ValueError, match="bad layer sizes"):
+            train_autoencoder(x, sizes, self.ZERO_EPOCHS)
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
@@ -96,7 +121,7 @@ def initial_classifier(seed, x=None, y=None, epochs=0):
     if x is None:
         x, y = blob_data(d=18, classes=4)
     cfg = TrainConfig(epochs=epochs, seed=seed, batch_size=16)
-    return train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
+    return train_classifier(x, y, (18, 8, 4), cfg)
 
 
 def initial_loss(fit, *args, config: TrainConfig):
@@ -114,7 +139,7 @@ def first_batch(monkeypatch):
     backprop = neuralnet._backprop
 
     def recording(layers, activations, x, targets, *args):
-        weights = [layer.weights.copy() for layer in layers]
+        weights = [w.copy() for w, _ in layers]
         loss = backprop(layers, activations, x, targets, *args)
         if not seen:
             seen.update(weights=weights, x=x, targets=targets, loss=loss)
@@ -127,23 +152,23 @@ def first_batch(monkeypatch):
 def starts_from(model, batch) -> bool:
     """Whether the recorded first batch read `model`'s layers: its weights,
     and the `_loss` of those layers over its rows."""
-    return (all(np.array_equal(w, layer.weights) for w, layer in zip(batch["weights"], model.layers, strict=True))
+    return (all(np.array_equal(w, layer[0]) for w, layer in zip(batch["weights"], model.layers, strict=True))
             and neuralnet._loss(model.layers, model.activations, batch["x"], batch["targets"]) == batch["loss"])
 
 
 class TestInitialization:
     def test_fan_in_bound_and_zero_biases(self):
         layers = initial_classifier(seed=0).layers
-        for layer, fan_in in zip(layers, (18, 8)):
-            assert np.max(np.abs(layer.weights)) <= 1.0 / math.sqrt(fan_in)
-            assert np.all(layer.biases == 0.0)
+        for (w, b), fan_in in zip(layers, (18, 8)):
+            assert np.max(np.abs(w)) <= 1.0 / math.sqrt(fan_in)
+            assert np.all(b == 0.0)
 
     def test_deterministic_per_seed(self):
         a = initial_classifier(seed=5).layers
         b = initial_classifier(seed=5).layers
         c = initial_classifier(seed=6).layers
-        assert all(np.array_equal(x.weights, y.weights) for x, y in zip(a, b))
-        assert not np.array_equal(a[0].weights, c[0].weights)
+        assert all(np.array_equal(wa, wb) for (wa, _), (wb, _) in zip(a, b))
+        assert not np.array_equal(a[0][0], c[0][0])
 
     def test_zero_epoch_training_equals_initialization(self, monkeypatch):
         x, y = blob_data(d=18, classes=4)
@@ -153,11 +178,11 @@ class TestInitialization:
         batch = first_batch(monkeypatch)
         trained = initial_classifier(seed=9, x=x, y=y, epochs=2)
         assert starts_from(model, batch)
-        assert not np.array_equal(trained.layers[0].weights, model.layers[0].weights)
+        assert not np.array_equal(trained.layers[0][0], model.layers[0][0])
 
     def test_zero_epoch_autoencoder_matches_too(self, monkeypatch):
         x, _ = blob_data(d=18)
-        ae, cfg = AeConfig((18, 6, 3), (3, 6, 18)), TrainConfig(epochs=0, seed=4, batch_size=16)
+        ae, cfg = (18, 6, 3), TrainConfig(epochs=0, seed=4, batch_size=16)
         model = train_autoencoder(x, ae, cfg)
         assert model.loss_trace == ()
         assert math.isnan(model.final_loss)
@@ -190,7 +215,7 @@ class TestForwardMath:
 
     def test_probability_rows_sum_to_one(self):
         x, y = blob_data(d=18, classes=4)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)), TrainConfig(epochs=2, batch_size=16))
+        model = train_classifier(x, y, (18, 8, 4), TrainConfig(epochs=2, batch_size=16))
         probs = forward(model, x)
         assert probs.shape == (len(x), 4)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -220,7 +245,7 @@ class TestForwardMath:
         # layer that backprop keeps, and backprop's loss must be _loss;
         # encode's are those of the whole autoencoder's latent layer
         x, y = blob_data(n=300, d=18, classes=4)
-        clf = train_classifier(x, y, MlpConfig((18, 32, 16, 4)),
+        clf = train_classifier(x, y, (18, 32, 16, 4),
                                TrainConfig(epochs=2, batch_size=16, seed=3))
         logits, probs = list(neuralnet._layer_outputs(clf.layers, clf.activations, x))[-1]
         m = logits.max(axis=1, keepdims=True)
@@ -230,15 +255,15 @@ class TestForwardMath:
         assert loss == self.backprop_loss(clf, x, y)
         assert np.array_equal(forward(clf, x), probs)
 
-        ae_cfg, cfg = AeConfig((18, 24, 8), (8, 24, 18)), TrainConfig(epochs=2, batch_size=16, seed=3)
-        ae = whole_autoencoder(x, ae_cfg, cfg)
+        encoder_sizes, cfg = (18, 24, 8), TrainConfig(epochs=2, batch_size=16, seed=3)
+        ae = whole_autoencoder(x, encoder_sizes, cfg)
         acts = [a for _, a in neuralnet._layer_outputs(ae.layers, ae.activations, x)]
         loss = neuralnet._loss(ae.layers, ae.activations, x, x)
         assert loss == float(np.mean((acts[-1] - x) ** 2))
         assert loss == self.backprop_loss(ae, x, x)
-        encoder = train_autoencoder(x, ae_cfg, cfg)
-        assert np.array_equal(forward(encoder, x), acts[ae_cfg.n_encoder_layers - 1])
-        assert np.array_equal(encode(encoder, x), acts[ae_cfg.n_encoder_layers - 1])
+        encoder = train_autoencoder(x, encoder_sizes, cfg)
+        assert np.array_equal(forward(encoder, x), acts[1])
+        assert np.array_equal(encode(encoder, x), acts[1])
 
     @staticmethod
     def backprop_loss(model, x, targets):
@@ -246,7 +271,7 @@ class TestForwardMath:
 
     def test_encode_is_sigmoid_bounded(self):
         x, _ = blob_data(d=18)
-        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
+        ae = train_autoencoder(x, (18, 6, 3),
                                TrainConfig(epochs=2, batch_size=16))
         z = encode(ae, x)
         assert z.shape == (len(x), 3)
@@ -286,13 +311,12 @@ class TestSigmoid:
 class TestGradients:
     def test_classifier_backprop_matches_finite_differences(self):
         x, y = blob_data(n=20, d=6, classes=3, seed=1)
-        model = train_classifier(x, y, MlpConfig((6, 5, 3)), TrainConfig(epochs=1, batch_size=10))
+        model = train_classifier(x, y, (6, 5, 3), TrainConfig(epochs=1, batch_size=10))
         assert gradient_check(model, x, y) < 1e-4
 
     def test_autoencoder_backprop_matches_finite_differences(self):
         x, _ = blob_data(n=15, d=6, seed=2)
-        ae = AeConfig((6, 4, 2), (2, 4, 6))
-        model = whole_autoencoder(x, ae, TrainConfig(epochs=1, batch_size=5))
+        model = whole_autoencoder(x, (6, 4, 2), TrainConfig(epochs=1, batch_size=5))
         assert gradient_check(model, x, x) < 1e-4
 
     def test_checks_the_backprop_that_sgd_runs(self, monkeypatch):
@@ -305,7 +329,7 @@ class TestGradients:
 
         monkeypatch.setattr(neuralnet, "_backprop", recording)
         x, y = blob_data(n=20, d=6, classes=3, seed=1)
-        model = train_classifier(x, y, MlpConfig((6, 5, 3)), TrainConfig(epochs=1, batch_size=10))
+        model = train_classifier(x, y, (6, 5, 3), TrainConfig(epochs=1, batch_size=10))
         assert len(calls) == 2  # one call per batch
         assert gradient_check(model, x, y) < 1e-4
         assert len(calls) == 3
@@ -321,33 +345,33 @@ class TestTraining:
     def test_loss_decreases_on_separable_data(self):
         x, y = blob_data(n=200, d=6, classes=3, seed=3)
         cfg = TrainConfig(epochs=25, batch_size=16, seed=0)
-        model = train_classifier(x, y, MlpConfig((6, 16, 3)), cfg)
+        model = train_classifier(x, y, (6, 16, 3), cfg)
         assert len(model.loss_trace) == 25
-        assert model.final_loss < initial_loss(train_classifier, x, y, MlpConfig((6, 16, 3)), config=cfg) / 3
+        assert model.final_loss < initial_loss(train_classifier, x, y, (6, 16, 3), config=cfg) / 3
         labels, _ = predict_batch(model, x)
         assert np.mean(labels == y) > 0.9
 
     def test_autoencoder_reconstruction_improves(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=(150, 6))
-        ae, cfg = AeConfig((6, 8, 4), (4, 8, 6)), TrainConfig(epochs=30, batch_size=10, learning_rate=0.3)
+        ae, cfg = (6, 8, 4), TrainConfig(epochs=30, batch_size=10, learning_rate=0.3)
         model = train_autoencoder(x, ae, cfg)
         assert model.final_loss < initial_loss(whole_autoencoder, x, ae, config=cfg)
 
     def test_same_seed_reproduces_bit_exactly(self):
         x, y = blob_data(d=18, classes=4)
         cfg = TrainConfig(epochs=3, batch_size=16, seed=12)
-        a = train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
-        b = train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
+        a = train_classifier(x, y, (18, 8, 4), cfg)
+        b = train_classifier(x, y, (18, 8, 4), cfg)
         assert model_to_dict(a) == model_to_dict(b)
-        c = train_classifier(x, y, MlpConfig((18, 8, 4)),
+        c = train_classifier(x, y, (18, 8, 4),
                              TrainConfig(epochs=3, batch_size=16, seed=13))
         assert model_to_dict(a) != model_to_dict(c)
 
     def test_divergence_raises_with_epoch_number(self):
         x, y = blob_data(d=6, classes=3)
         with pytest.raises(TrainingDivergedError, match="lower learning rate") as err:
-            train_classifier(x, y, MlpConfig((6, 5, 3)),
+            train_classifier(x, y, (6, 5, 3),
                              TrainConfig(learning_rate=1e12, epochs=5, batch_size=16))
         assert err.value.epoch >= 1
 
@@ -356,7 +380,7 @@ class TestTraining:
         # full-set pass after the last epoch is what catches it
         x, y = blob_data(d=6, classes=3)
         with pytest.raises(TrainingDivergedError) as err:
-            train_classifier(x, y, MlpConfig((6, 5, 3)),
+            train_classifier(x, y, (6, 5, 3),
                              TrainConfig(learning_rate=1e305, epochs=1, batch_size=len(x)))
         assert err.value.epoch == 1
 
@@ -364,9 +388,9 @@ class TestTraining:
         # the batch loss is taken before the update, on every row
         x, y = blob_data(d=18, classes=4)
         cfg = TrainConfig(epochs=1, batch_size=len(x), seed=2)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)), cfg)
+        model = train_classifier(x, y, (18, 8, 4), cfg)
         assert model.loss_trace[0] == pytest.approx(
-            initial_loss(train_classifier, x, y, MlpConfig((18, 8, 4)), config=cfg), abs=1e-12)
+            initial_loss(train_classifier, x, y, (18, 8, 4), config=cfg), abs=1e-12)
 
     # sha256 of the weights and biases of the two fits below, recorded before
     # the trace came from batch losses: tracing must not move a weight bit.
@@ -379,14 +403,14 @@ class TestTraining:
 
     def test_weights_match_the_recorded_bytes(self):
         x, y = blob_data(d=18, classes=4)  # 120 rows: the last batch of 16 has 8
-        clf = train_classifier(x, y, MlpConfig((18, 8, 4)),
+        clf = train_classifier(x, y, (18, 8, 4),
                                TrainConfig(epochs=3, batch_size=16, seed=21))
-        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
+        ae = train_autoencoder(x, (18, 6, 3),
                                TrainConfig(epochs=2, batch_size=16, seed=4))
         digest = hashlib.sha256()
-        for layer in clf.layers + ae.layers:
-            digest.update(layer.weights.tobytes())
-            digest.update(layer.biases.tobytes())
+        for w, b in clf.layers + ae.layers:
+            digest.update(w.tobytes())
+            digest.update(b.tobytes())
         assert digest.hexdigest() == self.WEIGHTS_SHA256
 
     # sha256 of the weights and biases, the loss of the initial layers (the
@@ -417,15 +441,17 @@ class TestTraining:
         fits = []
         for lr in (0.01, 0.5):
             cfg = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=lr)
-            fits.append((train_autoencoder(x, AeConfig(), cfg), initial_loss(whole_autoencoder, x, AeConfig(), config=cfg)))
+            fits.append((train_autoencoder(x, config=cfg),
+                         initial_loss(whole_autoencoder, x, ENCODER_SIZES, config=cfg)))
         x, y = blob_data(n=300, d=18, classes=4, seed=1)  # the last batch of 64 has 44
         cfg = TrainConfig(epochs=2, batch_size=64, seed=6)
-        fits.append((train_classifier(x, y, MlpConfig(), cfg), initial_loss(train_classifier, x, y, MlpConfig(), config=cfg)))
+        fits.append((train_classifier(x, y, config=cfg),
+                     initial_loss(train_classifier, x, y, CLASSIFIER_SIZES, config=cfg)))
         for model, loss in fits:
             digest = hashlib.sha256()
-            for layer in model.layers:
-                digest.update(layer.weights.tobytes())
-                digest.update(layer.biases.tobytes())
+            for w, b in model.layers:
+                digest.update(w.tobytes())
+                digest.update(b.tobytes())
             key = (model.kind, model.config.learning_rate)
             assert (digest.hexdigest(), loss, model.loss_trace) == self.DEFAULT_SHAPE_FITS[key]
 
@@ -434,23 +460,23 @@ class TestTraining:
         # both fits on one thread while the inner one runs numpy's update
         x, _ = blob_data(n=150, d=18, classes=4)
         cfg = TrainConfig(epochs=1, batch_size=16, seed=5, learning_rate=0.5)
-        fused = whole_autoencoder(x, AeConfig(), cfg)
+        fused = whole_autoencoder(x, ENCODER_SIZES, cfg)
         with neuralnet.single_blas_thread():
             monkeypatch.setattr(neuralnet, "_openblas", lambda: None)
-            fallback = whole_autoencoder(x, AeConfig(), cfg)
+            fallback = whole_autoencoder(x, ENCODER_SIZES, cfg)
         assert fallback.loss_trace == fused.loss_trace
         for a, b in zip(fallback.layers, fused.layers, strict=True):
-            assert (a.weights.tobytes(), a.biases.tobytes()) == (b.weights.tobytes(), b.biases.tobytes())
+            assert (a[0].tobytes(), a[1].tobytes()) == (b[0].tobytes(), b[1].tobytes())
 
     def test_the_encoder_is_the_first_layers_of_the_whole_fit(self):
         x, _ = blob_data(n=150, d=18, classes=4)
         cfg = TrainConfig(epochs=2, batch_size=16, seed=5, learning_rate=0.5)
-        encoder, whole = train_autoencoder(x, AeConfig(), cfg), whole_autoencoder(x, AeConfig(), cfg)
+        encoder, whole = train_autoencoder(x, config=cfg), whole_autoencoder(x, ENCODER_SIZES, cfg)
         assert (encoder.kind, encoder.layer_sizes) == ("encoder", (18, 500, 250, 100))
         assert encoder.activations == whole.activations[:3] == ("relu", "relu", "sigmoid")
         assert (encoder.config, encoder.loss_trace) == (cfg, whole.loss_trace)
         for a, b in zip(encoder.layers, whole.layers[:3], strict=True):
-            assert (a.weights.tobytes(), a.biases.tobytes()) == (b.weights.tobytes(), b.biases.tobytes())
+            assert (a[0].tobytes(), a[1].tobytes()) == (b[0].tobytes(), b[1].tobytes())
 
     def test_divergence_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(7, "classifier")))
@@ -461,12 +487,12 @@ class TestTraining:
     def test_batch_size_larger_than_data_rejected(self):
         x, y = blob_data(n=10, d=6, classes=3)
         with pytest.raises(ValueError, match="batch_size"):
-            train_classifier(x, y, MlpConfig((6, 5, 3)), TrainConfig(batch_size=11))
+            train_classifier(x, y, (6, 5, 3), TrainConfig(batch_size=11))
 
     def test_label_out_of_range_rejected(self):
         x, _ = blob_data(n=10, d=6)
         with pytest.raises(ValueError, match="labels"):
-            train_classifier(x, np.full(10, 7), MlpConfig((6, 5, 3)), TrainConfig(epochs=0))
+            train_classifier(x, np.full(10, 7), (6, 5, 3), TrainConfig(epochs=0))
 
 
 class TestDescend:
@@ -531,12 +557,12 @@ class TestFiniteBound:
         if data.draw(st.booleans()):
             sizes, activations, kind = (d, hidden, out + 1), ("relu", "softmax"), "classifier"
         else:
-            sizes, activations, kind = (d, hidden, out, hidden, d), AeConfig((d, hidden, out), (out, hidden, d)).activations, "autoencoder"
+            sizes, activations, kind = (d, hidden, out, hidden, d), ("relu", "sigmoid", "relu", "linear"), "autoencoder"
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = st.integers(-5, 160).map(lambda k: 10.0**k)
         layers = [
-            LayerParams(rng.uniform(-1, 1, (fan_out, fan_in)) * data.draw(scale),
-                        rng.uniform(-1, 1, fan_out) * data.draw(scale))
+            (rng.uniform(-1, 1, (fan_out, fan_in)) * data.draw(scale),
+             rng.uniform(-1, 1, fan_out) * data.draw(scale))
             for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
         ]
         x = rng.uniform(-1, 1, (data.draw(st.integers(1, 8)), d)) * data.draw(scale)
@@ -568,8 +594,7 @@ class TestFiniteBound:
     @pytest.mark.parametrize("case", ["sigmoid_after_an_overflow", "a_bias_alone", "targets_alone"])
     def test_an_overflowing_loss_is_not_proven(self, case):
         params, activations, x = getattr(self, case)()
-        layers = [LayerParams(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                  for w, b in params]
+        layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in params]
         assert not neuralnet._bounded(layers, activations, x, x)
         with np.errstate(all="ignore"):
             assert not np.isfinite(neuralnet._loss(layers, activations, x, x))
@@ -577,8 +602,8 @@ class TestFiniteBound:
     def test_fits_at_the_default_shapes_run_no_full_set_pass(self, monkeypatch):
         monkeypatch.setattr(neuralnet, "_loss", lambda *args: pytest.fail("a full-set pass ran"))
         x, y = blob_data(n=150, d=18, classes=4)
-        train_classifier(x, y, MlpConfig(), TrainConfig(epochs=2, batch_size=16))
-        train_autoencoder(x, AeConfig(), TrainConfig(epochs=2, batch_size=16, learning_rate=0.5))
+        train_classifier(x, y, config=TrainConfig(epochs=2, batch_size=16))
+        train_autoencoder(x, config=TrainConfig(epochs=2, batch_size=16, learning_rate=0.5))
 
     def test_finite_weights_that_overflow_the_forward_pass_are_caught(self, monkeypatch):
         # one batch, so no batch loss sees the update; it leaves every weight
@@ -588,7 +613,7 @@ class TestFiniteBound:
         loss = neuralnet._loss
 
         def recording(layers, *args):
-            finite = all(np.isfinite(l.weights).all() and np.isfinite(l.biases).all() for l in layers)
+            finite = all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in layers)
             passes.append((finite, loss(layers, *args)))
             return passes[-1][1]
 
@@ -596,7 +621,7 @@ class TestFiniteBound:
         x, y = blob_data(d=6, classes=3)
         cfg = TrainConfig(learning_rate=1e200, epochs=1, batch_size=len(x))
         with pytest.raises(TrainingDivergedError) as err:
-            train_classifier(x, y, MlpConfig((6, 5, 3)), cfg)
+            train_classifier(x, y, (6, 5, 3), cfg)
         assert err.value.epoch == cfg.epochs
         assert len(passes) == 1
         finite_weights, value = passes[0]
@@ -609,10 +634,10 @@ FIT_SCRIPT = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from carechoice.neuralnet import MlpConfig, TrainConfig, model_to_dict, train_classifier
+from carechoice.neuralnet import TrainConfig, model_to_dict, train_classifier
 rng = np.random.default_rng(0)
 x, y = rng.normal(size=(2000, 18)), rng.integers(0, 4, size=2000)
-model = train_classifier(x, y, MlpConfig((18, 100, 100, 4)), TrainConfig(epochs=2, seed=3))
+model = train_classifier(x, y, (18, 100, 100, 4), TrainConfig(epochs=2, seed=3))
 print(hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest())
 """
 
@@ -630,7 +655,7 @@ class TestBlasThreads:
         monkeypatch.setattr(neuralnet, "_backprop", recording)
         before = blas_threads()
         x, y = blob_data(d=6, classes=3)
-        train_classifier(x, y, MlpConfig((6, 5, 3)), TrainConfig(epochs=2, batch_size=16))
+        train_classifier(x, y, (6, 5, 3), TrainConfig(epochs=2, batch_size=16))
         assert seen and set(seen) == {1}
         assert blas_threads() == before
 
@@ -638,7 +663,7 @@ class TestBlasThreads:
         before = blas_threads()
         x, y = blob_data(d=6, classes=3)
         with pytest.raises(TrainingDivergedError):
-            train_classifier(x, y, MlpConfig((6, 5, 3)),
+            train_classifier(x, y, (6, 5, 3),
                              TrainConfig(learning_rate=1e12, epochs=5, batch_size=16))
         assert blas_threads() == before
 
@@ -664,20 +689,66 @@ class TestPrediction:
 
     def test_latent_classifier_needs_the_autoencoder(self):
         x, y = blob_data(n=40, d=18, classes=4)
-        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
+        ae = train_autoencoder(x, (18, 6, 3),
                                TrainConfig(epochs=1, batch_size=8))
         z = encode(ae, x)
-        clf = train_classifier(z, y, MlpConfig((3, 5, 4)), TrainConfig(epochs=1, batch_size=8))
+        clf = train_classifier(z, y, (3, 5, 4), TrainConfig(epochs=1, batch_size=8))
         labels, probs = predict_batch(clf, x, ae=ae)
         assert labels.shape == (40,) and probs.shape == (40, 4)
         with pytest.raises(ValueError, match="width"):
             predict_batch(clf, x)  # raw 18-wide rows cannot feed the 3-wide classifier
 
 
+class TestTrainedModel:
+    """A model's layers are (weights, biases) pairs of finite float64
+    arrays of the shapes its `layer_sizes` give."""
+
+    # a (2, 3, 2) classifier
+    LAYERS = ((np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 3)), np.zeros(2)))
+
+    @classmethod
+    def model(cls, layers):
+        return TrainedModel("classifier", (2, 3, 2), ("relu", "softmax"), layers, TrainConfig(), ())
+
+    def test_layers_become_float64_arrays(self):
+        model = self.model((([[0, 1]] * 3, [0] * 3), self.LAYERS[1]))
+        assert [(w.dtype, b.dtype) for w, b in model.layers] == [(np.float64, np.float64)] * 2
+
+    @pytest.mark.parametrize("first, match", [
+        ((np.zeros((2, 3)), np.zeros(3)), "shapes"),  # weights transposed
+        ((np.zeros((3, 2)), np.zeros(2)), "shapes"),  # a bias short
+        ((np.zeros((3, 2)), np.zeros((3, 1))), "shapes"),  # biases a column
+        ((np.zeros(6), np.zeros(3)), "shapes"),  # weights flat
+        ((np.full((3, 2), np.nan), np.zeros(3)), "non-finite"),
+        ((np.zeros((3, 2)), np.array([0.0, np.inf, 0.0])), "non-finite"),
+    ], ids=["transposed", "bias_short", "bias_column", "weights_flat", "nan_weight", "inf_bias"])
+    def test_refuses_a_misshapen_or_non_finite_layer(self, first, match):
+        with pytest.raises(ValueError, match=match):
+            self.model((first, self.LAYERS[1]))
+
+    def test_refuses_a_missing_layer(self):
+        with pytest.raises(ValueError, match="layer count"):
+            self.model(self.LAYERS[:1])
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["layers"][0].update(weights=neuralnet._encode(np.full((3, 2), np.nan))),
+        lambda d: d["layers"][1].update(biases=neuralnet._encode(np.array([np.inf, 0.0]))),
+        lambda d: d["layers"][0].update(weights=neuralnet._encode(np.zeros((2, 2)))),
+        lambda d: d["layers"].pop(),
+        lambda d: d.update(layer_sizes=[2, 4, 2]),
+    ], ids=["nan_weight", "inf_bias", "weights_short", "layer_dropped", "sizes_widened"])
+    def test_model_from_dict_refuses_a_bad_layer(self, edit):
+        d = json.loads(json.dumps(model_to_dict(self.model(self.LAYERS))))
+        model_from_dict(d)
+        edit(d)
+        with pytest.raises(ValueError):
+            model_from_dict(d)
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         x, y = blob_data(d=18, classes=4)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)),
+        model = train_classifier(x, y, (18, 8, 4),
                                  TrainConfig(epochs=2, batch_size=16))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(model)))
@@ -685,7 +756,7 @@ class TestSerialization:
 
     def test_autoencoder_round_trip(self, tmp_path):
         x, _ = blob_data(d=18)
-        model = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
+        model = train_autoencoder(x, (18, 6, 3),
                                   TrainConfig(epochs=1, batch_size=16))
         (tmp_path / "ae.json").write_text(json.dumps(model_to_dict(model)))
         loaded = load_model(tmp_path / "ae.json")
@@ -694,7 +765,7 @@ class TestSerialization:
 
     def test_encode_gives_the_same_bits_on_the_loaded_file(self, tmp_path):
         x, _ = blob_data(d=18)
-        model = train_autoencoder(x, AeConfig(), TrainConfig(epochs=1, batch_size=16, learning_rate=0.5))
+        model = train_autoencoder(x, config=TrainConfig(epochs=1, batch_size=16, learning_rate=0.5))
         (tmp_path / "ae.json").write_text(json.dumps(model_to_dict(model)))
         assert encode(load_model(tmp_path / "ae.json"), x).tobytes() == encode(model, x).tobytes()
 
@@ -717,8 +788,8 @@ class TestSerialization:
         model = manual_model(params, ("relu",) * (len(params) - 1) + ("softmax",))
         loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         for before, after in zip(model.layers, loaded.layers, strict=True):
-            assert after.weights.tobytes() == before.weights.tobytes()
-            assert after.biases.tobytes() == before.biases.tobytes()
+            assert after[0].tobytes() == before[0].tobytes()
+            assert after[1].tobytes() == before[1].tobytes()
 
     # sha256 of the model_to_dict JSON of the two fits of
     # test_weights_match_the_recorded_bytes: pins the byte order, the base64
@@ -731,16 +802,16 @@ class TestSerialization:
 
     def test_model_json_matches_the_recorded_bytes(self):
         x, y = blob_data(d=18, classes=4)
-        clf = train_classifier(x, y, MlpConfig((18, 8, 4)),
+        clf = train_classifier(x, y, (18, 8, 4),
                                TrainConfig(epochs=3, batch_size=16, seed=21))
-        ae = train_autoencoder(x, AeConfig((18, 6, 3), (3, 6, 18)),
+        ae = train_autoencoder(x, (18, 6, 3),
                                TrainConfig(epochs=2, batch_size=16, seed=4))
         text = json.dumps([model_to_dict(clf), model_to_dict(ae)])
         assert hashlib.sha256(text.encode()).hexdigest() == self.MODEL_JSON_SHA256
 
     def test_unknown_format_version_rejected(self):
         x, y = blob_data(d=18, classes=4)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)), TrainConfig(epochs=0))
+        model = train_classifier(x, y, (18, 8, 4), TrainConfig(epochs=0))
         d = model_to_dict(model)
         d["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
@@ -748,12 +819,12 @@ class TestSerialization:
 
     def test_extra_keys_are_ignored(self):
         x, y = blob_data(d=18, classes=4)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)), TrainConfig(epochs=0))
+        model = train_classifier(x, y, (18, 8, 4), TrainConfig(epochs=0))
         d = model_to_dict(model)
         d["config_hash"] = "abc"
         assert model_to_dict(model_from_dict(d)) == model_to_dict(model)
 
     def test_parameter_count(self):
         x, y = blob_data(d=18, classes=4)
-        model = train_classifier(x, y, MlpConfig((18, 8, 4)), TrainConfig(epochs=0))
+        model = train_classifier(x, y, (18, 8, 4), TrainConfig(epochs=0))
         assert n_parameters(model) == 18 * 8 + 8 + 8 * 4 + 4
