@@ -7,7 +7,6 @@ cut short or altered fails to read rather than yielding other values.
 
 from __future__ import annotations
 
-import io
 import json
 import zipfile
 from pathlib import Path
@@ -56,6 +55,11 @@ def read_array_zip(path: str | Path, names: Iterable[str],
         for key, value in expect.items():
             if header.get(key) != value:
                 raise ValueError(f"{key} {header.get(key)!r}, expected {value!r}")
-        arrays = {name: np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")), allow_pickle=False)
-                  for name in names}
+        # read_array fills each array straight from the member, a block at a
+        # time, with no copy of the member's bytes; zipfile checks the CRC-32
+        # once the member is read to its end
+        arrays = {}
+        for name in names:
+            with zf.open(f"{name}.npy") as member:
+                arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
     return header, arrays

@@ -428,6 +428,8 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec = _prepare_training(cfg)
     x_balanced = scaler.transform(x_raw[balanced_idx])
     y_balanced = y[balanced_idx]
+    x_ae = scaler.transform(x_raw[train_idx]) if with_ae else None
+    del x_raw, y  # every row the fits read is taken: the raw matrix is not held through them
     folds = kfold_indices(x_balanced.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
     # each fit checks its own batch size, but only once the split files are
     # written and the fits before it have run, so both batch sizes are
@@ -449,7 +451,8 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     _write_json(cfg, BALANCED_JSON, {"indices": [int(i) for i in balanced_idx]})
 
     if with_ae:
-        ae_model = train_autoencoder(scaler.transform(x_raw[train_idx]), config=ae_cfg)
+        ae_model = train_autoencoder(x_ae, config=ae_cfg)
+        del x_ae
         ae_path = _write_json(cfg, AE_MODEL_JSON, model_to_dict(ae_model))
         print(f"autoencoder: final reconstruction loss {ae_model.final_loss:.6f} -> {ae_path}")
         inputs = encode(ae_model, x_balanced)
@@ -524,9 +527,10 @@ def _load_eval_inputs(cfg: RunConfig):
 def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
     x_raw, y, _, test_idx, scaler = _load_eval_inputs(cfg)
     model, ae_model = _load_variant_models(cfg, with_ae)
-    x_test = scaler.transform(x_raw[test_idx])
+    x_test, y_test = scaler.transform(x_raw[test_idx]), y[test_idx]
+    del x_raw, y  # the raw matrix is not held through the forward pass
     labels, probs = predict_batch(model, x_test, ae=ae_model)
-    report = build_report(y[test_idx], labels, probs, VARIANT_NAMES[with_ae])
+    report = build_report(y_test, labels, probs, VARIANT_NAMES[with_ae])
     path = _write_json(cfg, EVAL_FILES[with_ae], report)
     print(f"evaluate[{VARIANT_NAMES[with_ae]}]: {len(test_idx)} test rows -> {path}")
     for metric in TABLE_METRICS:
@@ -556,6 +560,7 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     n_instances = min(cfg.get_int("explain.n_instances"), test_idx.size)
     chosen = np.sort(inst_rng.choice(test_idx.size, n_instances, replace=False))
     instances = scaler.transform(x_raw[test_idx[chosen]])
+    del x_raw  # the raw matrix is not held through the forward passes
 
     model_fn = classifier_model_fn(model, ae=ae_model)
     predicted, _ = predict_batch(model, instances, ae=ae_model)

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
+from itertools import islice
 from typing import Mapping, Optional
 
 import numpy as np
@@ -285,6 +285,7 @@ def fit_scaler(X: np.ndarray) -> ScalerParams:
 
 
 _CSV_COLUMNS = FEATURE_NAMES + ("label",)
+_CSV_BLOCK_ROWS = 4096
 _LEVEL_CODES = [int(level) for level in HospitalLevel]
 
 
@@ -310,7 +311,11 @@ def write_feature_csv(path, X: np.ndarray, y: np.ndarray, header_comment: str | 
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write(",".join(_CSV_COLUMNS) + "\n")
-        fh.writelines([",".join(cells) + "\n" for cells in zip(*columns)])
+        # joined a block of rows at a time, not all lines at once; islice
+        # keeps zip reusing its row tuple
+        rows = zip(*columns)
+        for _ in range(0, len(y), _CSV_BLOCK_ROWS):
+            fh.writelines([",".join(cells) + "\n" for cells in islice(rows, _CSV_BLOCK_ROWS)])
 
 
 def _format_distinct(keys: np.ndarray, dtype, fmt: str) -> list[str]:
@@ -381,7 +386,8 @@ FEATURE_COPY_FORMAT = 1
 
 
 def _file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as fh:  # hashed a block at a time, not read whole
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_feature_copy(path, X: np.ndarray, y: np.ndarray, csv_path) -> None:

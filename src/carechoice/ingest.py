@@ -477,7 +477,10 @@ def input_digests(paths: DataPaths) -> dict[str, Optional[str]]:
     """sha256 of each input file by file name; None for a missing file."""
     digests = {}
     for path in map(Path, vars(paths).values()):
-        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        digests[path.name] = None
+        if path.exists():
+            with path.open("rb") as fh:  # hashed a block at a time, not read whole
+                digests[path.name] = hashlib.file_digest(fh, "sha256").hexdigest()
     return digests
 
 

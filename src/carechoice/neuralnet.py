@@ -587,7 +587,7 @@ def model_from_dict(d: dict) -> TrainedModel:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     sizes = tuple(d["layer_sizes"])
-    return TrainedModel(
+    model = TrainedModel(
         kind=d["kind"],
         layer_sizes=sizes,
         activations=tuple(d["activations"]),
@@ -598,6 +598,13 @@ def model_from_dict(d: dict) -> TrainedModel:
         config=TrainConfig(**d["config"]),
         loss_trace=tuple(d["loss_trace"]),
     )
+    # the activations follow from the kind and the sizes, as training sets
+    # them; an encoder's are the first of its autoencoder's
+    expected = _network(model.kind, sizes)[1][: len(model.layers)]
+    if model.activations != expected:
+        raise ValueError(f"a {model.kind} of sizes {list(sizes)} has activations {list(expected)}, "
+                         f"not {list(model.activations)}")
+    return model
 
 
 def load_model(path: Path | str) -> TrainedModel:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import zipfile
@@ -528,6 +529,20 @@ class TestVisitTable:
         assert cli.main(["features", *base]) == EXIT_DATA
         assert f"data error: {table}: not a whole visit table" in capsys.readouterr().err
 
+    def test_a_flipped_bit_in_a_column_exits_five(self, tmp_path, capsys):
+        base = self.base(tmp_path)
+        assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["ingest", *base]) == EXIT_OK
+        table = tmp_path / "run" / VISIT_TABLE
+        size = table.stat().st_size
+        _flip_member_byte(table, "day.npy")  # a date one day off: only the CRC-32 tells
+        assert table.stat().st_size == size
+        capsys.readouterr()
+        assert cli.main(["features", *base]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {table}: not a whole visit table" in err
+        assert "Bad CRC-32 for file 'day.npy'" in err
+
     @pytest.mark.parametrize("edit, message", [
         # each edit leaves valid JSON and valid arrays that no longer agree
         (lambda header, arrays: header["patient_ids"].pop(), "patient holds codes outside"),
@@ -557,6 +572,28 @@ class TestVisitTable:
         err = capsys.readouterr().err
         assert f"data error: {table}: not a whole visit table" in err
         assert message in err
+
+
+def _flip_member_byte(path: Path, name: str) -> None:
+    """Flip the lowest bit of the middle element of the stored member `name`,
+    in place: the file keeps its length and its zip and npy headers, and each
+    value stays finite, so only the member's CRC-32 shows the change."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(name)
+        with zf.open(info) as member:
+            np.lib.format.read_magic(member)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+            data_start = member.tell()
+    with open(path, "r+b") as fh:
+        fh.seek(info.header_offset + 26)  # the local header's name and extra lengths
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+        # the lowest byte of a little-endian number, which moves no exponent
+        offset = (info.header_offset + 30 + name_len + extra_len + data_start
+                  + int(np.prod(shape)) // 2 * dtype.itemsize)
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 1]))
 
 
 def _rewrite_copy(path: Path, edit) -> None:
@@ -637,7 +674,8 @@ class TestFeatureCopy:
         lambda path: _rewrite_copy(path, lambda a: {"X": a["X"].astype(np.float32), "y": a["y"]}),
         lambda path: _rewrite_copy(path, lambda a: {"X": a["X"][:, 1:], "y": a["y"]}),
         lambda path: _rewrite_copy(path, lambda a: {"X": a["X"] + np.nan, "y": a["y"]}),
-    ], ids=["truncated", "garbage", "labels-outside-0-3", "float32", "17-columns", "nan"])
+        lambda path: _flip_member_byte(path, "X.npy"),
+    ], ids=["truncated", "garbage", "labels-outside-0-3", "float32", "17-columns", "nan", "bit-flipped"])
     def test_a_broken_copy_falls_back_to_the_feature_file(self, run, monkeypatch, capsys, damage):
         run_dir, base = run
         damage(run_dir / FEATURES_NPZ)
@@ -955,6 +993,12 @@ class TestExitCodes:
     def unknown_kind(self, text):
         return json.dumps({**json.loads(text), "kind": "autoencoder"})
 
+    def sigmoid_layers(self, text):
+        # known activations, but not the ones the kind and the sizes give
+        model = json.loads(text)
+        model["activations"] = ["sigmoid"] * (len(model["activations"]) - 1) + model["activations"][-1:]
+        return json.dumps(model)
+
     @pytest.mark.parametrize("damage", [
         "cut_short", "drop_layers", "format_version_1", "format_version_2", "format_version_3",
         "format_version_4", "not_an_object",
@@ -994,6 +1038,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path} (")
         assert err.endswith("; run `train --ae` again\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("with_ae", [False, True], ids=["classifier", "encoder"])
+    def test_activations_the_kind_does_not_give_exit_five(self, ae_trained_run, tmp_path, capsys,
+                                                           command, with_ae):
+        run = tmp_path / "run"
+        shutil.copytree(ae_trained_run[0], run)
+        path = run / (AE_MODEL_JSON if with_ae else MODEL_FILES[False])
+        path.write_text(self.sigmoid_layers(path.read_text()))
+        capsys.readouterr()
+        assert cli.main([command, "--ae" if with_ae else "--no-ae", "--set", f"run_dir={run}",
+                         "--set", f"data_dir={ae_trained_run[1]}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path} (ValueError: ")
+        assert "has activations" in err
 
     @pytest.mark.parametrize("edit", [
         lambda scaler: scaler["mins"].pop("age"),

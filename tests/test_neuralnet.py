@@ -809,6 +809,18 @@ class TestSerialization:
         text = json.dumps([model_to_dict(clf), model_to_dict(ae)])
         assert hashlib.sha256(text.encode()).hexdigest() == self.MODEL_JSON_SHA256
 
+    @pytest.mark.parametrize("fit, activations", [
+        (lambda x, y: train_classifier(x, y, (18, 8, 4), TrainConfig(epochs=0)), ["sigmoid", "softmax"]),
+        (lambda x, y: train_autoencoder(x, (18, 6, 3), TrainConfig(epochs=0)), ["sigmoid", "sigmoid"]),
+    ], ids=["classifier", "encoder"])
+    def test_activations_other_than_the_kinds_rejected(self, fit, activations):
+        x, y = blob_data(d=18, classes=4)
+        d = model_to_dict(fit(x, y))
+        model_from_dict(d)
+        d["activations"] = activations
+        with pytest.raises(ValueError, match="has activations"):
+            model_from_dict(d)
+
     def test_unknown_format_version_rejected(self):
         x, y = blob_data(d=18, classes=4)
         model = train_classifier(x, y, (18, 8, 4), TrainConfig(epochs=0))
