@@ -7,6 +7,7 @@ cut short or altered fails to read rather than yielding other values.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zipfile
 from pathlib import Path
@@ -20,6 +21,11 @@ _ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest zip timestamp, so the bytes ca
 
 # what reading a file that is not whole or not in this layout raises
 READ_ERRORS = (zipfile.BadZipFile, KeyError, TypeError, ValueError, EOFError)
+
+
+def file_sha256(path: str | Path) -> str:
+    with open(path, "rb") as fh:  # hashed a block at a time, not read whole
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _member(name: str) -> zipfile.ZipInfo:

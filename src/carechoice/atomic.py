@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 
 @contextmanager
@@ -26,3 +27,16 @@ def open_atomic(path: Path | str, binary: bool = False) -> Iterator[IO]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(path: Path | str, columns: Sequence[str], rows: Iterable[Sequence],
+              header_comment: Optional[str] = None) -> None:
+    """Atomically write an optional `# header_comment` line, the column
+    names and the rows, in the csv module's default dialect (lines end
+    with \\r\\n)."""
+    with open_atomic(path) as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)

@@ -181,21 +181,23 @@ class VisitTable:
             lookups[f"{name}_ids"] = tuple(ids[i] for i in used.tolist())
         return replace(self, **lookups, **columns)
 
+    def _sort_keys(self) -> tuple[np.ndarray, ...]:
+        """The canonical order's keys, the least significant first."""
+        return (~self.emergency, self.catastrophic, self.triage, self.treatments,
+                self.dx, self.primary, self.provider, self.day, self.patient)
+
     def canonical_order(self) -> np.ndarray:
         """Row order by content: patient, date (a missing date first),
         provider, primary dx, dx set, treatment set, triage (none first),
         catastrophic, setting ("emergency" before "outpatient"); sets
         compare as their sorted code tuples. Only identical visits tie, and they keep their
         order."""
-        return np.lexsort((~self.emergency, self.catastrophic, self.triage, self.treatments,
-                           self.dx, self.primary, self.provider, self.day, self.patient))
+        return np.lexsort(self._sort_keys())
 
     def _in_canonical_order(self) -> bool:
         """Whether no row sorts after the next one; cheaper than sorting."""
         later = np.zeros(max(len(self) - 1, 0), bool)  # row i sorts after row i + 1
-        # the least significant key first, as `canonical_order` lists them
-        for key in (~self.emergency, self.catastrophic, self.triage, self.treatments,
-                    self.dx, self.primary, self.provider, self.day, self.patient):
+        for key in self._sort_keys():
             a, b = key[:-1], key[1:]
             later = np.where(a == b, later, a > b)
         return not later.any()

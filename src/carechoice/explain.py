@@ -9,7 +9,6 @@ base value reconstruct the model output.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .atomic import open_atomic
+from .atomic import write_csv
 from .domain import LEVEL_NAMES, N_LEVELS, HospitalLevel
 from .features import FEATURE_NAMES, N_FEATURES
 from .neuralnet import TrainedModel, encode, forward
@@ -334,17 +333,7 @@ def write_importance_csv(
         class_columns = [LEVEL_NAMES[HospitalLevel(c)] for c in range(n_classes)]
     else:
         class_columns = [f"output_{c}" for c in range(n_classes)]
-    with open_atomic(path) as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature", "mean_abs_phi", *class_columns])
-        for rank, idx in enumerate(importance.ranking, start=1):
-            writer.writerow(
-                [
-                    rank,
-                    importance.feature_names[idx],
-                    "%.17g" % importance.overall[idx],
-                    *("%.17g" % v for v in importance.per_class[idx]),
-                ]
-            )
+    rows = ([rank, importance.feature_names[idx], "%.17g" % importance.overall[idx],
+             *("%.17g" % v for v in importance.per_class[idx])]
+            for rank, idx in enumerate(importance.ranking, start=1))
+    write_csv(path, ["rank", "feature", "mean_abs_phi", *class_columns], rows, header_comment)

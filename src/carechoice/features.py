@@ -9,7 +9,6 @@ least-frequent vote.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .arrayzip import READ_ERRORS, read_array_zip, write_array_zip
+from .arrayzip import READ_ERRORS, file_sha256, read_array_zip, write_array_zip
 from .atomic import open_atomic
 from .domain import NO_DATE, NO_TRIAGE, Dataset, HospitalLevel, VisitTable
 
@@ -385,15 +384,10 @@ def _first_bad_row(path, header_line: int) -> FeatureFileError | None:
 FEATURE_COPY_FORMAT = 1
 
 
-def _file_sha256(path) -> str:
-    with open(path, "rb") as fh:  # hashed a block at a time, not read whole
-        return hashlib.file_digest(fh, "sha256").hexdigest()
-
-
 def write_feature_copy(path, X: np.ndarray, y: np.ndarray, csv_path) -> None:
     """Write (X, y) as float64 and int64 arrays, keyed by the sha256 of the
     feature file at `csv_path`, which must hold exactly these values."""
-    header = {"format": FEATURE_COPY_FORMAT, "csv_sha256": _file_sha256(csv_path)}
+    header = {"format": FEATURE_COPY_FORMAT, "csv_sha256": file_sha256(csv_path)}
     write_array_zip(path, header, {"X": np.asarray(X, dtype=np.float64), "y": np.asarray(y, dtype=np.int64)})
 
 
@@ -407,7 +401,7 @@ def read_feature_copy(path, csv_path) -> Optional[tuple[np.ndarray, np.ndarray]]
     """
     try:
         _, arrays = read_array_zip(path, ("X", "y"),
-                                   {"format": FEATURE_COPY_FORMAT, "csv_sha256": _file_sha256(csv_path)})
+                                   {"format": FEATURE_COPY_FORMAT, "csv_sha256": file_sha256(csv_path)})
     except (OSError, *READ_ERRORS):
         return None
     X, y = arrays["X"], arrays["y"]

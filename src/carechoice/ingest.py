@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -22,7 +21,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .arrayzip import READ_ERRORS, read_array_zip, write_array_zip
+from .arrayzip import READ_ERRORS, file_sha256, read_array_zip, write_array_zip
+from .atomic import open_atomic, write_csv
 from .domain import (
     NO_DATE,
     NO_TRIAGE,
@@ -54,39 +54,29 @@ PROVIDER_COLUMNS = ("provider_id", "level", "region_code")
 DENSITY_COLUMNS = ("region_code", "physician_density")
 CALENDAR_COLUMNS = ("date", "is_workday")
 
-STANDARD_FILENAMES = {
-    "visits": "visits.csv",
-    "patients": "patients.csv",
-    "providers": "providers.csv",
-    "density": "density.csv",
-    "calendar": "calendar.csv",
-    "surgery_codes": "codes_surgery.txt",
-    "er_codes": "codes_er.txt",
-    "chronic_dx_codes": "codes_chronic_dx.txt",
-    "catastrophic_dx_codes": "codes_catastrophic_dx.txt",
-}
-
-
 class IngestError(Exception):
     pass
 
 
 @dataclass(frozen=True)
 class DataPaths:
-    visits: Path
-    patients: Path
-    providers: Path
-    density: Path
-    calendar: Path
-    surgery_codes: Path
-    er_codes: Path
-    chronic_dx_codes: Path
-    catastrophic_dx_codes: Path
+    """The nine input files; each field's default is its standard file name.
+    The code-file fields are named as their `CodeSets` fields."""
+
+    visits: Path = Path("visits.csv")
+    patients: Path = Path("patients.csv")
+    providers: Path = Path("providers.csv")
+    density: Path = Path("density.csv")
+    calendar: Path = Path("calendar.csv")
+    surgery_codes: Path = Path("codes_surgery.txt")
+    er_codes: Path = Path("codes_er.txt")
+    chronic_dx_codes: Path = Path("codes_chronic_dx.txt")
+    catastrophic_dx_codes: Path = Path("codes_catastrophic_dx.txt")
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "DataPaths":
         d = Path(directory)
-        return cls(**{key: d / name for key, name in STANDARD_FILENAMES.items()})
+        return cls(**{f.name: d / f.default for f in fields(cls)})
 
 
 def _open_rows(fh, path: Path, columns: tuple[str, ...]):
@@ -369,12 +359,7 @@ def load_dataset(paths: DataPaths) -> tuple[Dataset, Counter]:
         visits=visits,
         region_stats=load_density(paths.density),
         calendar=load_calendar(paths.calendar),
-        code_sets=CodeSets(
-            surgery_codes=load_code_file(paths.surgery_codes),
-            er_codes=load_code_file(paths.er_codes),
-            chronic_dx_codes=load_code_file(paths.chronic_dx_codes),
-            catastrophic_dx_codes=load_code_file(paths.catastrophic_dx_codes),
-        ),
+        code_sets=CodeSets(**{f.name: load_code_file(getattr(paths, f.name)) for f in fields(CodeSets)}),
     )
     # excluding first sorts only the kept rows, which are often in order
     # already; the rows excluded are the same in any order
@@ -391,7 +376,8 @@ def _fmt_bool(b: bool) -> str:
 
 
 def write_dataset(dataset: Dataset, directory: str | Path, header_comment: str | None = None) -> DataPaths:
-    """Write a Dataset back out in the standard file formats.
+    """Write a Dataset back out in the standard file formats, each file
+    whole or not at all.
 
     Inverse of load_dataset for clean data: reloading the written files gives
     an equal Dataset (with an all-zero audit).
@@ -400,33 +386,13 @@ def write_dataset(dataset: Dataset, directory: str | Path, header_comment: str |
     directory.mkdir(parents=True, exist_ok=True)
     paths = DataPaths.from_dir(directory)
 
-    def _writer(path: Path, columns: tuple[str, ...]):
-        fh = open(path, "w", newline="", encoding="utf-8")
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        w = csv.writer(fh)
-        w.writerow(columns)
-        return fh, w
-
-    fh, w = _writer(paths.patients, PATIENT_COLUMNS)
-    with fh:
-        for pid in sorted(dataset.patients):
-            p = dataset.patients[pid]
-            w.writerow([p.patient_id, _fmt_date(p.birth_date), p.gender or "", _fmt_bool(p.low_income)])
-
-    fh, w = _writer(paths.providers, PROVIDER_COLUMNS)
-    with fh:
-        for pid in sorted(dataset.providers):
-            p = dataset.providers[pid]
-            w.writerow([p.provider_id, int(p.level), p.region_code])
-
     visits = dataset.visits.sorted()
     members, offsets = visits.set_members.tolist(), visits.set_offsets.tolist()
     set_texts = ["|".join(map(visits.codes.__getitem__, members[a:b]))
                  for a, b in zip(offsets, offsets[1:])]
     date_texts = {d: "" if d == NO_DATE else date.fromordinal(d).isoformat()
                   for d in set(visits.day.tolist())}
-    columns = (
+    visit_columns = (
         map(visits.patient_ids.__getitem__, visits.patient.tolist()),
         map(visits.provider_ids.__getitem__, visits.provider.tolist()),
         map(date_texts.__getitem__, visits.day.tolist()),
@@ -437,28 +403,23 @@ def write_dataset(dataset: Dataset, directory: str | Path, header_comment: str |
         map(_fmt_bool, visits.catastrophic.tolist()),
         map(SETTINGS.__getitem__, visits.emergency.tolist()),
     )
-    fh, w = _writer(paths.visits, VISIT_COLUMNS)
-    with fh:
-        w.writerows(zip(*columns))
-
-    fh, w = _writer(paths.density, DENSITY_COLUMNS)
-    with fh:
-        for region in sorted(dataset.region_stats):
-            w.writerow([region, format(dataset.region_stats[region], ".17g")])
-
-    fh, w = _writer(paths.calendar, CALENDAR_COLUMNS)
-    with fh:
-        for d in sorted(dataset.calendar.entries):
-            w.writerow([d.isoformat(), _fmt_bool(dataset.calendar.entries[d])])
-
-    code_files = {
-        paths.surgery_codes: dataset.code_sets.surgery_codes,
-        paths.er_codes: dataset.code_sets.er_codes,
-        paths.chronic_dx_codes: dataset.code_sets.chronic_dx_codes,
-        paths.catastrophic_dx_codes: dataset.code_sets.catastrophic_dx_codes,
+    tables = {  # path: (columns, rows)
+        paths.patients: (PATIENT_COLUMNS, (
+            [p.patient_id, _fmt_date(p.birth_date), p.gender or "", _fmt_bool(p.low_income)]
+            for _, p in sorted(dataset.patients.items()))),
+        paths.providers: (PROVIDER_COLUMNS, (
+            [p.provider_id, int(p.level), p.region_code] for _, p in sorted(dataset.providers.items()))),
+        paths.visits: (VISIT_COLUMNS, zip(*visit_columns)),
+        paths.density: (DENSITY_COLUMNS, (
+            [region, format(density, ".17g")] for region, density in sorted(dataset.region_stats.items()))),
+        paths.calendar: (CALENDAR_COLUMNS, (
+            [d.isoformat(), _fmt_bool(workday)] for d, workday in sorted(dataset.calendar.entries.items()))),
     }
-    for path, codes in code_files.items():
-        path.write_text("".join(f"{c}\n" for c in sorted(codes)), encoding="utf-8")
+    for path, (columns, rows) in tables.items():
+        write_csv(path, columns, rows, header_comment)
+    for f in fields(CodeSets):
+        with open_atomic(getattr(paths, f.name)) as fh:
+            fh.write("".join(f"{c}\n" for c in sorted(getattr(dataset.code_sets, f.name))))
     return paths
 
 
@@ -467,6 +428,7 @@ def write_dataset(dataset: Dataset, directory: str | Path, header_comment: str |
 
 VISIT_TABLE_FORMAT = 1
 _TABLE_ARRAYS = ("set_offsets", "set_members", *VISIT_TABLE_COLUMNS)
+_INPUT_NAMES = {f.default.name for f in fields(DataPaths)}
 
 
 class VisitTableFileError(IngestError):
@@ -475,13 +437,8 @@ class VisitTableFileError(IngestError):
 
 def input_digests(paths: DataPaths) -> dict[str, Optional[str]]:
     """sha256 of each input file by file name; None for a missing file."""
-    digests = {}
-    for path in map(Path, vars(paths).values()):
-        digests[path.name] = None
-        if path.exists():
-            with path.open("rb") as fh:  # hashed a block at a time, not read whole
-                digests[path.name] = hashlib.file_digest(fh, "sha256").hexdigest()
-    return digests
+    return {path.name: file_sha256(path) if path.exists() else None
+            for path in map(Path, vars(paths).values())}
 
 
 def write_visit_table(path: str | Path, dataset: Dataset, inputs: Mapping[str, Optional[str]],
@@ -538,10 +495,15 @@ def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]
     """The dataset write_visit_table wrote, and the input digests it recorded.
 
     A file that is cut short, altered or in another format raises
-    VisitTableFileError, as does one whose codes point outside its lookups.
+    VisitTableFileError, as does one whose codes point outside its lookups
+    or whose input digests are not a string or null per input file.
     """
     try:
         header, arrays = read_array_zip(path, _TABLE_ARRAYS, {"format": VISIT_TABLE_FORMAT})
+        inputs = header.get("inputs")
+        if not (isinstance(inputs, dict) and inputs.keys() == _INPUT_NAMES
+                and all(digest is None or isinstance(digest, str) for digest in inputs.values())):
+            raise ValueError("inputs is not a digest or null per input file")
         if len({arrays[name].shape for name in VISIT_TABLE_COLUMNS}) != 1:
             raise ValueError("columns of different lengths")
         visits = VisitTable(patient_ids=tuple(header["patient_ids"]),
@@ -561,4 +523,4 @@ def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]
         _check_visit_table(dataset)
     except READ_ERRORS as exc:
         raise VisitTableFileError(f"{path}: not a whole visit table: {exc}") from exc
-    return dataset, header["inputs"]
+    return dataset, inputs

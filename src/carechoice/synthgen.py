@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import open_atomic
 from .domain import (
     LEVEL_NAMES,
     N_LEVELS,
@@ -420,7 +421,8 @@ def generate_cohort(
             expected_audit.items(), key=lambda item: item[0].value
         )},
     }
-    (out_dir / MANIFEST_FILENAME).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    with open_atomic(out_dir / MANIFEST_FILENAME) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
     return GeneratedCohort(
         directory=out_dir,

@@ -573,6 +573,26 @@ class TestVisitTable:
         assert f"data error: {table}: not a whole visit table" in err
         assert message in err
 
+    @pytest.mark.parametrize("inputs", [None, ["x"], {}], ids=["missing", "a_list", "no_files"])
+    def test_table_without_a_digest_per_input_file_exits_five(self, tmp_path, capsys, inputs):
+        base = self.base(tmp_path)
+        assert cli.main(["synth", *base]) == EXIT_OK
+        assert cli.main(["ingest", *base]) == EXIT_OK
+        table = tmp_path / "run" / VISIT_TABLE
+        with zipfile.ZipFile(table) as zf:
+            names = [name.removesuffix(".npy") for name in zf.namelist() if name.endswith(".npy")]
+        header, arrays = read_array_zip(table, names, {})
+        if inputs is None:
+            del header["inputs"]
+        else:
+            header["inputs"] = inputs
+        write_array_zip(table, header, arrays)
+        capsys.readouterr()
+        assert cli.main(["features", *base]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {table}: not a whole visit table: inputs" in err
+        assert not (tmp_path / "run" / FEATURES_CSV).exists()
+
 
 def _flip_member_byte(path: Path, name: str) -> None:
     """Flip the lowest bit of the middle element of the stored member `name`,

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+from dataclasses import fields, replace
 from datetime import date
 from unittest import mock
 
@@ -14,7 +15,6 @@ from carechoice.synthgen import CohortSpec, generate_cohort
 from carechoice.ingest import (
     DataPaths,
     IngestError,
-    STANDARD_FILENAMES,
     VISIT_COLUMNS,
     input_digests,
     load_dataset,
@@ -382,8 +382,20 @@ class TestRoundTrip:
         ds = self.build()
         write_dataset(ds, tmp_path / "a")
         write_dataset(ds, tmp_path / "b")
-        for name in STANDARD_FILENAMES.values():
+        for name in (f.default for f in fields(DataPaths)):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_a_write_failing_midway_keeps_the_previous_visit_file(self, tmp_path):
+        ds = self.build()
+        write_dataset(ds, tmp_path)
+        before = (tmp_path / "visits.csv").read_bytes()
+        # the second visit's patient index points past the shortened lookup,
+        # so its row raises after the first has been written
+        broken = replace(ds, visits=replace(ds.visits, patient_ids=ds.visits.patient_ids[:1]))
+        with pytest.raises(IndexError):
+            write_dataset(broken, tmp_path)
+        assert (tmp_path / "visits.csv").read_bytes() == before
+        assert not list(tmp_path.glob(".visits.csv.*.tmp"))
 
     def test_header_comment_written_and_ignored_on_load(self, tmp_path):
         ds = self.build()

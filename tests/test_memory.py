@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carechoice.features import _file_sha256, read_feature_copy, write_feature_copy
+from carechoice.arrayzip import file_sha256
+from carechoice.features import read_feature_copy, write_feature_copy
 from carechoice.ingest import DataPaths, input_digests
 
 MIB = 1 << 20
@@ -40,7 +41,7 @@ def big_file(tmp_path):
 
 
 def test_file_sha256_hashes_a_block_at_a_time(big_file):
-    digest, added = traced_peak(_file_sha256, big_file)
+    digest, added = traced_peak(file_sha256, big_file)
     assert digest == hashlib.sha256(big_file.read_bytes()).hexdigest()
     assert added < MIB
 
