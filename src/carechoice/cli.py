@@ -27,12 +27,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .atomic import open_atomic
-from .domain import (
-    CalendarCoverageError,
-    EmptyDatasetError,
-    ExclusionReason,
-    N_LEVELS,
-)
+from .domain import DataError, ExclusionReason, N_LEVELS
 from .explain import (
     classifier_model_fn,
     global_importance,
@@ -42,8 +37,6 @@ from .explain import (
     write_importance_csv,
 )
 from .features import (
-    FeatureFileError,
-    MissingRegionError,
     ScalerParams,
     build_feature_vectors,
     fit_scaler,
@@ -54,7 +47,6 @@ from .features import (
 )
 from .ingest import (
     DataPaths,
-    IngestError,
     input_digests,
     load_dataset,
     read_visit_table,
@@ -75,17 +67,10 @@ from .neuralnet import (
     train_autoencoder,
     train_classifier,
 )
-from .pipeline import (
-    SamplingError,
-    SplitSpec,
-    kfold_indices,
-    split_indices,
-    undersample_indices,
-)
+from .pipeline import SplitSpec, kfold_indices, split_indices, undersample_indices
 from .synthgen import CohortSpec, generate_cohort
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_MISSING_ARTIFACT = 4
 EXIT_DATA = 5
@@ -140,10 +125,6 @@ class ConfigError(Exception):
 
 class MissingArtifactError(Exception):
     pass
-
-
-class UnreadableArtifactError(Exception):
-    """An artifact exists but does not parse."""
 
 
 def _allowed_keys() -> frozenset[str]:
@@ -250,26 +231,72 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
     return path
 
 
-def _read_artifact(cfg: RunConfig, name: str, producer: str) -> Path:
-    path = cfg.run_dir / name
-    if not path.exists():
-        raise MissingArtifactError(f"missing artifact {path}; run `{producer}` first")
-    return path
-
-
 def _read_json(path: Path):
     return json.loads(path.read_text())
 
 
-def _load_artifact(cfg: RunConfig, name: str, producer: str, load=_read_json):
-    """`load` applied to an artifact's path; a file it cannot parse is a data error."""
-    path = _read_artifact(cfg, name, producer)
+def _read_feature_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrix and labels in features.csv, from the binary copy
+    `features` wrote beside it when that copy matches the file's bytes."""
+    copy = read_feature_copy(path.with_name(FEATURES_NPZ), path)
+    return copy if copy is not None else read_feature_csv(path)
+
+
+def _read_split(path: Path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    split = _read_json(path)
+    # numpy would truncate 1.5 and read true as 1, so check the JSON types first
+    if not all(set(map(type, split[part])) <= {int} for part in ("train", "test")):
+        raise ValueError("a row index is not an integer")
+    train, test = (np.asarray(split[part], dtype=np.int64) for part in ("train", "test"))
+    for part, idx in (("train", train), ("test", test)):
+        if not idx.size:  # `train` never writes an empty part
+            raise ValueError(f"the {part} list is empty")
+    if any(((idx < 0) | (idx >= n_rows)).any() for idx in (train, test)):
+        raise ValueError(f"a row index lies outside [0, {n_rows}), the rows of {FEATURES_CSV}")
+    # `train` writes a partition: a row on both sides would be scored as held out
+    if not (np.bincount(np.concatenate([train, test]), minlength=n_rows) == 1).all():
+        raise ValueError(f"train and test do not hold each of the {n_rows} rows of {FEATURES_CSV} exactly once")
+    return train, test
+
+
+def _read_macro(path: Path) -> dict[str, float]:
+    macro = _read_json(path)["macro"]
+    values = {metric: macro[metric] for metric in TABLE_METRICS}
+    for metric, value in values.items():
+        # bool is an int subclass; NaN (an AUC with an absent class) is a float
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"macro {metric} is not a number: {value!r}")
+    return {metric: float(value) for metric, value in values.items()}
+
+
+# each artifact a stage reads: (the stage that writes it, its reader). The
+# readers look up the layer functions when they are called, so that a
+# wrapper set on this module's names (as tracing does) sees every read.
+_READERS = {
+    VISIT_TABLE: ("ingest", lambda path: read_visit_table(path)),
+    FEATURES_CSV: ("features", _read_feature_file),
+    SPLIT_JSON: ("train", _read_split),
+    SCALER_JSON: ("train", lambda path: ScalerParams.from_dict(_read_json(path))),
+    AE_MODEL_JSON: ("train --ae", lambda path: load_model(path)),
+    MODEL_FILES[True]: ("train --ae", lambda path: load_model(path)),
+    MODEL_FILES[False]: ("train --no-ae", lambda path: load_model(path)),
+    EVAL_FILES[False]: ("evaluate --no-ae", _read_macro),
+    EVAL_FILES[True]: ("evaluate --ae", _read_macro),
+}
+
+
+def _read_artifact(cfg: RunConfig, name: str, *args):
+    """The reader of artifact `name` applied to its path and `args`. A
+    missing file names the stage that writes it; a file its reader cannot
+    parse is a DataError."""
+    producer, read = _READERS[name]
+    path = cfg.run_dir / name
+    if not path.exists():
+        raise MissingArtifactError(f"missing artifact {path}; run `{producer}` first")
     try:
-        return load(path)
+        return read(path, *args)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise UnreadableArtifactError(
-            f"cannot read {path} ({type(exc).__name__}: {exc}); run `{producer}` again"
-        ) from exc
+        raise DataError(f"cannot read {path} ({type(exc).__name__}: {exc}); run `{producer}` again") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +348,12 @@ def _cmd_ingest(cfg: RunConfig) -> int:
 
 def _read_clean_dataset(cfg: RunConfig):
     """The dataset `ingest` wrote, if the input files are still the ones it read."""
-    path = _read_artifact(cfg, VISIT_TABLE, "ingest")
-    dataset, recorded = read_visit_table(path)
+    dataset, recorded = _read_artifact(cfg, VISIT_TABLE)
     current = input_digests(DataPaths.from_dir(cfg.data_dir))
     stale = [name for name, digest in recorded.items() if current.get(name) != digest]
     if stale:
         raise MissingArtifactError(
-            f"{path} was built from other input files than those under {cfg.data_dir} "
+            f"{cfg.run_dir / VISIT_TABLE} was built from other input files than those under {cfg.data_dir} "
             f"({', '.join(stale)} changed); run `ingest` again"
         )
     return dataset
@@ -345,11 +371,7 @@ def _cmd_features(cfg: RunConfig) -> int:
 
 
 def _read_features(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The feature matrix and labels in features.csv, from the binary copy
-    `features` wrote beside it when that copy matches the file's bytes."""
-    path = _read_artifact(cfg, FEATURES_CSV, "features")
-    copy = read_feature_copy(cfg.run_dir / FEATURES_NPZ, path)
-    return copy if copy is not None else read_feature_csv(path)
+    return _read_artifact(cfg, FEATURES_CSV)
 
 
 def _prepare_training(cfg: RunConfig):
@@ -491,42 +513,17 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     return EXIT_OK
 
 
-def _load_variant_models(cfg: RunConfig, with_ae: bool):
-    producer = f"train {'--ae' if with_ae else '--no-ae'}"
-    model = _load_artifact(cfg, MODEL_FILES[with_ae], producer, load_model)
-    ae_model = None
-    if with_ae:
-        ae_model = _load_artifact(cfg, AE_MODEL_JSON, producer, load_model)
-    return model, ae_model
-
-
-def _read_split(path: Path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    split = _read_json(path)
-    # numpy would truncate 1.5 and read true as 1, so check the JSON types first
-    if not all(set(map(type, split[part])) <= {int} for part in ("train", "test")):
-        raise ValueError("a row index is not an integer")
-    train, test = (np.asarray(split[part], dtype=np.int64) for part in ("train", "test"))
-    for part, idx in (("train", train), ("test", test)):
-        if not idx.size:  # `train` never writes an empty part
-            raise ValueError(f"the {part} list is empty")
-    if any(((idx < 0) | (idx >= n_rows)).any() for idx in (train, test)):
-        raise ValueError(f"a row index lies outside [0, {n_rows}), the rows of {FEATURES_CSV}")
-    # `train` writes a partition: a row on both sides would be scored as held out
-    if not (np.bincount(np.concatenate([train, test]), minlength=n_rows) == 1).all():
-        raise ValueError(f"train and test do not hold each of the {n_rows} rows of {FEATURES_CSV} exactly once")
-    return train, test
-
-
-def _load_eval_inputs(cfg: RunConfig):
+def _load_eval_inputs(cfg: RunConfig, with_ae: bool):
     x_raw, y = _read_features(cfg)
-    train_idx, test_idx = _load_artifact(cfg, SPLIT_JSON, "train", lambda path: _read_split(path, y.size))
-    scaler = _load_artifact(cfg, SCALER_JSON, "train", lambda path: ScalerParams.from_dict(_read_json(path)))
-    return x_raw, y, train_idx, test_idx, scaler
+    train_idx, test_idx = _read_artifact(cfg, SPLIT_JSON, y.size)
+    scaler = _read_artifact(cfg, SCALER_JSON)
+    model = _read_artifact(cfg, MODEL_FILES[with_ae])
+    ae_model = _read_artifact(cfg, AE_MODEL_JSON) if with_ae else None
+    return x_raw, y, train_idx, test_idx, scaler, model, ae_model
 
 
 def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
-    x_raw, y, _, test_idx, scaler = _load_eval_inputs(cfg)
-    model, ae_model = _load_variant_models(cfg, with_ae)
+    x_raw, y, _, test_idx, scaler, model, ae_model = _load_eval_inputs(cfg, with_ae)
     x_test, y_test = scaler.transform(x_raw[test_idx]), y[test_idx]
     del x_raw, y  # the raw matrix is not held through the forward pass
     labels, probs = predict_batch(model, x_test, ae=ae_model)
@@ -548,8 +545,7 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     for key in ("explain.n_permutations", "explain.n_instances", "explain.background_size"):
         if cfg.get_int(key) < 1:
             raise ConfigError(f"config key {key} must be at least 1, got {cfg.get_int(key)}")
-    x_raw, _, train_idx, test_idx, scaler = _load_eval_inputs(cfg)
-    model, ae_model = _load_variant_models(cfg, with_ae)
+    x_raw, _, train_idx, test_idx, scaler, model, ae_model = _load_eval_inputs(cfg, with_ae)
 
     bg_rng = np.random.default_rng(derive_seed(cfg.get_int("seed"), "background"))
     bg_size = min(cfg.get_int("explain.background_size"), train_idx.size)
@@ -599,21 +595,8 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
     return EXIT_OK
 
 
-def _read_macro(path: Path) -> dict[str, float]:
-    macro = _read_json(path)["macro"]
-    values = {metric: macro[metric] for metric in TABLE_METRICS}
-    for metric, value in values.items():
-        # bool is an int subclass; NaN (an AUC with an absent class) is a float
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"macro {metric} is not a number: {value!r}")
-    return {metric: float(value) for metric, value in values.items()}
-
-
 def _cmd_compare(cfg: RunConfig) -> int:
-    rows = comparison_rows(
-        _load_artifact(cfg, EVAL_FILES[False], "evaluate --no-ae", _read_macro),
-        _load_artifact(cfg, EVAL_FILES[True], "evaluate --ae", _read_macro),
-    )
+    rows = comparison_rows(_read_artifact(cfg, EVAL_FILES[False]), _read_artifact(cfg, EVAL_FILES[True]))
     path = cfg.run_dir / TABLE4_CSV
     with open_atomic(path) as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")
@@ -630,14 +613,25 @@ def _cmd_compare(cfg: RunConfig) -> int:
 # entry point
 
 
+# each command: (its function, its help text, whether it takes --ae/--no-ae)
+_COMMANDS = {
+    "synth": (_cmd_synth, "generate a synthetic cohort into data_dir", False),
+    "ingest": (_cmd_ingest, "load the data_dir files; write the clean visit table and the exclusion audit", False),
+    "features": (_cmd_features, "build the visit feature matrix from the visit table", False),
+    "train": (_cmd_train, "split, balance, cross-validate, and fit the classifier", True),
+    "evaluate": (_cmd_evaluate, "score the trained classifier on the held-out test rows", True),
+    "explain": (_cmd_explain, "global importance ranking and per-visit attributions", True),
+    "compare": (_cmd_compare, "write the withoutAE/withAE/increase report", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carechoice",
         description="Hospital-level choice pipeline: synthesize, ingest, train, explain, compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, ae_flag: bool = False):
+    for name, (_, help_text, ae_flag) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -649,42 +643,19 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--no-ae", dest="with_ae", action="store_false",
                                help="use the raw scaled features (default)")
             p.set_defaults(with_ae=False)
-        return p
-
-    add("synth", "generate a synthetic cohort into data_dir")
-    add("ingest", "load the data_dir files; write the clean visit table and the exclusion audit")
-    add("features", "build the visit feature matrix from the visit table")
-    add("train", "split, balance, cross-validate, and fit the classifier", ae_flag=True)
-    add("evaluate", "score the trained classifier on the held-out test rows", ae_flag=True)
-    add("explain", "global importance ranking and per-visit attributions", ae_flag=True)
-    add("compare", "write the withoutAE/withAE/increase report")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command, _, ae_flag = _COMMANDS[args.command]
     try:
         cfg = RunConfig.load(args.config, args.set)
         # OpenBLAS splits a matrix product differently at different thread
         # counts, which changes the last bits of the results; one thread
         # keeps every stage's artifacts the same at any count
         with single_blas_thread():
-            if args.command == "synth":
-                return _cmd_synth(cfg)
-            if args.command == "ingest":
-                return _cmd_ingest(cfg)
-            if args.command == "features":
-                return _cmd_features(cfg)
-            if args.command == "train":
-                return _cmd_train(cfg, args.with_ae)
-            if args.command == "evaluate":
-                return _cmd_evaluate(cfg, args.with_ae)
-            if args.command == "explain":
-                return _cmd_explain(cfg, args.with_ae)
-            if args.command == "compare":
-                return _cmd_compare(cfg)
-        parser.error(f"unknown command {args.command!r}")
+            return command(cfg, args.with_ae) if ae_flag else command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -694,14 +665,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (IngestError, EmptyDatasetError, MissingRegionError, FeatureFileError,
-            CalendarCoverageError, SamplingError, UnreadableArtifactError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

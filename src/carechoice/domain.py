@@ -233,8 +233,10 @@ def exclusion_masks(
     }
 
 
-class EmptyDatasetError(Exception):
-    """No patients or visits survive the exclusion pass."""
+class DataError(Exception):
+    """Input data or an artifact whose content cannot be used: a bad input
+    row, no records left after exclusion, or an artifact that does not
+    parse. The command line exits 5 on it."""
 
 
 def apply_exclusions(dataset: "Dataset") -> tuple["Dataset", Counter]:
@@ -255,7 +257,7 @@ def apply_exclusions(dataset: "Dataset") -> tuple["Dataset", Counter]:
         audit[ExclusionReason.NO_VISITS] = len(dataset.patients) - len(kept_patients)
 
     if not len(kept) or not kept_patients:
-        raise EmptyDatasetError("no records survive the exclusion rules")
+        raise DataError("no records survive the exclusion rules")
 
     clean = replace(dataset, patients=kept_patients, visits=kept)
     return clean, audit
@@ -281,11 +283,7 @@ class WorkdayCalendar:
         try:
             return self.entries[d]
         except KeyError:
-            raise CalendarCoverageError(f"date {d.isoformat()} is outside calendar coverage")
-
-
-class CalendarCoverageError(Exception):
-    pass
+            raise DataError(f"date {d.isoformat()} is outside calendar coverage")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arrayzip import READ_ERRORS, file_sha256, read_array_zip, write_array_zip
 from .atomic import open_atomic
-from .domain import NO_DATE, NO_TRIAGE, Dataset, HospitalLevel, VisitTable
+from .domain import NO_DATE, NO_TRIAGE, DataError, Dataset, HospitalLevel, VisitTable
 
 FEATURE_NAMES = (
     "age",
@@ -56,10 +56,6 @@ SCALED_FEATURES = (
     "mfpc",
     "lfpc",
 )
-
-
-class MissingRegionError(Exception):
-    pass
 
 
 def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -198,7 +194,7 @@ def build_feature_vectors(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     sites = [dataset.providers[pid] for pid in visits.provider_ids]
     missing = [p for p in sites if p.region_code not in dataset.region_stats]
     if missing:
-        raise MissingRegionError(
+        raise DataError(
             f"provider {missing[0].provider_id}: region {missing[0].region_code!r} "
             "missing from the physician-density table"
         )
@@ -288,10 +284,6 @@ _CSV_BLOCK_ROWS = 4096
 _LEVEL_CODES = [int(level) for level in HospitalLevel]
 
 
-class FeatureFileError(Exception):
-    """A feature file that does not hold the header and rows write_feature_csv writes."""
-
-
 def write_feature_csv(path, X: np.ndarray, y: np.ndarray, header_comment: str | None = None):
     """Export the feature matrix with 17-significant-digit decimals so the
     written values round-trip bit-exactly."""
@@ -329,7 +321,7 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     Leading '#' lines are skipped and the header must name the 18 features
     and the label. A malformed body, a non-finite cell included, raises
-    FeatureFileError naming the file and the first bad line.
+    DataError naming the file and the first bad line.
     """
     with open(path, encoding="utf-8") as fh:
         line, header_line = fh.readline(), 1
@@ -337,22 +329,22 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
             line, header_line = fh.readline(), header_line + 1
         header = line.strip().split(",")
         if header != list(_CSV_COLUMNS):
-            raise FeatureFileError(f"{path}:{header_line}: unexpected feature columns: {header}")
+            raise DataError(f"{path}:{header_line}: unexpected feature columns: {header}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body is zero rows
                 data = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments="#", ndmin=2)
         except ValueError as exc:
-            raise _first_bad_row(path, header_line) or FeatureFileError(f"{path}: {exc}")
+            raise _first_bad_row(path, header_line) or DataError(f"{path}: {exc}")
     if data.size == 0:
         return np.empty((0, N_FEATURES)), np.empty(0, dtype=np.int64)
     if (data.shape[1] != len(_CSV_COLUMNS) or not np.isfinite(data).all()
             or not np.isin(data[:, -1], _LEVEL_CODES).all()):
-        raise _first_bad_row(path, header_line) or FeatureFileError(f"{path}: malformed rows")
+        raise _first_bad_row(path, header_line) or DataError(f"{path}: malformed rows")
     return np.ascontiguousarray(data[:, :N_FEATURES]), data[:, -1].astype(np.int64)
 
 
-def _first_bad_row(path, header_line: int) -> FeatureFileError | None:
+def _first_bad_row(path, header_line: int) -> DataError | None:
     """Error for the first body line that is not 19 numbers ending in a level code."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -360,18 +352,18 @@ def _first_bad_row(path, header_line: int) -> FeatureFileError | None:
             if lineno <= header_line or line.startswith("#") or cells == [""]:
                 continue
             if len(cells) != len(_CSV_COLUMNS):
-                return FeatureFileError(
+                return DataError(
                     f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, found {len(cells)}"
                 )
             for name, cell in zip(_CSV_COLUMNS, cells):
                 try:
                     value = float(cell)
                 except ValueError:
-                    return FeatureFileError(f"{path}:{lineno}: {name} is not a number: {cell!r}")
+                    return DataError(f"{path}:{lineno}: {name} is not a number: {cell!r}")
                 if not math.isfinite(value):
-                    return FeatureFileError(f"{path}:{lineno}: {name} is not finite: {cell!r}")
+                    return DataError(f"{path}:{lineno}: {name} is not finite: {cell!r}")
             if float(cells[-1]) not in _LEVEL_CODES:
-                return FeatureFileError(
+                return DataError(
                     f"{path}:{lineno}: label must be a hospital-level code "
                     f"{_LEVEL_CODES}, got {cells[-1]!r}"
                 )

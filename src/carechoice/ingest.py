@@ -2,7 +2,7 @@
 
 All files are UTF-8, comma-delimited with a header line; dates are ISO-8601.
 The four code-set files are plain text, one code per line. A parse problem
-raises IngestError naming the file, the line number, and the offending field.
+raises DataError naming the file, the line number, and the offending field.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .domain import (
     SETTINGS,
     VISIT_TABLE_COLUMNS,
     CodeSets,
+    DataError,
     Dataset,
     HospitalLevel,
     PatientProfile,
@@ -53,9 +54,6 @@ PATIENT_COLUMNS = ("patient_id", "birth_date", "gender", "low_income")
 PROVIDER_COLUMNS = ("provider_id", "level", "region_code")
 DENSITY_COLUMNS = ("region_code", "physician_density")
 CALENDAR_COLUMNS = ("date", "is_workday")
-
-class IngestError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -86,36 +84,52 @@ def _open_rows(fh, path: Path, columns: tuple[str, ...]):
     while first.startswith("#"):
         first, skipped = fh.readline(), skipped + 1
     if not first:
-        raise IngestError(f"{path.name}: file is empty (no header)")
+        raise DataError(f"{path.name}: file is empty (no header)")
     reader = csv.reader(chain([first], fh))
     header = next(reader)
     index = {name: i for i, name in enumerate(header)}
     missing = [c for c in columns if c not in index]
     if missing:
-        raise IngestError(f"{path.name}: missing required columns {missing}")
+        raise DataError(f"{path.name}: missing required columns {missing}")
     return reader, len(header), [index[c] for c in columns], skipped
+
+
+def _not_utf8(path: Path) -> DataError:
+    """The error for a file that does not decode as UTF-8, naming its first
+    line that does not. A newline byte is never part of a multi-byte
+    character, so each line decodes on its own."""
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"{path.name}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8")
+    return DataError(f"{path.name}: not UTF-8")
 
 
 def _read_rows(path: Path, columns: tuple[str, ...]):
     """Yield (line number, the row's cells for `columns`) for each non-blank row.
 
     Leading '#' lines are skipped and the header must name every column. A
-    row too short to hold them raises IngestError; extra trailing cells are
-    ignored.
+    row too short to hold them, or a byte that is not UTF-8, raises
+    DataError; extra trailing cells are ignored.
     """
     if not path.exists():
-        raise IngestError(f"required file missing: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, n_fields, positions, skipped = _open_rows(fh, path, columns)
-        pick, width = itemgetter(*positions), max(positions) + 1
-        for row in reader:
-            if len(row) >= width:
-                yield reader.line_num + skipped, pick(row)
-            elif row:
-                raise IngestError(
-                    f"{path.name}:{reader.line_num + skipped}: "
-                    f"expected {n_fields} fields, found {len(row)}"
-                )
+        raise DataError(f"required file missing: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader, n_fields, positions, skipped = _open_rows(fh, path, columns)
+            pick, width = itemgetter(*positions), max(positions) + 1
+            for row in reader:
+                if len(row) >= width:
+                    yield reader.line_num + skipped, pick(row)
+                elif row:
+                    raise DataError(
+                        f"{path.name}:{reader.line_num + skipped}: "
+                        f"expected {n_fields} fields, found {len(row)}"
+                    )
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def _parse_date(token: str, path: Path, line: int, field: str) -> Optional[date]:
@@ -125,7 +139,7 @@ def _parse_date(token: str, path: Path, line: int, field: str) -> Optional[date]
     try:
         return date.fromisoformat(token)
     except ValueError:
-        raise IngestError(f"{path.name}:{line}: field '{field}': invalid date {token!r}")
+        raise DataError(f"{path.name}:{line}: field '{field}': invalid date {token!r}")
 
 
 def _parse_bool(token: str, path: Path, line: int, field: str) -> bool:
@@ -134,7 +148,7 @@ def _parse_bool(token: str, path: Path, line: int, field: str) -> bool:
         return True
     if t in ("0", "false"):
         return False
-    raise IngestError(f"{path.name}:{line}: field '{field}': invalid boolean {token!r}")
+    raise DataError(f"{path.name}:{line}: field '{field}': invalid boolean {token!r}")
 
 
 def load_patients(path: Path) -> dict[str, PatientProfile]:
@@ -143,11 +157,11 @@ def load_patients(path: Path) -> dict[str, PatientProfile]:
     for line, (pid, birth_token, gender_token, low_income_token) in _read_rows(path, PATIENT_COLUMNS):
         pid = pid.strip()
         if not pid:
-            raise IngestError(f"{path.name}:{line}: field 'patient_id': empty identifier")
+            raise DataError(f"{path.name}:{line}: field 'patient_id': empty identifier")
         birth = _parse_date(birth_token, path, line, "birth_date")
         gender = gender_token.strip().lower() or None
         if gender is not None and gender not in ("male", "female"):
-            raise IngestError(f"{path.name}:{line}: field 'gender': invalid value {gender_token!r}")
+            raise DataError(f"{path.name}:{line}: field 'gender': invalid value {gender_token!r}")
         low_income = _parse_bool(low_income_token, path, line, "low_income")
         if pid in patients:
             prev = patients[pid]
@@ -171,11 +185,11 @@ def load_providers(path: Path) -> dict[str, ProviderProfile]:
     for line, (pid, level_token, region) in _read_rows(path, PROVIDER_COLUMNS):
         pid = pid.strip()
         if not pid:
-            raise IngestError(f"{path.name}:{line}: field 'provider_id': empty identifier")
+            raise DataError(f"{path.name}:{line}: field 'provider_id': empty identifier")
         try:
             level = HospitalLevel(int(level_token))
         except ValueError:
-            raise IngestError(f"{path.name}:{line}: field 'level': invalid hospital level {level_token!r}")
+            raise DataError(f"{path.name}:{line}: field 'level': invalid hospital level {level_token!r}")
         if pid not in providers:
             providers[pid] = ProviderProfile(pid, level, region.strip())
     return providers
@@ -188,16 +202,16 @@ def _parse_triage(token: str, path: Path, line: int) -> int:
     try:
         triage = int(token)
     except ValueError:
-        raise IngestError(f"{path.name}:{line}: field 'triage': invalid integer {token!r}")
+        raise DataError(f"{path.name}:{line}: field 'triage': invalid integer {token!r}")
     if not 1 <= triage <= 5:
-        raise IngestError(f"{path.name}:{line}: field 'triage': level {triage} outside 1-5")
+        raise DataError(f"{path.name}:{line}: field 'triage': level {triage} outside 1-5")
     return triage
 
 
 def _parse_emergency(token: str, path: Path, line: int) -> bool:
     setting = token.strip().lower()
     if setting not in SETTINGS:
-        raise IngestError(f"{path.name}:{line}: field 'setting': invalid value {token!r}")
+        raise DataError(f"{path.name}:{line}: field 'setting': invalid value {token!r}")
     return setting == "emergency"
 
 
@@ -250,11 +264,11 @@ def load_visits(path: Path) -> VisitTable:
 
     The file is read a chunk of rows at a time, and each chunk of a column
     becomes one array of integer codes: each distinct token is parsed once.
-    A bad token or short row raises IngestError naming the first line that
-    fails, as a row-by-row parse would.
+    A bad token or short row raises DataError naming the first line that
+    fails, as a row-by-row parse would; so does a byte that is not UTF-8.
     """
     if not path.exists():
-        raise IngestError(f"required file missing: {path}")
+        raise DataError(f"required file missing: {path}")
     patient_ids, provider_ids, codes, sets = _numbering(), _numbering(), _numbering(), _numbering()
 
     def code_set(token: str) -> int:  # a set is a tuple of its codes in first-seen order
@@ -281,7 +295,7 @@ def load_visits(path: Path) -> VisitTable:
                 # `pick` raises IndexError on a short row
                 for part, memo, column in zip(parts, memos, zip(*map(pick, filter(None, chunk)))):
                     part.append(np.fromiter(map(memo.__getitem__, column), np.int64, len(column)))
-    except (IngestError, IndexError):
+    except (DataError, IndexError, UnicodeDecodeError):
         _check_rows(path)
         raise
     finally:
@@ -312,11 +326,11 @@ def load_density(path: Path) -> dict[str, float]:
         try:
             density = float(density_token)
         except ValueError:
-            raise IngestError(
+            raise DataError(
                 f"{path.name}:{line}: field 'physician_density': invalid number {density_token!r}"
             )
         if not 0 <= density < math.inf:
-            raise IngestError(f"{path.name}:{line}: field 'physician_density': "
+            raise DataError(f"{path.name}:{line}: field 'physician_density': "
                               f"density {density} is negative or not finite")
         stats[region.strip()] = density
     return stats
@@ -327,16 +341,20 @@ def load_calendar(path: Path) -> WorkdayCalendar:
     for line, (date_token, workday_token) in _read_rows(path, CALENDAR_COLUMNS):
         d = _parse_date(date_token, path, line, "date")
         if d is None:
-            raise IngestError(f"{path.name}:{line}: field 'date': empty date")
+            raise DataError(f"{path.name}:{line}: field 'date': empty date")
         entries[d] = _parse_bool(workday_token, path, line, "is_workday")
     return WorkdayCalendar(entries)
 
 
 def load_code_file(path: Path) -> frozenset[str]:
     if not path.exists():
-        raise IngestError(f"required file missing: {path}")
+        raise DataError(f"required file missing: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     codes = set()
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         code = raw.strip()
         if code and not code.startswith("#"):
             codes.add(code)
@@ -431,10 +449,6 @@ _TABLE_ARRAYS = ("set_offsets", "set_members", *VISIT_TABLE_COLUMNS)
 _INPUT_NAMES = {f.default.name for f in fields(DataPaths)}
 
 
-class VisitTableFileError(IngestError):
-    """A visit-table file that is not whole or not in this format."""
-
-
 def input_digests(paths: DataPaths) -> dict[str, Optional[str]]:
     """sha256 of each input file by file name; None for a missing file."""
     return {path.name: file_sha256(path) if path.exists() else None
@@ -495,7 +509,7 @@ def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]
     """The dataset write_visit_table wrote, and the input digests it recorded.
 
     A file that is cut short, altered or in another format raises
-    VisitTableFileError, as does one whose codes point outside its lookups
+    DataError, as does one whose codes point outside its lookups
     or whose input digests are not a string or null per input file.
     """
     try:
@@ -522,5 +536,5 @@ def read_visit_table(path: str | Path) -> tuple[Dataset, dict[str, Optional[str]
         )
         _check_visit_table(dataset)
     except READ_ERRORS as exc:
-        raise VisitTableFileError(f"{path}: not a whole visit table: {exc}") from exc
+        raise DataError(f"{path}: not a whole visit table: {exc}") from exc
     return dataset, inputs

@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .domain import DataError
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -28,14 +30,10 @@ class SplitSpec:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 
 
-class SamplingError(Exception):
-    pass
-
-
 def split_indices(n_rows: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test index split; train gets ceil(fraction*n)."""
     if n_rows < 1:
-        raise SamplingError("cannot split zero rows")
+        raise DataError("cannot split zero rows")
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n_rows)
     n_train = math.ceil(spec.train_fraction * n_rows)
@@ -49,12 +47,12 @@ def undersample_indices(
     replacement) to the minority-class count."""
     labels = np.asarray(labels)
     if labels.size == 0:
-        raise SamplingError("cannot undersample zero rows")
+        raise DataError("cannot undersample zero rows")
     counts = Counter(labels.tolist())
     if required_classes is not None:
         missing = [c for c in required_classes if c not in counts]
         if missing:
-            raise SamplingError(f"classes {missing} absent from training rows")
+            raise DataError(f"classes {missing} absent from training rows")
     minority = min(counts.values())
     rng = np.random.default_rng(seed)
     keep = []
@@ -68,9 +66,9 @@ def kfold_indices(n_rows: int, folds: int, seed: int) -> list[tuple[np.ndarray, 
     """(fit, validation) index pairs; validation sets partition the rows with
     sizes differing by at most one."""
     if folds < 2:
-        raise SamplingError(f"folds must be >= 2, got {folds}")
+        raise DataError(f"folds must be >= 2, got {folds}")
     if folds > n_rows:
-        raise SamplingError(f"cannot make {folds} folds from {n_rows} rows")
+        raise DataError(f"cannot make {folds} folds from {n_rows} rows")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_rows)
     val_sets = np.array_split(perm, folds)

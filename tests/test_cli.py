@@ -48,6 +48,7 @@ from carechoice.cli import (
 from carechoice.arrayzip import read_array_zip, write_array_zip
 from carechoice.domain import LEVEL_NAMES, HospitalLevel
 from carechoice.features import FEATURE_NAMES, read_feature_csv
+from carechoice.ingest import DataPaths
 from carechoice.metrics import TABLE_METRICS
 from carechoice.neuralnet import blas_corename, blas_threads
 from carechoice.pipeline import kfold_indices
@@ -302,6 +303,61 @@ class TestPipelineChain:
         assert cli.main(["features", *base]) == EXIT_OK
         assert cli.main(["train", "--no-ae", *base]) == EXIT_OK
         assert [p.read_bytes() for p in watched] == before
+
+
+class TestReaders:
+    # each artifact a stage reads: (a command that reads it, the stage that writes it)
+    READS = {
+        VISIT_TABLE: (["features"], "ingest"),
+        FEATURES_CSV: (["evaluate", "--no-ae"], "features"),
+        SPLIT_JSON: (["evaluate", "--no-ae"], "train"),
+        SCALER_JSON: (["evaluate", "--no-ae"], "train"),
+        MODEL_FILES[False]: (["evaluate", "--no-ae"], "train --no-ae"),
+        AE_MODEL_JSON: (["evaluate", "--ae"], "train --ae"),
+        MODEL_FILES[True]: (["evaluate", "--ae"], "train --ae"),
+        EVAL_FILES[False]: (["compare"], "evaluate --no-ae"),
+        EVAL_FILES[True]: (["compare"], "evaluate --ae"),
+    }
+
+    def copy_run(self, pipeline_run, tmp_path) -> tuple[Path, list[str]]:
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run["run"], run)
+        return run, [*pipeline_run["base"], "--set", f"run_dir={run}"]
+
+    def test_every_reader_is_tested(self):
+        assert set(self.READS) == set(cli._READERS)
+
+    @pytest.mark.parametrize("name", READS)
+    def test_a_missing_artifact_exits_four_naming_its_producer(self, pipeline_run, tmp_path, capsys, name):
+        run, base = self.copy_run(pipeline_run, tmp_path)
+        command, producer = self.READS[name]
+        (run / name).unlink()
+        capsys.readouterr()
+        assert cli.main([*command, *base]) == EXIT_MISSING_ARTIFACT
+        assert capsys.readouterr().err == f"error: missing artifact {run / name}; run `{producer}` first\n"
+
+    @pytest.mark.parametrize("name", READS)
+    def test_an_artifact_of_bytes_that_are_not_utf8_exits_five_naming_it(self, pipeline_run, tmp_path,
+                                                                         capsys, name):
+        run, base = self.copy_run(pipeline_run, tmp_path)
+        command, _ = self.READS[name]
+        (run / name).write_bytes(b"\xff" * 64)
+        capsys.readouterr()
+        assert cli.main([*command, *base]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(run / name) in err
+
+    @pytest.mark.parametrize("command, calls", [(["evaluate", "--ae"], 2), (["explain", "--no-ae"], 1)],
+                             ids=["evaluate --ae", "explain --no-ae"])
+    def test_readers_look_up_load_model_when_called(self, pipeline_run, tmp_path, monkeypatch,
+                                                    command, calls):
+        # tracing wraps cli.load_model; a reader holding the function would bypass the wrapper
+        run, base = self.copy_run(pipeline_run, tmp_path)
+        loaded = []
+        load_model = cli.load_model
+        monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path) or load_model(path))
+        assert cli.main([*command, *base]) == EXIT_OK
+        assert len(loaded) == calls
 
 
 @pytest.fixture(scope="module")
@@ -874,6 +930,24 @@ class TestExitCodes:
         assert cli.main(["ingest", *base]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"data error: {name}:4: expected {expected} fields, found {fields}" in err
+
+    @pytest.mark.parametrize("name", [path.name for path in vars(DataPaths()).values()])
+    def test_input_byte_that_is_not_utf8_exits_five_naming_the_line(self, tmp_path, capsys, name):
+        base = [
+            "--set", f"run_dir={tmp_path/'run'}",
+            "--set", f"data_dir={tmp_path/'data'}",
+            "--set", "synth.n_patients=20",
+        ]
+        assert cli.main(["synth", *base]) == EXIT_OK
+        path = tmp_path / "data" / name
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        data[middle] = 0xFF
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert cli.main(["ingest", *base]) == EXIT_DATA
+        line = data.count(b"\n", 0, middle) + 1
+        assert capsys.readouterr().err == f"data error: {name}:{line}: byte 0xff is not UTF-8\n"
 
     def test_divergence_exits_six(self, tmp_path):
         base = [

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carechoice.domain import (
-    CalendarCoverageError,
-    EmptyDatasetError,
+    DataError,
     ExclusionReason,
     HospitalLevel,
     LEVEL_NAMES,
@@ -156,7 +155,7 @@ class TestApplyExclusions:
 
     def test_everything_excluded_raises(self):
         ds = make_dataset(visits=[make_visit(when=None)])
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(DataError):
             apply_exclusions(ds)
 
     def test_idempotent(self):
@@ -287,5 +286,5 @@ class TestWorkdayCalendar:
 
     def test_outside_coverage_raises(self):
         cal = make_calendar()
-        with pytest.raises(CalendarCoverageError):
+        with pytest.raises(DataError):
             cal.is_workday(date(2000, 1, 1))

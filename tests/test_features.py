@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from carechoice.domain import HospitalLevel
+from carechoice.domain import DataError, HospitalLevel
 from carechoice.features import (
     FEATURE_NAMES,
-    FeatureFileError,
-    MissingRegionError,
     N_FEATURES,
     SCALED_FEATURES,
     ScalerParams,
@@ -254,7 +252,7 @@ class TestBuildFeatureVectors:
             patients=ds.patients, providers=ds.providers, visits=ds.visits,
             region_stats={"R1": 10.0},
         )
-        with pytest.raises(MissingRegionError):
+        with pytest.raises(DataError):
             build_feature_vectors(broken)
 
     def test_sequences_follow_visit_order(self):
@@ -426,7 +424,7 @@ class TestFeatureCsv:
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(FeatureFileError, match="bad.csv:1: unexpected feature columns"):
+        with pytest.raises(DataError, match="bad.csv:1: unexpected feature columns"):
             read_feature_csv(path)
 
     def body_error(self, tmp_path, edit):
@@ -436,7 +434,7 @@ class TestFeatureCsv:
         lines = path.read_text().splitlines(keepends=True)
         lines[3] = edit(lines[3])  # the second row, line 4 of the file
         path.write_text("".join(lines))
-        with pytest.raises(FeatureFileError) as exc:
+        with pytest.raises(DataError) as exc:
             read_feature_csv(path)
         return str(exc.value)
 

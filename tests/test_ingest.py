@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carechoice import ingest
-from carechoice.domain import NO_DATE, NO_TRIAGE, VISIT_TABLE_COLUMNS, ExclusionReason, HospitalLevel
+from carechoice.domain import NO_DATE, NO_TRIAGE, VISIT_TABLE_COLUMNS, DataError, ExclusionReason, HospitalLevel
 from carechoice.synthgen import CohortSpec, generate_cohort
 from carechoice.ingest import (
     DataPaths,
-    IngestError,
     VISIT_COLUMNS,
     input_digests,
     load_dataset,
@@ -103,41 +102,41 @@ class TestLoaders:
     def test_missing_column_is_an_error(self, tmp_path):
         write_minimal_tree(tmp_path)
         (tmp_path / "patients.csv").write_text("patient_id,gender\nP1,female\n")
-        with pytest.raises(IngestError, match="birth_date"):
+        with pytest.raises(DataError, match="birth_date"):
             load_dataset(DataPaths.from_dir(tmp_path))
 
     def test_triage_out_of_range(self, tmp_path):
         paths = write_minimal_tree(
             tmp_path, ["P1,H1,2010-06-15,D001,,,9,0,outpatient\n"]
         )
-        with pytest.raises(IngestError, match="triage"):
+        with pytest.raises(DataError, match="triage"):
             load_visits(paths.visits)
 
     def test_bad_setting(self, tmp_path):
         paths = write_minimal_tree(
             tmp_path, ["P1,H1,2010-06-15,D001,,,,0,telehealth\n"]
         )
-        with pytest.raises(IngestError, match="setting"):
+        with pytest.raises(DataError, match="setting"):
             load_visits(paths.visits)
 
     def test_bad_date(self, tmp_path):
         paths = write_minimal_tree(
             tmp_path, ["P1,H1,15/06/2010,D001,,,,0,outpatient\n"]
         )
-        with pytest.raises(IngestError, match="date"):
+        with pytest.raises(DataError, match="date"):
             load_visits(paths.visits)
 
     def test_bad_level(self, tmp_path):
         write_minimal_tree(tmp_path)
         (tmp_path / "providers.csv").write_text("provider_id,level,region_code\nH1,7,R1\n")
-        with pytest.raises(IngestError, match="level"):
+        with pytest.raises(DataError, match="level"):
             load_dataset(DataPaths.from_dir(tmp_path))
 
     @pytest.mark.parametrize("density", ["-1", "nan", "inf"])
     def test_density_must_be_finite_and_not_negative(self, tmp_path, density):
         write_minimal_tree(tmp_path)
         (tmp_path / "density.csv").write_text(f"region_code,physician_density\nR1,{density}\n")
-        with pytest.raises(IngestError, match=r"density\.csv:2: field 'physician_density'"):
+        with pytest.raises(DataError, match=r"density\.csv:2: field 'physician_density'"):
             load_dataset(DataPaths.from_dir(tmp_path))
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
@@ -235,7 +234,7 @@ class TestParseSemantics:
              "P1,H1,2010-02-30,D001,D002,T100,,0,outpatient\n",
              "P1,H1,2010-02-30,D001,D002,T100,,0,outpatient\n"],
         )
-        with pytest.raises(IngestError, match=r"visits\.csv:4: field 'date': invalid date '2010-02-30'"):
+        with pytest.raises(DataError, match=r"visits\.csv:4: field 'date': invalid date '2010-02-30'"):
             load_visits(paths.visits)
 
     @pytest.mark.parametrize("edit", [
@@ -304,14 +303,14 @@ class TestChunkedLoader:
         rows = ["P1,H1,2010-06-15,D001,,,,0,outpatient\n"] * 5 + ["P1,H1,2010-06-15,D001,,,7,0,outpatient\n"]
         paths = write_minimal_tree(tmp_path, rows)
         monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
-        with pytest.raises(IngestError, match=r"visits\.csv:7: field 'triage': level 7 outside 1-5"):
+        with pytest.raises(DataError, match=r"visits\.csv:7: field 'triage': level 7 outside 1-5"):
             load_visits(paths.visits)
 
     def test_short_row_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
         rows = ["P1,H1,2010-06-15,D001,,,,0,outpatient\n"] * 5 + ["P1,H1,2010-06-15\n"]
         paths = write_minimal_tree(tmp_path, rows)
         monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
-        with pytest.raises(IngestError, match=r"visits\.csv:7: expected 9 fields, found 3"):
+        with pytest.raises(DataError, match=r"visits\.csv:7: expected 9 fields, found 3"):
             load_visits(paths.visits)
 
     def test_sets_too_wide_for_an_int64_key_load(self, tmp_path):
@@ -409,7 +408,7 @@ class TestRoundTrip:
         ds = self.build()
         paths = write_dataset(ds, tmp_path)
         (tmp_path / "density.csv").unlink()
-        with pytest.raises(IngestError):
+        with pytest.raises(DataError):
             load_dataset(paths)
 
     def test_float_density_round_trips_exactly(self, tmp_path):

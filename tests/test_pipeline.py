@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carechoice.pipeline import (
-    SamplingError,
-    SplitSpec,
-    kfold_indices,
-    split_indices,
-    undersample_indices,
-)
+from carechoice.domain import DataError
+from carechoice.pipeline import SplitSpec, kfold_indices, split_indices, undersample_indices
 
 
 class TestSplit:
@@ -42,7 +37,7 @@ class TestSplit:
         assert len(train) == 5 and len(test) == 5
 
     def test_zero_rows_rejected(self):
-        with pytest.raises(SamplingError):
+        with pytest.raises(DataError):
             split_indices(0, SplitSpec(seed=0))
 
     def test_bad_fraction_rejected(self):
@@ -73,7 +68,7 @@ class TestUndersample:
 
     def test_missing_required_class_rejected(self):
         labels = np.array([0, 0, 1, 1])
-        with pytest.raises(SamplingError, match=r"\[2, 3\]"):
+        with pytest.raises(DataError, match=r"\[2, 3\]"):
             undersample_indices(labels, seed=0, required_classes=range(4))
 
     def test_deterministic(self):
@@ -97,7 +92,7 @@ class TestKFold:
             assert not set(fit.tolist()) & set(val.tolist())
 
     def test_too_many_folds_rejected(self):
-        with pytest.raises(SamplingError):
+        with pytest.raises(DataError):
             kfold_indices(3, 5, seed=0)
 
 
