@@ -47,6 +47,7 @@ from .features import (
 )
 from .ingest import (
     DataPaths,
+    _not_utf8,
     input_digests,
     load_dataset,
     read_visit_table,
@@ -94,30 +95,6 @@ TABLE4_CSV = "table4_report.csv"
 
 VARIANT_NAMES = {False: "withoutAE", True: "withAE"}
 
-DEFAULT_CONFIG: dict[str, str] = {
-    "seed": "0",
-    "run_dir": "run",
-    "data_dir": "run/data",
-    "train.fraction": "0.8",
-    "train.folds": "5",
-    "train.learning_rate": "0.01",
-    "train.batch_size": "64",
-    "train.epochs": "50",
-    # reconstruction loss averages over the 18 output dims, which shrinks
-    # its gradients by that factor; the AE needs a hotter rate than the
-    # classifier to leave the predict-the-mean plateau in few epochs
-    "ae.learning_rate": "0.5",
-    "ae.batch_size": "64",
-    "ae.epochs": "12",
-    "explain.method": "sampled",
-    "explain.n_permutations": "200",
-    "explain.background_size": "100",
-    "explain.n_instances": "20",
-    "synth.n_patients": "5000",
-    "synth.signal_strength": "0.0",
-    "synth.dirty_count": "0",
-}
-
 
 class ConfigError(Exception):
     pass
@@ -127,9 +104,58 @@ class MissingArtifactError(Exception):
     pass
 
 
-def _allowed_keys() -> frozenset[str]:
-    synth_keys = {f"synth.{f.name}" for f in fields(CohortSpec)}
-    return frozenset(DEFAULT_CONFIG) | synth_keys
+def _typed(convert, kind: str):
+    """A parser: `convert` of a value's text, or a ValueError whose text
+    completes "config key <key> ..."."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"must be {kind}, got {text!r}") from None
+    return parse
+
+
+def _bounded(parse, ok, bound: str):
+    """`parse`, refusing a value for which `ok` is false (NaN included)."""
+    def parse_in_bounds(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {bound}, got {value!r}")
+        return value
+    return parse_in_bounds
+
+
+_integer, _number = _typed(int, "an integer"), _typed(float, "a number")
+_count = _bounded(_integer, lambda v: v >= 1, "at least 1")
+
+# every config key: (its default text, its parser). The parsers bound only
+# the keys that no spec owns: CohortSpec checks the synth.* values and
+# TrainConfig the train.* and ae.* SGD values. synth.seed has no default:
+# unset, the cohort's seed derives from seed.
+CONFIG_KEYS = {
+    "seed": ("0", _integer),
+    "run_dir": ("run", Path),
+    "data_dir": ("run/data", Path),
+    "train.fraction": ("0.8", _bounded(_number, lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "train.folds": ("5", _bounded(_integer, lambda v: v >= 2, "at least 2")),
+    "train.learning_rate": ("0.01", _number),
+    "train.batch_size": ("64", _integer),
+    "train.epochs": ("50", _integer),
+    # reconstruction loss averages over the 18 output dims, which shrinks
+    # its gradients by that factor; the AE needs a hotter rate than the
+    # classifier to leave the predict-the-mean plateau in few epochs
+    "ae.learning_rate": ("0.5", _number),
+    "ae.batch_size": ("64", _integer),
+    "ae.epochs": ("12", _integer),
+    "explain.method": ("sampled", _bounded(str, lambda v: v in ("exact", "sampled"), "exact or sampled")),
+    "explain.n_permutations": ("200", _count),
+    "explain.background_size": ("100", _count),
+    "explain.n_instances": ("20", _count),
+    "synth.n_patients": ("5000", _integer),
+    "synth.seed": (None, _integer),
+    "synth.signal_strength": ("0.0", _number),
+    "synth.dirty_count": ("0", _integer),
+}
 
 
 def parse_config_text(text: str, source: str) -> dict[str, str]:
@@ -146,14 +172,48 @@ def parse_config_text(text: str, source: str) -> dict[str, str]:
     return out
 
 
+def _spec(values: Mapping, section: str, cls, **given):
+    """`cls` built from `given` and, for each other field, the value of
+    the `section.<field>` key; its ValueError starts with a field's name,
+    so it is re-raised as a ConfigError that names the key."""
+    named = {f.name: values[f"{section}.{f.name}"] for f in fields(cls) if f.name not in given}
+    try:
+        return cls(**named, **given)
+    except ValueError as exc:
+        raise ConfigError(f"config key {section}.{exc}") from None
+
+
 class RunConfig:
-    """Effective configuration: defaults, then file, then --set overrides."""
+    """Effective configuration: defaults, then file, then --set overrides.
+
+    Every value is parsed and checked here, so a stage never starts on a
+    bad one. `cfg[key]` is a parsed value; the cohort and both SGD specs
+    are built once, as `cohort`, `train` and `ae`.
+    """
 
     def __init__(self, mapping: Mapping[str, str]):
-        unknown = sorted(set(mapping) - _allowed_keys())
+        unknown = sorted(set(mapping) - set(CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        self.mapping = {**DEFAULT_CONFIG, **mapping}
+        defaults = {key: default for key, (default, _) in CONFIG_KEYS.items() if default is not None}
+        self.mapping = {**defaults, **mapping}  # the text the snapshot holds
+        self._values = {}
+        for key, (_, parse) in CONFIG_KEYS.items():
+            if key in self.mapping:
+                try:
+                    self._values[key] = parse(self.mapping[key])
+                except ValueError as exc:
+                    raise ConfigError(f"config key {key} {exc}") from None
+        seed = self["seed"]
+        cohort_seed = self._values.get("synth.seed", derive_seed(seed, "synth"))
+        self.cohort = _spec(self._values, "synth", CohortSpec, seed=cohort_seed)
+        self.train = _spec(self._values, "train", TrainConfig, seed=derive_seed(seed, "train"))
+        self.ae = _spec(self._values, "ae", TrainConfig, seed=derive_seed(seed, "ae"))
+        self.run_dir, self.data_dir = self["run_dir"], self["data_dir"]
+        self.config_hash = hashlib.sha256(self.snapshot_text().encode()).hexdigest()[:16]
+
+    def __getitem__(self, key: str):
+        return self._values[key]
 
     @classmethod
     def load(cls, config_path: Optional[str], overrides: Sequence[str]) -> "RunConfig":
@@ -162,7 +222,11 @@ class RunConfig:
             path = Path(config_path)
             if not path.exists():
                 raise ConfigError(f"config file not found: {config_path}")
-            merged.update(parse_config_text(path.read_text(), path.name))
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                raise ConfigError(str(_not_utf8(path))) from None
+            merged.update(parse_config_text(text, path.name))
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -170,50 +234,13 @@ class RunConfig:
             merged[key.strip()] = value.strip()
         return cls(merged)
 
-    def get_str(self, key: str) -> str:
-        return self.mapping[key]
-
-    def get_int(self, key: str) -> int:
-        try:
-            return int(self.mapping[key])
-        except ValueError:
-            raise ConfigError(f"config key {key} must be an integer, got {self.mapping[key]!r}")
-
-    def get_float(self, key: str) -> float:
-        try:
-            return float(self.mapping[key])
-        except ValueError:
-            raise ConfigError(f"config key {key} must be a number, got {self.mapping[key]!r}")
-
     def snapshot_text(self) -> str:
         return "".join(f"{k} = {self.mapping[k]}\n" for k in sorted(self.mapping))
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.snapshot_text().encode()).hexdigest()[:16]
-
-    @property
-    def run_dir(self) -> Path:
-        return Path(self.get_str("run_dir"))
-
-    @property
-    def data_dir(self) -> Path:
-        return Path(self.get_str("data_dir"))
 
     def write_snapshot(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         with open_atomic(self.run_dir / CONFIG_SNAPSHOT) as fh:
             fh.write(self.snapshot_text())
-
-
-def _spec(section: str, cls, **fields):
-    """`cls(**fields)`, a spec whose fields are the suffixes of the
-    `section.*` keys; its ValueError starts with a field's name, so it is
-    re-raised as a ConfigError that names the key."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"config key {section}.{exc}") from None
 
 
 def derive_seed(global_seed: int, stage: str) -> int:
@@ -304,16 +331,8 @@ def _read_artifact(cfg: RunConfig, name: str, *args):
 
 
 def _cmd_synth(cfg: RunConfig) -> int:
-    seed = cfg.get_int("synth.seed") if "synth.seed" in cfg.mapping else derive_seed(cfg.get_int("seed"), "synth")
-    spec = _spec(
-        "synth", CohortSpec,
-        n_patients=cfg.get_int("synth.n_patients"),
-        seed=seed,
-        signal_strength=cfg.get_float("synth.signal_strength"),
-        dirty_count=cfg.get_int("synth.dirty_count"),
-    )
+    spec = cfg.cohort
     cohort = generate_cohort(spec, cfg.data_dir, header_comment=f"config_hash={cfg.config_hash}")
-    cfg.write_snapshot()
     n_visits = cohort.manifest["n_visits"]
     print(f"generated cohort: {spec.n_patients} patients, {n_visits} visits -> {cfg.data_dir}")
     if spec.dirty_count:
@@ -331,7 +350,7 @@ def _cmd_ingest(cfg: RunConfig) -> int:
             f"input files not found under {cfg.data_dir} (e.g. {missing[0]}); run `synth` or point data_dir at real data"
         )
     dataset, audit = load_dataset(paths)
-    cfg.write_snapshot()
+    cfg.run_dir.mkdir(parents=True, exist_ok=True)
     write_visit_table(cfg.run_dir / VISIT_TABLE, dataset, digests, cfg.config_hash)
     payload = {
         "exclusions": {reason.value: audit.get(reason, 0) for reason in ExclusionReason},
@@ -361,7 +380,6 @@ def _read_clean_dataset(cfg: RunConfig):
 
 def _cmd_features(cfg: RunConfig) -> int:
     X, y = build_feature_vectors(_read_clean_dataset(cfg))
-    cfg.write_snapshot()
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.run_dir / FEATURES_CSV
     write_feature_csv(path, X, y, header_comment=f"config_hash={cfg.config_hash}")
@@ -379,13 +397,9 @@ def _prepare_training(cfg: RunConfig):
 
     Writes nothing: `_cmd_train` writes them once the batch sizes are checked.
     """
-    fraction, folds = cfg.get_float("train.fraction"), cfg.get_int("train.folds")
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"train.fraction must be in (0, 1), got {fraction}")
-    if folds < 2:
-        raise ConfigError(f"train.folds must be at least 2, got {folds}")
     x_raw, y = _read_features(cfg)
-    spec = SplitSpec(seed=derive_seed(cfg.get_int("seed"), "split"), train_fraction=fraction, folds=folds)
+    spec = SplitSpec(seed=derive_seed(cfg["seed"], "split"), train_fraction=cfg["train.fraction"],
+                     folds=cfg["train.folds"])
     train_idx, test_idx = split_indices(x_raw.shape[0], spec)
     if not test_idx.size:  # evaluate and explain would have nothing to score
         raise ConfigError(f"train.fraction {spec.train_fraction} puts all {x_raw.shape[0]} "
@@ -393,21 +407,11 @@ def _prepare_training(cfg: RunConfig):
     scaler = fit_scaler(x_raw[train_idx])
     balanced_rel = undersample_indices(
         y[train_idx],
-        seed=derive_seed(cfg.get_int("seed"), "undersample"),
+        seed=derive_seed(cfg["seed"], "undersample"),
         required_classes=range(N_LEVELS),
     )
     balanced_idx = train_idx[balanced_rel]
     return x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec
-
-
-def _train_config(cfg: RunConfig, section: str, stage: str) -> TrainConfig:
-    return _spec(
-        section, TrainConfig,
-        learning_rate=cfg.get_float(f"{section}.learning_rate"),
-        batch_size=cfg.get_int(f"{section}.batch_size"),
-        epochs=cfg.get_int(f"{section}.epochs"),
-        seed=derive_seed(cfg.get_int("seed"), stage),
-    )
 
 
 # the job of a pool, set in each worker process by _init_pool_worker
@@ -444,24 +448,21 @@ def _in_pool(job, n_jobs: int) -> tuple[list, int]:
 
 
 def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
-    # the SGD values are checked before any artifact is read
-    train_cfg = _train_config(cfg, "train", "train")
-    ae_cfg = _train_config(cfg, "ae", "ae") if with_ae else None
     x_raw, y, train_idx, test_idx, scaler, balanced_idx, spec = _prepare_training(cfg)
     x_balanced = scaler.transform(x_raw[balanced_idx])
     y_balanced = y[balanced_idx]
     x_ae = scaler.transform(x_raw[train_idx]) if with_ae else None
     del x_raw, y  # every row the fits read is taken: the raw matrix is not held through them
-    folds = kfold_indices(x_balanced.shape[0], spec.folds, derive_seed(cfg.get_int("seed"), "fold"))
+    folds = kfold_indices(x_balanced.shape[0], spec.folds, derive_seed(cfg["seed"], "fold"))
     # each fit checks its own batch size, but only once the split files are
     # written and the fits before it have run, so both batch sizes are
     # checked here first, the classifier's against the smallest fold
     fold_no, fit_rows = min(enumerate((fit.size for fit, _ in folds), 1), key=lambda f: f[1])
-    if train_cfg.batch_size > fit_rows:
-        raise ConfigError(f"train.batch_size {train_cfg.batch_size} exceeds the {fit_rows} rows "
+    if cfg.train.batch_size > fit_rows:
+        raise ConfigError(f"train.batch_size {cfg.train.batch_size} exceeds the {fit_rows} rows "
                           f"that fold {fold_no} of {spec.folds} fits on")
-    if with_ae and ae_cfg.batch_size > train_idx.size:
-        raise ConfigError(f"ae.batch_size {ae_cfg.batch_size} exceeds the {train_idx.size} "
+    if with_ae and cfg.ae.batch_size > train_idx.size:
+        raise ConfigError(f"ae.batch_size {cfg.ae.batch_size} exceeds the {train_idx.size} "
                           "training rows the autoencoder fits on")
 
     _write_json(cfg, SPLIT_JSON, {
@@ -473,7 +474,7 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     _write_json(cfg, BALANCED_JSON, {"indices": [int(i) for i in balanced_idx]})
 
     if with_ae:
-        ae_model = train_autoencoder(x_ae, config=ae_cfg)
+        ae_model = train_autoencoder(x_ae, config=cfg.ae)
         del x_ae
         ae_path = _write_json(cfg, AE_MODEL_JSON, model_to_dict(ae_model))
         print(f"autoencoder: final reconstruction loss {ae_model.final_loss:.6f} -> {ae_path}")
@@ -486,7 +487,7 @@ def _cmd_train(cfg: RunConfig, with_ae: bool) -> int:
     # the final fit on the whole balanced pool is the longest job, so it goes first
     row_sets = [slice(None), *(fit_idx for fit_idx, _ in folds)]
     (final, *fold_models), workers = _in_pool(
-        lambda i: train_classifier(inputs[row_sets[i]], y_balanced[row_sets[i]], sizes, train_cfg),
+        lambda i: train_classifier(inputs[row_sets[i]], y_balanced[row_sets[i]], sizes, cfg.train),
         len(row_sets),
     )
 
@@ -537,23 +538,15 @@ def _cmd_evaluate(cfg: RunConfig, with_ae: bool) -> int:
 
 
 def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
-    # checked before any artifact is read, and each by its key: a bad value
-    # would otherwise fail deep inside, some only in a pool worker
-    method = cfg.get_str("explain.method")
-    if method not in ("exact", "sampled"):
-        raise ConfigError(f"config key explain.method must be exact or sampled, got {method!r}")
-    for key in ("explain.n_permutations", "explain.n_instances", "explain.background_size"):
-        if cfg.get_int(key) < 1:
-            raise ConfigError(f"config key {key} must be at least 1, got {cfg.get_int(key)}")
     x_raw, _, train_idx, test_idx, scaler, model, ae_model = _load_eval_inputs(cfg, with_ae)
 
-    bg_rng = np.random.default_rng(derive_seed(cfg.get_int("seed"), "background"))
-    bg_size = min(cfg.get_int("explain.background_size"), train_idx.size)
+    bg_rng = np.random.default_rng(derive_seed(cfg["seed"], "background"))
+    bg_size = min(cfg["explain.background_size"], train_idx.size)
     bg_rows = scaler.transform(x_raw[train_idx[bg_rng.choice(train_idx.size, bg_size, replace=False)]])
     baseline = bg_rows.mean(axis=0)  # an absent feature takes its background mean
 
-    inst_rng = np.random.default_rng(derive_seed(cfg.get_int("seed"), "explain"))
-    n_instances = min(cfg.get_int("explain.n_instances"), test_idx.size)
+    inst_rng = np.random.default_rng(derive_seed(cfg["seed"], "explain"))
+    n_instances = min(cfg["explain.n_instances"], test_idx.size)
     chosen = np.sort(inst_rng.choice(test_idx.size, n_instances, replace=False))
     instances = scaler.transform(x_raw[test_idx[chosen]])
     del x_raw  # the raw matrix is not held through the forward passes
@@ -563,12 +556,12 @@ def _cmd_explain(cfg: RunConfig, with_ae: bool) -> int:
 
     def attribute(row_no: int):
         cls = int(predicted[row_no])
-        if method == "exact":
+        if cfg["explain.method"] == "exact":
             return exact_shapley(model_fn, instances[row_no], baseline, explained_class=cls)
         return sampled_shapley(
             model_fn, instances[row_no], baseline, explained_class=cls,
-            n_permutations=cfg.get_int("explain.n_permutations"),
-            seed=derive_seed(cfg.get_int("seed"), f"explain:{row_no}"),
+            n_permutations=cfg["explain.n_permutations"],
+            seed=derive_seed(cfg["seed"], f"explain:{row_no}"),
         )
 
     attributions, workers = _in_pool(attribute, n_instances)
@@ -655,7 +648,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # counts, which changes the last bits of the results; one thread
         # keeps every stage's artifacts the same at any count
         with single_blas_thread():
-            return command(cfg, args.with_ae) if ae_flag else command(cfg)
+            code = command(cfg, args.with_ae) if ae_flag else command(cfg)
+        # so the snapshot hashes to the config_hash of the last stage's artifacts
+        if code == EXIT_OK:
+            cfg.write_snapshot()
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

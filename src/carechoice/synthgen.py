@@ -119,6 +119,8 @@ class CohortSpec:
     def __post_init__(self):
         if self.n_patients < 1:
             raise ValueError(f"n_patients must be positive, got {self.n_patients}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.signal_strength <= 1.0:  # also refuses NaN
             raise ValueError(f"signal_strength must be in [0,1], got {self.signal_strength}")
         if self.dirty_count < 0:

@@ -22,9 +22,9 @@ from carechoice.cli import (
     AE_MODEL_JSON,
     AUDIT_JSON,
     BALANCED_JSON,
+    CONFIG_KEYS,
     CONFIG_SNAPSHOT,
     CV_FILES,
-    DEFAULT_CONFIG,
     EVAL_FILES,
     EXIT_CONFIG,
     EXIT_DATA,
@@ -70,9 +70,9 @@ class TestParseConfigText:
 class TestRunConfig:
     def test_defaults_fill_missing_keys(self):
         cfg = RunConfig({})
-        assert cfg.mapping == DEFAULT_CONFIG
-        assert cfg.get_int("seed") == 0
-        assert cfg.get_float("train.fraction") == 0.8
+        assert cfg.mapping == {key: default for key, (default, _) in CONFIG_KEYS.items() if default is not None}
+        assert cfg["seed"] == 0
+        assert cfg["train.fraction"] == 0.8
 
     def test_unknown_key_is_rejected(self):
         with pytest.raises(ConfigError, match="train.epoch"):
@@ -80,10 +80,10 @@ class TestRunConfig:
 
     def test_cohort_fields_are_allowed_beyond_the_defaults(self):
         cfg = RunConfig({"synth.seed": "7"})
-        assert cfg.get_int("synth.seed") == 7
+        assert cfg["synth.seed"] == 7
 
     def test_allowed_keys_are_the_defaults_and_the_cohort_spec(self):
-        assert cli._allowed_keys() == {
+        assert set(CONFIG_KEYS) == {
             "seed", "run_dir", "data_dir",
             "train.fraction", "train.folds", "train.learning_rate", "train.batch_size",
             "train.epochs",
@@ -97,8 +97,8 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 5\ntrain.epochs = 9\n")
         cfg = RunConfig.load(str(path), ["seed=6"])
-        assert cfg.get_int("seed") == 6
-        assert cfg.get_int("train.epochs") == 9
+        assert cfg["seed"] == 6
+        assert cfg["train.epochs"] == 9
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -108,12 +108,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="--set"):
             RunConfig.load(None, ["seed"])
 
-    def test_non_numeric_values_fail_on_access(self):
-        cfg = RunConfig({"seed": "abc"})
+    def test_non_numeric_values_fail_at_load(self):
         with pytest.raises(ConfigError, match="integer"):
-            cfg.get_int("seed")
+            RunConfig({"seed": "abc"})
         with pytest.raises(ConfigError, match="number"):
-            cfg.get_float("seed")
+            RunConfig({"train.fraction": "abc"})
+
+    def test_a_config_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\nrun_dir = \xff\n")
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.load(str(path), [])
+        assert str(exc.value) == "run.cfg:2: byte 0xff is not UTF-8"
+        capsys.readouterr()
+        assert cli.main(["compare", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: run.cfg:2: byte 0xff is not UTF-8\n"
 
     def test_hash_ignores_insertion_order(self):
         a = RunConfig({"seed": "1", "train.epochs": "2"})
@@ -788,6 +797,68 @@ def test_ae_stages_run_without_scipy(features_ready, tmp_path):
         assert result.returncode == EXIT_OK, (command, result.stderr)
 
 
+def test_the_snapshot_hashes_to_the_config_hash_of_the_last_stage(features_ready, tmp_path):
+    # `features` ran with other settings than this `train`
+    run = tmp_path / "run"
+    shutil.copytree(features_ready[0], run)
+    assert cli.main(["train", "--no-ae", *features_ready[1], "--set", f"run_dir={run}",
+                     "--set", "train.epochs=1"]) == EXIT_OK
+    digest = hashlib.sha256((run / CONFIG_SNAPSHOT).read_bytes()).hexdigest()[:16]
+    for name in (MODEL_FILES[False], SPLIT_JSON):
+        assert json.loads((run / name).read_text())["config_hash"] == digest, name
+
+
+# the keys whose value is text, not a number; and for every key that the
+# table or a spec bounds, a value out of range and the message it gets
+TEXT_KEYS = {"run_dir", "data_dir", "explain.method"}
+OUT_OF_RANGE = {
+    "train.fraction": ("1", "must be in (0, 1), got 1.0"),
+    "train.folds": ("1", "must be at least 2, got 1"),
+    "train.learning_rate": ("0", "must be positive, got 0.0"),
+    "train.batch_size": ("0", "must be at least 1, got 0"),
+    "train.epochs": ("-1", "must be nonnegative, got -1"),
+    "ae.learning_rate": ("-0.5", "must be positive, got -0.5"),
+    "ae.batch_size": ("0", "must be at least 1, got 0"),
+    "ae.epochs": ("-1", "must be nonnegative, got -1"),
+    "explain.method": ("kernel", "must be exact or sampled, got 'kernel'"),
+    "explain.n_permutations": ("0", "must be at least 1, got 0"),
+    "explain.background_size": ("0", "must be at least 1, got 0"),
+    "explain.n_instances": ("-1", "must be at least 1, got -1"),
+    "synth.n_patients": ("0", "must be positive, got 0"),
+    "synth.seed": ("-1", "must be nonnegative, got -1"),
+    "synth.signal_strength": ("nan", "must be in [0,1], got nan"),
+    "synth.dirty_count": ("-1", "must be nonnegative, got -1"),
+}
+
+
+class TestEveryConfigKey:
+    """Every stage refuses a bad value of any key before it reads or
+    writes anything: `compare` on an empty run dir exits 3, not 4."""
+
+    def compare(self, tmp_path, capsys, setting: str) -> tuple[int, str]:
+        run = tmp_path / "run"
+        capsys.readouterr()
+        code = cli.main(["compare", "--set", f"run_dir={run}", "--set", setting])
+        assert not run.exists()
+        return code, capsys.readouterr().err
+
+    def test_only_seed_and_the_directories_are_unbounded(self):
+        assert set(CONFIG_KEYS) - set(OUT_OF_RANGE) == {"seed", "run_dir", "data_dir"}
+
+    @pytest.mark.parametrize("key", [key for key in CONFIG_KEYS if key not in TEXT_KEYS])
+    def test_a_value_that_is_no_number_exits_three_naming_its_key(self, tmp_path, capsys, key):
+        code, err = self.compare(tmp_path, capsys, f"{key}=x")
+        assert code == EXIT_CONFIG
+        assert re.fullmatch(f"config error: config key {re.escape(key)} must be (an integer|a number), got 'x'\n",
+                            err), err
+
+    @pytest.mark.parametrize("key", list(OUT_OF_RANGE))
+    def test_a_value_out_of_range_exits_three_naming_its_key(self, tmp_path, capsys, key):
+        value, message = OUT_OF_RANGE[key]
+        assert self.compare(tmp_path, capsys, f"{key}={value}") == (
+            EXIT_CONFIG, f"config error: config key {key} {message}\n")
+
+
 class TestExitCodes:
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -806,9 +877,9 @@ class TestExitCodes:
         assert "unknown config keys: synth.loyalty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, message", [
-        pytest.param("train.fraction=1", "train.fraction must be in (0, 1), got 1.0", id="fraction=1"),
-        pytest.param("train.fraction=0", "train.fraction must be in (0, 1), got 0.0", id="fraction=0"),
-        pytest.param("train.folds=1", "train.folds must be at least 2, got 1", id="folds=1"),
+        pytest.param("train.fraction=1", "config key train.fraction must be in (0, 1), got 1.0", id="fraction=1"),
+        pytest.param("train.fraction=0", "config key train.fraction must be in (0, 1), got 0.0", id="fraction=0"),
+        pytest.param("train.folds=1", "config key train.folds must be at least 2, got 1", id="folds=1"),
     ])
     def test_bad_split_value_exits_three_naming_its_key(self, features_ready, capsys, monkeypatch,
                                                         setting, message):
@@ -876,6 +947,7 @@ class TestExitCodes:
             ("n_patients=2.5", "n_patients must be an integer, got '2.5'"),
             ("signal_strength=abc", "signal_strength must be a number, got 'abc'"),
             ("dirty_count=-1", "dirty_count must be nonnegative, got -1"),
+            ("seed=-1", "seed must be nonnegative, got -1"),
         )
     ])
     def test_bad_cohort_value_exits_three_naming_its_key(self, tmp_path, capsys, setting, message):

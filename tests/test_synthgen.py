@@ -77,6 +77,8 @@ class TestCohortSpec:
                 CohortSpec(signal_strength=bad)
         with pytest.raises(ValueError, match="dirty_count"):
             CohortSpec(dirty_count=-1)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            CohortSpec(seed=-1)
 
     def test_priors_normalize_and_follow_level_codes(self):
         assert PRIORS.sum() == pytest.approx(1.0, abs=1e-12)
